@@ -17,7 +17,11 @@ each part is only done when (and once) it must be:
    terrain profiles and tower-base elevations in LRU caches keyed by
    quantized endpoints, so re-enumerations over the same tower field
    (parameter sweeps over usable height, radio range, clutter...) skip
-   the terrain model entirely.
+   the terrain model entirely.  Keying is array work: each batch is
+   quantized (``np.rint``), direction-canonicalized and turned into
+   keys in one NumPy pass, and probed with C-level ``map`` calls over
+   the cache's OrderedDict, leaving the same contents, recency order
+   and counters as keying one row at a time.
 
 :func:`enumerate_hops` is the front door;
 :meth:`HopPipeline.enumerate_hops` gives reuse of the caches across
@@ -26,8 +30,10 @@ calls.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_not
 
 import numpy as np
 
@@ -48,8 +54,18 @@ DEFAULT_PROFILE_CAPACITY = 200_000
 DEFAULT_QUANT_DEG = 1e-4
 
 
+def _consume(iterator) -> None:
+    """Exhaust an iterator at C speed (for maps run for their effect)."""
+    deque(iterator, maxlen=0)
+
+
 class _LruCache:
-    """A small LRU mapping (OrderedDict-backed) with hit/miss counters."""
+    """A small LRU mapping (OrderedDict-backed) with hit/miss counters.
+
+    Lookups and inserts take a whole batch of keys and run as C-level
+    ``map`` passes over the OrderedDict, with the same effect on
+    contents, recency order and counters as one call per key.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -62,21 +78,34 @@ class _LruCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key):
-        """The cached value, or None (and a miss) when absent."""
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
+    def get_many(self, keys: list) -> tuple[np.ndarray, list]:
+        """(boolean hit mask, the hits' cached values in key order).
 
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        Hits are refreshed in key order; a key repeated in the batch
+        counts (and refreshes) once per occurrence.
+        """
+        data = self._data
+        found = list(map(data.get, keys))
+        hit = np.fromiter(map(is_not, found, repeat(None)), dtype=bool, count=len(found))
+        hit_list = hit.tolist()
+        _consume(map(data.move_to_end, compress(keys, hit_list)))
+        values = list(compress(found, hit_list))
+        self.hits += len(values)
+        self.misses += len(found) - len(values)
+        return hit, values
+
+    def put_many(self, keys: list, values) -> None:
+        """Insert pairs in order, then evict the least recently used.
+
+        A key repeated in the batch keeps its last value and its last
+        position; evicting once at the end leaves the same entries as
+        evicting after every insert.
+        """
+        data = self._data
+        data.update(zip(keys, values))
+        _consume(map(data.move_to_end, keys))
+        for _ in range(len(data) - self.capacity):
+            data.popitem(last=False)
 
 
 class CachingLosChecker(LosChecker):
@@ -111,8 +140,9 @@ class CachingLosChecker(LosChecker):
         self._profiles = _LruCache(profile_capacity)
         self._grounds = _LruCache(max(4 * profile_capacity, 1))
 
-    def _qpt(self, lat: float, lon: float) -> tuple[int, int]:
-        return (int(round(lat / self._quant)), int(round(lon / self._quant)))
+    def _quantize(self, degrees: np.ndarray) -> np.ndarray:
+        """Integer cache codes: ``int(round(x / quant))`` per element."""
+        return np.rint(degrees / self._quant).astype(np.int64)
 
     def cache_stats(self) -> dict[str, int]:
         """Profile/ground cache sizes and hit/miss counters."""
@@ -126,63 +156,48 @@ class CachingLosChecker(LosChecker):
         }
 
     def profile_terrain_m(self, lat_a, lon_a, lat_b, lon_b, m: int) -> np.ndarray:
-        lat_a = np.atleast_1d(np.asarray(lat_a, dtype=float))
-        lon_a = np.atleast_1d(np.asarray(lon_a, dtype=float))
-        lat_b = np.atleast_1d(np.asarray(lat_b, dtype=float))
-        lon_b = np.atleast_1d(np.asarray(lon_b, dtype=float))
-        n = len(lat_a)
-        rows: list[np.ndarray | None] = [None] * n
-        flipped = np.zeros(n, dtype=bool)
-        miss_idx: list[int] = []
-        keys: list[tuple] = []
-        for k in range(n):
-            qa = self._qpt(lat_a[k], lon_a[k])
-            qb = self._qpt(lat_b[k], lon_b[k])
-            # Canonical endpoint order; the interior sample grid is
-            # symmetric, so the reverse hop's profile is the flip.
-            if qb < qa:
-                qa, qb = qb, qa
-                flipped[k] = True
-            key = (qa, qb, m)
-            keys.append(key)
-            cached = self._profiles.get(key)
-            if cached is None:
-                miss_idx.append(k)
-            else:
-                rows[k] = cached[::-1] if flipped[k] else cached
-        if miss_idx:
-            mi = np.array(miss_idx)
+        lat_a, lon_a, lat_b, lon_b = (
+            np.atleast_1d(np.asarray(v, dtype=float)) for v in (lat_a, lon_a, lat_b, lon_b)
+        )
+        ya, xa, yb, xb = (self._quantize(v) for v in (lat_a, lon_a, lat_b, lon_b))
+        # Canonical endpoint order, (lat, lon) lexicographic; the
+        # interior sample grid is symmetric, so the reverse hop's
+        # profile is the flip.
+        flipped = (yb < ya) | ((yb == ya) & (xb < xa))
+        ya, yb = np.where(flipped, yb, ya), np.where(flipped, ya, yb)
+        xa, xb = np.where(flipped, xb, xa), np.where(flipped, xa, xb)
+        keys = list(zip(
+            zip(ya.tolist(), xa.tolist()), zip(yb.tolist(), xb.tolist()), repeat(m)
+        ))
+        hit, cached = self._profiles.get_many(keys)
+        out = np.empty((len(keys), m), dtype=float)
+        if cached:
+            out[hit] = np.stack(cached)
+            back = hit & flipped
+            out[back] = out[back, ::-1]
+        if not hit.all():
+            miss = ~hit
             fresh = super().profile_terrain_m(
-                lat_a[mi], lon_a[mi], lat_b[mi], lon_b[mi], m
+                lat_a[miss], lon_a[miss], lat_b[miss], lon_b[miss], m
             )
-            for j, k in enumerate(miss_idx):
-                row = fresh[j]
-                canonical = row[::-1] if flipped[k] else row
-                self._profiles.put(keys[k], canonical)
-                rows[k] = row
-        return np.stack(rows)
+            out[miss] = fresh
+            canonical = np.where(flipped[miss][:, None], fresh[:, ::-1], fresh)
+            self._profiles.put_many(list(compress(keys, miss.tolist())), canonical)
+        return out
 
     def ground_elevation_m(self, lats, lons) -> np.ndarray:
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
-        n = len(lats)
-        out = np.empty(n, dtype=float)
-        miss_idx: list[int] = []
-        keys: list[tuple[int, int]] = []
-        for k in range(n):
-            key = self._qpt(lats[k], lons[k])
-            keys.append(key)
-            cached = self._grounds.get(key)
-            if cached is None:
-                miss_idx.append(k)
-            else:
-                out[k] = cached
-        if miss_idx:
-            mi = np.array(miss_idx)
-            fresh = super().ground_elevation_m(lats[mi], lons[mi])
-            for j, k in enumerate(miss_idx):
-                self._grounds.put(keys[k], float(fresh[j]))
-                out[k] = fresh[j]
+        keys = list(zip(self._quantize(lats).tolist(), self._quantize(lons).tolist()))
+        hit, cached = self._grounds.get_many(keys)
+        out = np.empty(len(keys), dtype=float)
+        if cached:
+            out[hit] = cached
+        if not hit.all():
+            miss = ~hit
+            fresh = super().ground_elevation_m(lats[miss], lons[miss])
+            out[miss] = fresh
+            self._grounds.put_many(list(compress(keys, miss.tolist())), fresh.tolist())
         return out
 
 

@@ -10,6 +10,8 @@ matter to the design pipeline.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .sites import Site, coalesce_sites
 
 _RAW_CITIES: list[tuple[str, float, float, int]] = [
@@ -133,5 +135,12 @@ def eu_population_centers(
     coalesce_km: float = 50.0, min_population: int = 300_000
 ) -> list[Site]:
     """European population centers (coalesced, population >= 300k)."""
+    return list(_coalesced_centers(coalesce_km, min_population))
+
+
+@lru_cache(maxsize=8)
+def _coalesced_centers(coalesce_km: float, min_population: int) -> tuple[Site, ...]:
+    # Coalesced once per argument pair: sites are frozen, so the cached
+    # tuple is safe to share and callers get a fresh list.
     centers = coalesce_sites(raw_cities(), radius_km=coalesce_km)
-    return [c for c in centers if c.population >= min_population]
+    return tuple(c for c in centers if c.population >= min_population)

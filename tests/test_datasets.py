@@ -7,6 +7,7 @@ from repro.datasets import (
     coalesce_sites,
     eu_population_centers,
     google_us_datacenters,
+    raw_eu_cities,
     raw_us_cities,
     us_population_centers,
 )
@@ -92,6 +93,22 @@ class TestUsCities:
             for b in centers[i + 1 : 30]:
                 assert a.distance_km(b) > 50.0
 
+    def test_memoized_centers_match_fresh_coalescing(self):
+        want = coalesce_sites(raw_us_cities(), radius_km=50.0)[:120]
+        assert us_population_centers() == want
+        assert us_population_centers() == want
+        assert us_population_centers(80.0, 40) == coalesce_sites(
+            raw_us_cities(), radius_km=80.0
+        )[:40]
+
+    def test_returned_list_is_a_private_copy(self):
+        first = us_population_centers()
+        want = list(first)
+        first.pop()
+        first.reverse()
+        first[0] = Site("Nowhere", 40.0, -100.0, 1)
+        assert us_population_centers() == want
+
 
 class TestEuCities:
     def test_population_floor(self):
@@ -106,6 +123,21 @@ class TestEuCities:
     def test_london_present(self):
         names = {c.name for c in eu_population_centers()}
         assert "London" in names
+
+    def test_memoized_centers_match_fresh_coalescing(self):
+        want = [
+            c
+            for c in coalesce_sites(raw_eu_cities(), radius_km=50.0)
+            if c.population >= 300_000
+        ]
+        assert eu_population_centers() == want
+        assert eu_population_centers() == want
+
+    def test_returned_list_is_a_private_copy(self):
+        first = eu_population_centers()
+        want = list(first)
+        first.clear()
+        assert eu_population_centers() == want
 
 
 class TestDatacenters:

@@ -1,5 +1,7 @@
 """The candidate-hop pipeline: spatial index, cached LoS, solver registry."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from repro.core import (
     solver_names,
 )
 from repro.core.heuristic import greedy_sequence
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import (
+    DEFAULT_QUANT_DEG,
     CachingLosChecker,
     HopPipeline,
     enumerate_hops,
@@ -192,6 +196,169 @@ class TestPipelineLos:
         assert 0 < s.candidate_pairs <= s.all_pairs
         assert s.feasible_hops <= s.candidate_pairs
         assert 0.0 <= s.pruned_fraction < 1.0
+
+
+class _RowLru:
+    """Per-key LRU with hit/miss counters: the cache the oracle drives."""
+
+    def __init__(self, capacity):
+        self.capacity, self.data, self.hits, self.misses = capacity, OrderedDict(), 0, 0
+
+    def get(self, key):
+        value = self.data.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.data.move_to_end(key)
+            self.hits += 1
+        return value
+
+    def put(self, key, value):
+        self.data[key] = value
+        self.data.move_to_end(key)
+        while len(self.data) > self.capacity:
+            self.data.popitem(last=False)
+
+
+class _PerRowReference(LosChecker):
+    """Oracle: the caching checker's keying done one endpoint at a time."""
+
+    def __init__(self, terrain, profiles, grounds, quant=DEFAULT_QUANT_DEG):
+        super().__init__(terrain, LosConfig())
+        self.profiles, self.grounds, self.quant = profiles, grounds, quant
+
+    def _qpt(self, lat, lon):
+        return (int(round(lat / self.quant)), int(round(lon / self.quant)))
+
+    def profile_terrain_m(self, lat_a, lon_a, lat_b, lon_b, m):
+        lat_a, lon_a, lat_b, lon_b = map(np.atleast_1d, (lat_a, lon_a, lat_b, lon_b))
+        rows, flipped, keys, miss = [None] * len(lat_a), [], [], []
+        for k in range(len(lat_a)):
+            qa, qb = self._qpt(lat_a[k], lon_a[k]), self._qpt(lat_b[k], lon_b[k])
+            flipped.append(qb < qa)
+            keys.append((min(qa, qb), max(qa, qb), m))
+            cached = self.profiles.get(keys[k])
+            if cached is None:
+                miss.append(k)
+            else:
+                rows[k] = cached[::-1] if flipped[k] else cached
+        if miss:
+            fresh = super().profile_terrain_m(
+                lat_a[miss], lon_a[miss], lat_b[miss], lon_b[miss], m
+            )
+            for row, k in zip(fresh, miss):
+                self.profiles.put(keys[k], row[::-1] if flipped[k] else row)
+                rows[k] = row
+        return np.stack(rows) if rows else np.zeros((0, m))
+
+    def ground_elevation_m(self, lats, lons):
+        lats, lons = np.atleast_1d(lats), np.atleast_1d(lons)
+        out, keys, miss = np.empty(len(lats)), [], []
+        for k in range(len(lats)):
+            keys.append(self._qpt(lats[k], lons[k]))
+            cached = self.grounds.get(keys[k])
+            if cached is None:
+                miss.append(k)
+            else:
+                out[k] = cached
+        if miss:
+            fresh = super().ground_elevation_m(lats[miss], lons[miss])
+            for value, k in zip(fresh, miss):
+                self.grounds.put(keys[k], float(value))
+                out[k] = value
+        return out
+
+
+def _reference_for(checker: CachingLosChecker) -> _PerRowReference:
+    capacity = checker._profiles.capacity
+    return _PerRowReference(
+        checker.terrain, _RowLru(capacity), _RowLru(max(4 * capacity, 1)), checker._quant
+    )
+
+
+def _assert_same_cache(checker: CachingLosChecker, ref: _PerRowReference):
+    for new, old in ((checker._profiles, ref.profiles), (checker._grounds, ref.grounds)):
+        assert (new.hits, new.misses) == (old.hits, old.misses)
+        # Same entries in the same recency order, with bitwise-equal values.
+        assert list(new._data) == list(old.data)
+        for key, value in old.data.items():
+            assert np.asarray(new._data[key]).tobytes() == np.asarray(value).tobytes()
+
+
+def _run_both(checker, ref, lat_a, lon_a, lat_b, lon_b, m=7):
+    for method, args in (
+        ("profile_terrain_m", (lat_a, lon_a, lat_b, lon_b, m)),
+        ("ground_elevation_m", (lat_a, lon_a)),
+        ("ground_elevation_m", (lat_b, lon_b)),
+    ):
+        got = getattr(checker, method)(*args)
+        want = getattr(ref, method)(*args)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), method
+        _assert_same_cache(checker, ref)
+
+
+def _keying_batches(seed: int):
+    """Batches that exercise every keying corner, in one call sequence."""
+    rng = np.random.default_rng(seed)
+    q = DEFAULT_QUANT_DEG
+    lat_a, lon_a = rng.uniform(33.0, 45.0, 40), rng.uniform(-110.0, -80.0, 40)
+    lat_b, lon_b = lat_a + rng.uniform(-0.4, 0.4, 40), lon_a + rng.uniform(-0.4, 0.4, 40)
+    yield lat_a, lon_a, lat_b, lon_b  # random, all misses
+    yield lat_b, lon_b, lat_a, lon_a  # reversed pairs: hits, flipped
+    idx = rng.integers(0, 40, 60)
+    fresh_a = lat_a + 0.01
+    # Duplicate keys within one batch (both missed), mixed with hits.
+    yield (np.r_[fresh_a[:5], fresh_a[:5], lat_a[idx]], np.r_[lon_a[:5], lon_a[:5], lon_a[idx]],
+           np.r_[lat_b[:5], lat_b[:5], lat_b[idx]], np.r_[lon_b[:5], lon_b[:5], lon_b[idx]])
+    # Endpoints within quant of each other: equal codes, or one equal axis.
+    near = rng.uniform(-0.6, 0.6, (2, 30)) * q
+    yield lat_a[:30] + 0.02, lon_a[:30], lat_a[:30] + 0.02 + near[0], lon_a[:30] + near[1]
+    yield lat_a[:30] + 0.03, lon_a[:30], lat_a[:30] + 0.03, lon_a[:30] - rng.uniform(0, 1, 30)
+    # Exact .5 ties of lat / quant (round-half-even decides the code).
+    k = np.arange(350_000, 450_000, 1_001)
+    ties = (k + 0.5) * q
+    ties = ties[ties / q == k + 0.5]
+    assert len(ties) >= 20
+    n = len(ties)
+    yield ties, lon_a[:1].repeat(n), ties[::-1] + 0.1, lon_a[1:2].repeat(n)
+    yield lat_a, lon_a, lat_b, lon_b  # the first batch again, now partly evicted
+
+
+class TestCachingKeyingOracle:
+    """The array keying against a per-row oracle of the same cache."""
+
+    @pytest.mark.parametrize("capacity", [200_000, 5])
+    def test_matches_per_row_reference(self, capacity):
+        checker = CachingLosChecker(us_terrain(), LosConfig(), profile_capacity=capacity)
+        ref = _reference_for(checker)
+        for batch in _keying_batches(seed=capacity):
+            _run_both(checker, ref, *batch)
+        if capacity == 5:
+            assert len(checker._profiles) == 5
+
+    def test_shared_pipeline_pair_matches_shared_reference(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "_SHARED_TERRAIN_CACHES", {})
+        first = shared_pipeline(us_terrain(), LosConfig(), profile_capacity=50).checker
+        second = shared_pipeline(
+            us_terrain(), LosConfig(usable_height_fraction=0.85), profile_capacity=50
+        ).checker
+        assert second._profiles is first._profiles
+        ref_first = _reference_for(first)
+        ref_second = _PerRowReference(
+            us_terrain(), ref_first.profiles, ref_first.grounds, second._quant
+        )
+        batches = list(_keying_batches(seed=3))
+        for i, batch in enumerate(batches):
+            checker, ref = (first, ref_first) if i % 2 == 0 else (second, ref_second)
+            _run_both(checker, ref, *batch)
+
+    @pytest.mark.parametrize("checker_type", [LosChecker, CachingLosChecker])
+    def test_empty_batch(self, checker_type):
+        checker = checker_type(us_terrain())
+        e = np.zeros(0)
+        assert checker.profile_terrain_m(e, e, e, e, 9).shape == (0, 9)
+        assert checker.ground_elevation_m(e, e).shape == (0,)
 
 
 class TestSolverRegistry:
