@@ -17,6 +17,16 @@ line-of-sight engine actually consumes:
   elevation, so experiments are reproducible.
 
 Elevations are metres above a nominal sea level and are never negative.
+
+Large queries are evaluated in fixed blocks of ``_BLOCK_POINTS`` points.
+Each value-noise pass of the formula (5 base octaves, then 3 per ridge:
+17 passes for the US terrain) allocates dozens of 8-byte temporaries
+the size of its input.  At LoS-batch sizes (up to ~135k points per
+call) those stream through main memory, while a block's temporaries
+stay in a core's L2 cache and cost about half as much per point.
+Blocking is exact: every operation in the formula acts on each point
+alone, with no reduction across points, so any partition of the points
+yields the same bits.
 """
 
 from __future__ import annotations
@@ -29,6 +39,9 @@ from .coords import GeoPoint, great_circle_points
 
 #: Kilometres per degree of latitude (spherical Earth).
 _KM_PER_DEG_LAT = 111.19
+
+#: 8,192 points: each 64 KiB temporary stays in L2 at the fewest NumPy calls (fastest measured).
+_BLOCK_POINTS = 8192
 
 
 def _mix_hash(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
@@ -103,6 +116,25 @@ class MountainRidge:
     height_m: float
     width_km: float
 
+    def __post_init__(self) -> None:
+        # A one-point polyline has no segment (distance inf: the ridge
+        # vanishes), and a zero width or a non-finite height makes NaN
+        # heights, which silently fail every LoS comparison.
+        if len(self.waypoints) < 2:
+            raise ValueError(
+                f"MountainRidge {self.name!r}: waypoints needs at least 2 "
+                f"(lat, lon) points, got {len(self.waypoints)}"
+            )
+        if not self.width_km > 0:
+            raise ValueError(
+                f"MountainRidge {self.name!r}: width_km must be > 0, got {self.width_km!r}"
+            )
+        if not (np.isfinite(self.height_m) and self.height_m >= 0):
+            raise ValueError(
+                f"MountainRidge {self.name!r}: height_m must be finite and >= 0, "
+                f"got {self.height_m!r}"
+            )
+
     def distance_km(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
         """Approximate distance from query points to the ridge polyline.
 
@@ -153,10 +185,37 @@ class TerrainModel:
     noise_scale_deg: float = 1.6
     ridges: tuple[MountainRidge, ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        if not self.noise_scale_deg > 0:
+            raise ValueError(
+                f"TerrainModel: noise_scale_deg must be > 0, got {self.noise_scale_deg!r}"
+            )
+
     def elevation_m(self, lats, lons) -> np.ndarray:
-        """Elevation in metres at the query coordinates (vectorized)."""
-        lats = np.atleast_1d(np.asarray(lats, dtype=float))
-        lons = np.atleast_1d(np.asarray(lons, dtype=float))
+        """Elevation in metres at the query coordinates (vectorized).
+
+        ``lats`` and ``lons`` broadcast against each other; the result
+        has their broadcast shape, at least 1-D.  Points are evaluated
+        in blocks of ``_BLOCK_POINTS`` (8,192: the fastest block size
+        measured on LoS-batch-sized inputs, whose noise temporaries fit
+        a core's L2 cache) into one preallocated output.  The formula
+        works point by point, so the result is bit-identical to
+        evaluating all points at once.
+        """
+        lats, lons = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(lats, dtype=float)),
+            np.atleast_1d(np.asarray(lons, dtype=float)),
+        )
+        flat_lats = lats.ravel()
+        flat_lons = lons.ravel()
+        out = np.empty(flat_lats.size)
+        for start in range(0, out.size, _BLOCK_POINTS):
+            stop = start + _BLOCK_POINTS
+            out[start:stop] = self._elevation_block(flat_lats[start:stop], flat_lons[start:stop])
+        return out.reshape(lats.shape)
+
+    def _elevation_block(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+        """Elevation in metres at 1-D arrays of points, all at once."""
         x = lons / self.noise_scale_deg
         y = lats / self.noise_scale_deg
         base = self.base_m + self.relief_m * fractal_noise(x, y, octaves=5, seed=self.seed)
