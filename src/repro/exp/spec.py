@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -280,18 +282,40 @@ class WeatherSpec:
     cache_mb: float = 256.0
 
     def __post_init__(self) -> None:
+        # Types first: a float count, a string flag or a NaN margin
+        # would otherwise parse and fail late, or never fail at all.
+        for name in ("n_intervals", "seed", "sample_interval_days", "delta_k"):
+            value = getattr(self, name)
+            if value is None and name == "sample_interval_days":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"weather.{name} must be an integer, got {value!r}")
+        if not isinstance(self.graded, bool):
+            raise ValueError(f"weather.graded must be a boolean, got {self.graded!r}")
+        for name in ("fade_margin_db", "frequency_ghz", "cache_mb"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value <= 0
+            ):
+                raise ValueError(
+                    f"weather.{name} must be a finite number > 0, got {value!r}"
+                )
         if self.n_intervals <= 0:
-            raise ValueError("need at least one interval")
-        if self.frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
+            raise ValueError(
+                f"weather.n_intervals must be >= 1, got {self.n_intervals}"
+            )
         if self.sample_interval_days is not None and not (
             1 <= self.sample_interval_days <= 365
         ):
-            raise ValueError("sample_interval_days must be in [1, 365]")
+            raise ValueError(
+                "weather.sample_interval_days must be in [1, 365], "
+                f"got {self.sample_interval_days}"
+            )
         if self.delta_k < 0:
-            raise ValueError("delta_k must be >= 0")
-        if self.cache_mb <= 0:
-            raise ValueError("cache_mb must be positive")
+            raise ValueError(f"weather.delta_k must be >= 0, got {self.delta_k}")
 
 
 @dataclass(frozen=True)

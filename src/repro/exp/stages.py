@@ -254,15 +254,20 @@ def _weather_deps(spec: ExperimentSpec) -> tuple[str, ...]:
 
 def _run_weather(spec: ExperimentSpec, inputs: dict[str, Any]):
     from ..weather.degradation import weather_stage_records
+    from ..weather.precipitation import EU_CLIMATE, US_CLIMATE, PrecipitationYear
 
     w = spec.weather
     assert w is not None
     scenario = inputs["substrate"]
     design = inputs["design"]
+    # Storms fall where the scenario's towers stand; every scenario but
+    # Europe (us, interdc, city_dc) is in the US.
+    climate = EU_CLIMATE if spec.scenario.name == "europe" else US_CLIMATE
     return weather_stage_records(
         design.topology,
         scenario.catalog,
         scenario.registry,
+        precipitation=PrecipitationYear(climate),
         n_intervals=w.n_intervals,
         fade_margin_db=w.fade_margin_db,
         seed=w.seed,
@@ -412,7 +417,10 @@ STAGES: dict[str, Stage] = {
         # full solve, not bitwise), records gained a ``series="solver"``
         # counters row, and the payload grew ``sample_interval_days``
         # (daily-resolution grid), ``delta_k``, and ``cache_mb``.
-        version="3",
+        # v4: Europe evaluates storms from the European climate instead
+        # of the US one, so Europe weather records change; US records
+        # (us, interdc, city_dc) do not.
+        version="4",
         deps=_weather_deps,
         payload=_weather_payload,
         run=_run_weather,

@@ -183,8 +183,12 @@ def critical_rain_rates(
     is already breached there); hops that never breach get all-``inf``
     thresholds.
     """
-    if fade_margin_db <= 0:
-        raise ValueError("fade margin must be positive")
+    # NaN compares false both ways, so ``<= 0`` alone would let it
+    # through and no hop would ever fail.
+    if not (np.isfinite(fade_margin_db) and fade_margin_db > 0):
+        raise ValueError(
+            f"fade margin must be a finite number > 0, got {fade_margin_db}"
+        )
     margin = float(fade_margin_db)
     hop = np.atleast_1d(np.asarray(hop_km, dtype=float))
     if np.any(hop < 0):

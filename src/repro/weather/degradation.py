@@ -128,6 +128,7 @@ def weather_stage_records(
     topology: Topology,
     catalog: LinkCatalog,
     registry: TowerRegistry,
+    precipitation: PrecipitationYear | None = None,
     n_intervals: int = 120,
     fade_margin_db: float = 30.0,
     seed: int = 7,
@@ -145,6 +146,8 @@ def weather_stage_records(
     fraction paid for keeping links up through modulation downshifts.
     One evaluator serves both models, so the binary pass runs once and
     the graded pass reuses its storm fields and failure-set solver.
+    ``precipitation`` is the scenario's storm climate (``None`` = the
+    US year); the weather stage passes the European year for Europe.
 
     A set ``sample_interval_days`` stride replaces the random day
     sample with the deterministic every-Nth-day grid (``1`` = the full
@@ -160,6 +163,7 @@ def weather_stage_records(
         topology,
         catalog,
         registry,
+        precipitation=precipitation,
         frequency_ghz=frequency_ghz,
         delta_k=delta_k,
         cache_mb=cache_mb,

@@ -3,7 +3,7 @@
 Every yearly analysis — the binary failure model, the graded
 (modulation-downshift) refinement, and the orchestration layer's
 weather stage — runs through one :class:`YearlyWeatherEvaluator`.
-Three properties make the sampled-year loop scale:
+Four properties make the sampled-year loop scale:
 
 * **one sampler** — :func:`sample_interval_days` is the only place the
   §6.1 interval days are drawn, so the binary and graded passes can
@@ -16,6 +16,12 @@ Three properties make the sampled-year loop scale:
   all hops with no attenuation evaluation; storm fields are built once
   per day for all hops via
   :meth:`PrecipitationYear.rain_rate_mm_h_many`, never once per link;
+* **shared storm rows** — a day's rain row over a design's hops is a
+  pure function of the precipitation year and the hop midpoints, so
+  one process-wide store keeps every built row for every evaluator in
+  the process (see :meth:`YearlyWeatherEvaluator.rain_for_days`).  A
+  fade-margin x frequency sweep over one design, and the binary and
+  graded passes of one point, build each day once between them;
 * **failure-set reuse** — each interval's failed links are
   canonicalized to a frozenset and routed through a
   :class:`~repro.graph.FailureSetSolver`: repeated sets are memo hits,
@@ -54,6 +60,15 @@ from .attenuation import (
     path_attenuation_db_many,
 )
 from .precipitation import DAYS_PER_YEAR, PrecipitationYear
+
+#: Byte budget of the process-wide storm-row store: one flagship year
+#: (365 days over 2,678 hops) is 7.5 MiB, so this holds several
+#: designs' full years.
+STORM_ROWS_BYTES = 64 * 2**20
+
+# Storm-field rows keyed by value: (precipitation class, climate, seed,
+# hop lat bytes, hop lon bytes, day) -> read-only rain row.
+_storm_rows = ByteBudgetLRU(STORM_ROWS_BYTES)
 
 
 def sample_interval_days(seed: int, n_intervals: int) -> np.ndarray:
@@ -232,9 +247,11 @@ class YearlyWeatherEvaluator:
     """Vectorized, memoized engine behind every yearly weather analysis.
 
     One evaluator pins one ``(topology, precipitation, frequency)``
-    context; the binary and graded passes share its per-day storm
-    fields and its failure-set solver, so e.g. the graded comparison's
-    two passes pay each distinct failure set only once between them.
+    context; the binary and graded passes share its failure-set solver,
+    so e.g. the graded comparison's two passes pay each distinct
+    failure set only once between them.  Per-day storm fields are
+    shared more widely, by every evaluator in the process
+    (:meth:`rain_for_days`).
 
     Args:
         delta_k: the failure-set solver's neighbor radius — a query
@@ -281,7 +298,6 @@ class YearlyWeatherEvaluator:
         )
         self._stretch_cache.pin(frozenset())
         self._critical_cache: dict[float, CriticalRainRates] = {}
-        self._rain_cache: dict[int, np.ndarray] = {}
 
     @property
     def solver(self) -> FailureSetSolver:
@@ -343,21 +359,43 @@ class YearlyWeatherEvaluator:
     def rain_for_days(self, days) -> np.ndarray:
         """Rain at every hop midpoint for each day, ``(n_days, n_hops)``.
 
-        Each distinct day's storm field is built once per evaluator,
-        however many passes ask for it.
+        Rows are shared per process: every evaluator reads one
+        process-wide store and builds, in one
+        :meth:`PrecipitationYear.rain_rate_mm_h_many` call, only the
+        days it lacks.  Sharing is exact because a row depends on
+        nothing but the precipitation year and the hop midpoints, and
+        the store's key holds exactly those values — the
+        precipitation's class, ``climate`` and ``seed``, the bytes of
+        the hop ``lat``/``lon`` arrays, and the day — never an object
+        identity.  So the fade margins and frequencies of a sweep, the
+        binary and graded passes, and any two evaluators on one design
+        and year build each day once between them.  Stored rows are
+        read-only and live in an LRU bounded by
+        :data:`STORM_ROWS_BYTES` (64 MiB, several flagship years); the
+        returned array is always a fresh copy, and ``days`` may repeat.
         """
         days = np.atleast_1d(np.asarray(days, dtype=int))
-        missing = sorted({int(d) for d in days} - self._rain_cache.keys())
+        p = self.precipitation
+        storm = (
+            type(p), p.climate, p.seed,
+            self.hops.lat.tobytes(), self.hops.lon.tobytes(),
+        )
+        rows = {
+            day: _storm_rows.get((storm, day)) for day in np.unique(days).tolist()
+        }
+        missing = [day for day, row in rows.items() if row is None]
         if missing:
-            rows = self.precipitation.rain_rate_mm_h_many(
-                missing, self.hops.lat, self.hops.lon
-            )
-            for day, row in zip(missing, rows):
-                self._rain_cache[day] = row
-        rows = [self._rain_cache[int(d)] for d in days]
-        if not rows:
+            built = p.rain_rate_mm_h_many(missing, self.hops.lat, self.hops.lon)
+            for day, row in zip(missing, built):
+                # A copy, so an evicted row frees its memory instead of
+                # keeping the whole call's block alive.
+                row = row.copy()
+                row.flags.writeable = False
+                _storm_rows.put((storm, day), row)
+                rows[day] = row
+        if not days.size:
             return np.empty((0, self.hops.hop_km.size))
-        return np.array(rows)
+        return np.array([rows[day] for day in days.tolist()])
 
     # -- failure detection ---------------------------------------------
 

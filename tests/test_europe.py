@@ -12,6 +12,11 @@ def europe():
     return europe_scenario()
 
 
+@pytest.fixture(scope="module")
+def europe_design(europe):
+    return solve_heuristic(europe.design_input(), 1500.0, ilp_refinement=False)
+
+
 class TestEuropeScenario:
     def test_sites_above_population_floor(self, europe):
         assert all(s.population >= 300_000 for s in europe.sites)
@@ -35,13 +40,30 @@ class TestEuropeScenario:
         # The overwhelming majority of pairs get a feasible MW chain.
         assert finite.mean() > 0.5
 
-    def test_design_beats_fiber_substantially(self, europe):
-        result = solve_heuristic(
-            europe.design_input(), 1500.0, ilp_refinement=False
-        )
+    def test_design_beats_fiber_substantially(self, europe_design):
         # Design must recover most of the fiber-vs-c gap, as in the US.
-        assert result.objective < 1.35
-        assert result.objective >= 1.0
+        assert europe_design.objective < 1.35
+        assert europe_design.objective >= 1.0
+
+    def test_weather_stage_rains_european_storms(self, europe, europe_design):
+        """Regression: Europe's weather year used the US storm climate.
+
+        US storm cells never come near Europe, so every sampled day was
+        dry and no link ever failed; under the European climate some of
+        the 120 sampled days at 30 dB fail a link.
+        """
+        from repro.exp import ExperimentSpec, ScenarioSpec, WeatherSpec
+        from repro.exp.stages import STAGES
+
+        spec = ExperimentSpec(
+            scenario=ScenarioSpec(name="europe"), weather=WeatherSpec()
+        )
+        rows = STAGES["weather"].run(
+            spec, {"substrate": europe, "design": europe_design}
+        )
+        solver = rows[-1]
+        assert solver["series"] == "solver"
+        assert solver["full_solves"] + solver["delta_solves"] > 0
 
     def test_terrain_is_european(self, europe):
         from repro.geo import GeoPoint

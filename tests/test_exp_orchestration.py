@@ -90,6 +90,31 @@ class TestSpec:
         with pytest.raises(ValueError, match="loads must be a list"):
             ExperimentSpec.from_dict({"netsim": {"loads": 0.5}})
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("n_intervals", [2.5, True, 0]),
+            ("seed", [1.5, "7", False]),
+            ("sample_interval_days", [1.0, True, 0, 366]),
+            ("delta_k", [2.0, True, -1]),
+            ("graded", ["false", 1, None]),
+            ("fade_margin_db", [float("nan"), float("inf"), 0, -3.0, "30", True]),
+            ("frequency_ghz", [float("nan"), float("-inf"), 0.0, "11"]),
+            ("cache_mb", [float("nan"), float("inf"), -1.0, False]),
+        ],
+    )
+    def test_weather_spec_rejects_malformed_field(self, field, bad):
+        """Each malformed weather field fails at parse time, by name."""
+        for value in bad:
+            with pytest.raises(ValueError, match=f"weather.{field} must be"):
+                ExperimentSpec.from_dict({"weather": {field: value}})
+
+    def test_weather_spec_accepts_ints_for_float_fields(self):
+        spec = ExperimentSpec.from_dict(
+            {"weather": {"fade_margin_db": 25, "frequency_ghz": 18, "cache_mb": 64}}
+        )
+        assert spec.weather.fade_margin_db == 25
+
     def test_with_value_replaces_one_field(self):
         spec = tiny_spec()
         moved = spec.with_value("design.budget_towers", 500.0)

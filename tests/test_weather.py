@@ -18,6 +18,15 @@ from repro.weather import (
 )
 
 
+@pytest.fixture(scope="module")
+def topology(small_us_scenario):
+    """An 800-tower design on the 20-city US scenario."""
+    from repro.core import solve_heuristic
+
+    sc = small_us_scenario
+    return solve_heuristic(sc.design_input(), 800.0, ilp_refinement=False).topology
+
+
 class TestCoefficients:
     def test_known_10ghz_values(self):
         k, alpha = rain_coefficients(10.0)
@@ -146,16 +155,12 @@ class TestPrecipitation:
 
 class TestYearlyAnalysis:
     @pytest.fixture(scope="class")
-    def analysis(self, small_us_scenario):
-        from repro.core import solve_heuristic
+    def analysis(self, small_us_scenario, topology):
         from repro.weather import yearly_stretch_analysis
 
         sc = small_us_scenario
-        topo = solve_heuristic(
-            sc.design_input(), 800.0, ilp_refinement=False
-        ).topology
         return yearly_stretch_analysis(
-            topo, sc.catalog, sc.registry, n_intervals=80, seed=3
+            topology, sc.catalog, sc.registry, n_intervals=80, seed=3
         )
 
     def test_ordering_best_p99_worst(self, analysis):
@@ -282,6 +287,11 @@ class TestCriticalRainRate:
 
         with pytest.raises(ValueError):
             critical_rain_rates(np.array([10.0]), 0.0)
+        # NaN compares false against every rain rate: a silently
+        # perfect year, so non-finite margins are rejected too.
+        for margin in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                critical_rain_rates(np.array([10.0]), margin)
 
 
 class TestBulkRain:
@@ -343,13 +353,6 @@ class TestIntervalSampler:
 
 
 class TestWeatherEvaluator:
-    @pytest.fixture(scope="class")
-    def topology(self, small_us_scenario):
-        from repro.core import solve_heuristic
-
-        sc = small_us_scenario
-        return solve_heuristic(sc.design_input(), 800.0, ilp_refinement=False).topology
-
     def test_binary_year_bitwise_matches_reference_loop(
         self, small_us_scenario, topology
     ):
@@ -529,15 +532,6 @@ class TestWeatherEvaluator:
 class TestDailyResolution:
     """The strided-day grid and the solver counters in stage records."""
 
-    @pytest.fixture(scope="class")
-    def topology(self, small_us_scenario):
-        from repro.core import solve_heuristic
-
-        sc = small_us_scenario
-        return solve_heuristic(
-            sc.design_input(), 800.0, ilp_refinement=False
-        ).topology
-
     def test_daily_year_end_to_end(self, small_us_scenario, topology):
         """A full 365-interval year runs through the analysis entry point."""
         from repro.weather import yearly_stretch_analysis
@@ -621,3 +615,180 @@ class TestDailyResolution:
                 rtol=1e-9,
             )
         assert memo[-1]["delta_solves"] == 0
+
+
+class TestSharedStormRows:
+    """One process-wide store of storm-field rows, keyed by value."""
+
+    DAYS = np.array([5, 40, 40, 200, 5, 364])
+
+    @staticmethod
+    def fresh_store(monkeypatch, budget_bytes=None):
+        """Swap in an empty process-wide store (default budget)."""
+        from repro.graph import ByteBudgetLRU
+        from repro.weather import evaluation
+
+        store = ByteBudgetLRU(budget_bytes or evaluation.STORM_ROWS_BYTES)
+        monkeypatch.setattr(evaluation, "_storm_rows", store)
+        return store
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Start from an empty store; count the days each build asks for."""
+        self.fresh_store(monkeypatch)
+        calls: list[list[int]] = []
+        original = PrecipitationYear.rain_rate_mm_h_many
+
+        def counting(self, days, lats, lons):
+            calls.append([int(d) for d in days])
+            return original(self, days, lats, lons)
+
+        monkeypatch.setattr(PrecipitationYear, "rain_rate_mm_h_many", counting)
+        return calls
+
+    @staticmethod
+    def evaluator(scenario, topology, precipitation=None):
+        from repro.weather import YearlyWeatherEvaluator
+
+        return YearlyWeatherEvaluator(
+            topology, scenario.catalog, scenario.registry,
+            precipitation=precipitation,
+        )
+
+    @staticmethod
+    def direct(evaluator, days):
+        """A fresh computation that bypasses the store."""
+        year = evaluator.precipitation
+        return np.array(
+            [year.rain_rate_mm_h(int(d), evaluator.hops.lat, evaluator.hops.lon)
+             for d in days]
+        )
+
+    def test_second_evaluator_builds_no_rows(
+        self, small_us_scenario, topology, built
+    ):
+        first = self.evaluator(small_us_scenario, topology, PrecipitationYear())
+        rain = first.rain_for_days(self.DAYS)
+        assert built == [[5, 40, 200, 364]]
+        # Same topology and year, a new evaluator and a new year object.
+        second = self.evaluator(small_us_scenario, topology, PrecipitationYear())
+        shared = second.rain_for_days(self.DAYS)
+        assert len(built) == 1
+        assert shared.shape == (self.DAYS.size, second.hops.lat.size)
+        assert np.array_equal(shared, self.direct(second, self.DAYS))
+        assert np.array_equal(shared, rain)
+        # A graded pass on the same evaluator reuses the rows too.
+        second.graded_year(self.DAYS)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("differs_in", ["climate", "seed", "class", "hops"])
+    def test_evaluators_differing_in_one_key_part_build_their_own(
+        self, small_us_scenario, topology, built, differs_in
+    ):
+        from repro.core import solve_heuristic
+        from repro.weather import EU_CLIMATE
+
+        class SameStormsYear(PrecipitationYear):
+            pass
+
+        sc = small_us_scenario
+        base = self.evaluator(sc, topology, PrecipitationYear())
+        base.rain_for_days(self.DAYS)
+        year = {
+            "climate": PrecipitationYear(EU_CLIMATE),
+            "seed": PrecipitationYear(seed=2016),
+            "class": SameStormsYear(),
+            "hops": PrecipitationYear(),
+        }[differs_in]
+        if differs_in == "hops":
+            topology = solve_heuristic(
+                sc.design_input(), 400.0, ilp_refinement=False
+            ).topology
+        other = self.evaluator(sc, topology, year)
+        if differs_in == "hops":
+            assert not np.array_equal(other.hops.lat, base.hops.lat)
+        rain = other.rain_for_days(self.DAYS)
+        assert built == [[5, 40, 200, 364]] * 2
+        assert np.array_equal(rain, self.direct(other, self.DAYS))
+
+    def test_tiny_budget_still_returns_correct_rows(
+        self, small_us_scenario, topology, monkeypatch, built
+    ):
+        from repro.weather import DAYS_PER_YEAR
+
+        ev = self.evaluator(small_us_scenario, topology)
+        store = self.fresh_store(monkeypatch, 3 * ev.hops.lat.nbytes)
+        year = np.arange(1, DAYS_PER_YEAR + 1)
+        rain = ev.rain_for_days(year)
+        assert np.array_equal(rain, self.direct(ev, year))
+        assert len(store) <= 4
+        # Evicted days are rebuilt on demand, still exactly.
+        again = ev.rain_for_days(year[:10])
+        assert np.array_equal(again, rain[:10])
+
+    def test_stored_rows_are_read_only(self, small_us_scenario, topology, built):
+        from repro.weather import evaluation
+
+        ev = self.evaluator(small_us_scenario, topology)
+        rain = ev.rain_for_days(self.DAYS)
+        store = evaluation._storm_rows
+        stored = [store.peek(key) for key in store.keys()]
+        assert len(stored) == 4
+        for row in stored:
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+        # Callers get a fresh, writable array: scribbling on it leaves
+        # the store (and the next caller's rows) untouched.
+        rain[:] = -1.0
+        assert np.array_equal(
+            ev.rain_for_days(self.DAYS), self.direct(ev, self.DAYS)
+        )
+
+    def test_sweep_points_share_rows_in_any_order(
+        self, tmp_path, monkeypatch, built
+    ):
+        """A fade-margin sweep builds each day once, with unchanged records."""
+        from repro.exp import (
+            ArtifactStore,
+            DesignSpec,
+            ExperimentSpec,
+            ScenarioSpec,
+            SweepService,
+            WeatherSpec,
+        )
+
+        spec = ExperimentSpec(
+            scenario=ScenarioSpec(name="us", sites=8, seed=42),
+            design=DesignSpec(
+                budget_towers=300.0, solver_opts={"ilp_refinement": False}
+            ),
+            weather=WeatherSpec(sample_interval_days=5, graded=True),
+        )
+
+        def sweep(name, margins, on_point=None):
+            result = SweepService(
+                spec, axes={"weather.fade_margin_db": margins},
+                store=ArtifactStore(tmp_path / name), jobs=1,
+            ).run(on_point=on_point)
+            by_margin: dict[float, list[dict]] = {}
+            for row in result.records:
+                if row["stage"] == "weather":
+                    row = {k: v for k, v in row.items() if k != "point"}
+                    margin = row["weather.fade_margin_db"]
+                    by_margin.setdefault(margin, []).append(row)
+            return by_margin
+
+        def empty_store(index=None, rows=None):
+            self.fresh_store(monkeypatch)
+
+        forward = sweep("forward", [20.0, 30.0])
+        assert len(built) == 1
+        empty_store()
+        backward = sweep("backward", [30.0, 20.0])
+        assert len(built) == 2
+        empty_store()
+        isolated = sweep("isolated", [20.0, 30.0], on_point=empty_store)
+        assert len(built) == 4
+        assert forward == backward == isolated
+        assert forward[20.0] != forward[30.0]
