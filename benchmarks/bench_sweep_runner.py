@@ -1,4 +1,4 @@
-"""Sweep-runner gate: warm-cache sweeps >= 3x over the pre-PR sequential path.
+"""Sweep warm-cache gate: warm sweeps >= 3x over the pre-PR sequential path.
 
 Before the orchestration layer, composed sweeps were wired by hand:
 every (budget, load) point re-solved the topology design from scratch
@@ -6,11 +6,18 @@ and re-ran the evaluation, the way ``repro netsim`` did per invocation
 (the substrate was rebuilt per *process*, too — this baseline is
 generous and hands it the in-process scenario cache for free).
 
-The :class:`repro.exp.SweepRunner` path memoizes each stage in the
-content-addressed artifact store, so a warm rerun of the whole two-axis
-(budget x load) sweep reduces to store reads.  Gates:
+A :class:`repro.exp.SweepService` sweep (inline, ``jobs=1``, journaling
+every point) memoizes each stage in the content-addressed artifact
+store, so a warm rerun of the whole two-axis (budget x load) sweep
+reduces to store reads.  Gates:
 
-1. the warm sweep must be >= 3x faster than the sequential baseline;
+1. the warm sweep must be >= 3x faster than the sequential baseline,
+   each side timed as the median per-run time of ``BATCHES`` batches of
+   ``BATCH_RUNS`` back-to-back runs, batches interleaved with the
+   other side's and alternating which goes first (a single ~15 ms warm
+   run is too short to divide by on a noisy host), with the objects
+   built before timing frozen out of the garbage collector (see
+   :func:`per_run_medians`);
 2. cold and warm sweep records must be byte-identical, and the warm run
    must execute zero substrate/design stages (all cache hits);
 3. a ``jobs=4`` warm run must produce byte-identical records to
@@ -22,7 +29,9 @@ content-addressed artifact store, so a warm rerun of the whole two-axis
 Each run appends to the ``BENCH_sweep_runner.json`` perf trajectory.
 """
 
+import gc
 import os
+import statistics
 import tempfile
 import time
 
@@ -33,7 +42,7 @@ from repro.exp import (
     ExperimentSpec,
     NetsimSpec,
     ScenarioSpec,
-    SweepRunner,
+    SweepService,
 )
 from repro.netsim import run_udp_experiment
 from repro.scenarios import us_scenario
@@ -42,6 +51,11 @@ from _support import report, write_bench_json
 
 #: Acceptance threshold (see module docstring).
 MIN_WARM_SPEEDUP = 3.0
+
+#: Timing: each side's per-run time is the median over BATCHES batches
+#: of BATCH_RUNS runs.
+BATCHES = 5
+BATCH_RUNS = 5
 
 #: The two-axis workload: a Fig 4a-style budget sweep crossed with a
 #: Fig 5-style load sweep, on the 20-city US scenario.
@@ -112,14 +126,40 @@ def netsim_rows(records: list[dict]) -> list[dict]:
     ]
 
 
+def per_run_medians(base_fn, variant_fn) -> tuple[float, float]:
+    """Median per-run wall time of each side over interleaved batches.
+
+    Everything alive before timing (the imported modules, the us-20
+    scenario and its terrain caches) is frozen out of the garbage
+    collector first.  Otherwise each full collection rescans it, about
+    40 ms a scan on a 2-vCPU host, and the warm sweep, whose unpickling
+    allocates the most objects, triggers one every few runs: a cost of
+    this process's heap, not of either side's work.
+    """
+    samples: dict[str, list[float]] = {"base": [], "variant": []}
+    gc.collect()
+    gc.freeze()
+    try:
+        for i in range(BATCHES):
+            order = ("base", "variant") if i % 2 == 0 else ("variant", "base")
+            for side in order:
+                fn = base_fn if side == "base" else variant_fn
+                t0 = time.perf_counter()
+                for _ in range(BATCH_RUNS):
+                    fn()
+                samples[side].append((time.perf_counter() - t0) / BATCH_RUNS)
+    finally:
+        gc.unfreeze()
+    return statistics.median(samples["base"]), statistics.median(
+        samples["variant"]
+    )
+
+
 def bench_sweep_runner(benchmark=None):
     # Build the substrate up front so the sequential baseline gets it
     # for free (pre-PR CLI runs actually rebuilt it per process).
     scenario = us_scenario(n_sites=N_SITES, seed=42)
-
-    t0 = time.perf_counter()
     baseline_rows = run_sequential_baseline(scenario)
-    t_seq = time.perf_counter() - t0
 
     store_root = os.environ.get("REPRO_ARTIFACT_DIR")
     tmp = None
@@ -130,29 +170,37 @@ def bench_sweep_runner(benchmark=None):
 
     spec = base_spec()
     t0 = time.perf_counter()
-    cold = SweepRunner(spec, AXES, store=store, jobs=1).run()
+    cold = SweepService(spec, AXES, store=store, jobs=1).run()
     t_cold = time.perf_counter() - t0
 
     # A *fresh* store instance models a new session over the same cache
     # directory: every artifact comes off disk (once — the per-process
     # memory layer dedups the nine points' shared substrate/designs).
-    t0 = time.perf_counter()
-    warm = SweepRunner(spec, AXES, store=ArtifactStore(store_root), jobs=1).run()
-    t_warm = time.perf_counter() - t0
+    def warm_sweep():
+        return SweepService(
+            spec, AXES, store=ArtifactStore(store_root), jobs=1
+        ).run()
 
-    warm_parallel = SweepRunner(
+    warm = warm_sweep()
+    t_seq, t_warm = per_run_medians(
+        lambda: run_sequential_baseline(scenario), warm_sweep
+    )
+
+    warm_parallel = SweepService(
         spec, AXES, store=ArtifactStore(store_root), jobs=4
     ).run()
 
     speedup = t_seq / t_warm if t_warm > 0 else float("inf")
     n_points = len(BUDGETS) * len(LOADS)
     rows = [
-        "sweep-runner warm-cache gate (two-axis budget x load sweep)",
+        "sweep warm-cache gate (SweepService inline, two-axis budget x load sweep)",
         f"workload: us-{N_SITES}, {len(BUDGETS)} budgets x {len(LOADS)} loads "
         f"= {n_points} points, engine={ENGINE}",
-        f"sequential pre-PR path   {t_seq:8.3f} s",
-        f"sweep cold (fills cache) {t_cold:8.3f} s",
-        f"sweep warm               {t_warm:8.3f} s",
+        f"sequential pre-PR path   {t_seq:8.3f} s  "
+        f"(median per run, {BATCHES} batches x {BATCH_RUNS})",
+        f"sweep cold (fills cache) {t_cold:8.3f} s  (one run)",
+        f"sweep warm               {t_warm:8.3f} s  "
+        f"(median per run, {BATCHES} batches x {BATCH_RUNS})",
         f"warm speedup             {speedup:8.1f} x  (gate: >= {MIN_WARM_SPEEDUP:.0f}x)",
         f"warm substrate/design executions: "
         f"{warm.executed('substrate')}/{warm.executed('design')}",
@@ -189,6 +237,7 @@ def bench_sweep_runner(benchmark=None):
                     "engine": ENGINE,
                     "points": n_points,
                 },
+                "timing": f"median per-run of {BATCHES} batches x {BATCH_RUNS}",
                 "sequential_s": round(t_seq, 4),
                 "sweep_cold_s": round(t_cold, 4),
                 "sweep_warm_s": round(t_warm, 4),
@@ -204,7 +253,7 @@ def bench_sweep_runner(benchmark=None):
 
     if benchmark is not None:
         benchmark.pedantic(
-            lambda: SweepRunner(spec, AXES, store=store, jobs=1).run(),
+            lambda: SweepService(spec, AXES, store=store, jobs=1).run(),
             rounds=1,
             iterations=1,
         )

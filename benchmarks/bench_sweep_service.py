@@ -12,15 +12,18 @@ sweep running the netsim + apps + econ pipeline per point:
    substrate stages, and compute only the designs the interrupted run
    never reached (nothing already cached may recompute);
 2. **overhead** — the service (``jobs=1``, journaling every point) must
-   stay within 10% of the plain :class:`SweepRunner` on the warm-cache
-   sweep (median CPU-time ratio over 9 order-alternated rounds of
-   5-run batches — see :func:`time_paired`);
+   stay within 10% of a plain :func:`run_experiment` loop over the same
+   points (:func:`reference_records`) on the warm-cache sweep (median
+   CPU-time ratio over 9 order-alternated rounds of 5-run batches — see
+   :func:`time_paired`);
 3. **chaos** — with deterministic seeded worker kills (``jobs=2``), the
    sweep must still complete byte-identical, recovering via >= 1 pool
    respawn and zero quarantined points;
 4. **corrupt artifact** — a corrupted on-disk design artifact must be
-   quarantined as a cache miss and recomputed, leaving the records
-   byte-identical.
+   quarantined as a cache miss and recomputed exactly once by a fresh
+   service sweep, leaving the records byte-identical.
+
+Every byte-identity check compares against :func:`reference_records`.
 
 Each run appends to the ``BENCH_sweep_runner.json`` perf trajectory
 (tagged ``bench: sweep_service``).
@@ -41,11 +44,14 @@ from repro.exp import (
     NetsimSpec,
     RetryPolicy,
     ScenarioSpec,
-    SweepRunner,
     SweepService,
+    canonical_json,
     corrupt_artifact,
+    expand_points,
+    run_experiment,
     stage_key,
 )
+from repro.exp.runner import _axis_list
 
 from _support import report, write_bench_json
 
@@ -80,6 +86,17 @@ def base_spec() -> ExperimentSpec:
         apps=AppsSpec(),
         econ=EconSpec(),
     )
+
+
+def reference_records(spec, store) -> list[dict]:
+    """The plain loop a sweep must reproduce: every point, in order."""
+    rows = []
+    for index, (assignment, point) in enumerate(
+        expand_points(spec, _axis_list(AXES))
+    ):
+        for row in run_experiment(point, store=store).records:
+            rows.append({"point": index, **assignment, **row})
+    return rows
 
 
 def time_paired(
@@ -160,10 +177,10 @@ def bench_sweep_service(benchmark=None):
         resumed = resumed_service.run()
         t_resumed = time.perf_counter() - t0
 
-        reference = SweepRunner(
-            spec, AXES, store=ArtifactStore(store_root), jobs=1
-        ).run()
-        resume_exact = resumed.records_json() == reference.records_json()
+        reference = canonical_json(
+            reference_records(spec, ArtifactStore(store_root))
+        )
+        resume_exact = resumed.records_json() == reference
         missing = n_points - INTERRUPT_AFTER
         rows += [
             f"interrupted cold run ({INTERRUPT_AFTER} pts) "
@@ -195,13 +212,11 @@ def bench_sweep_service(benchmark=None):
             f"the interrupt"
         )
 
-        # -- gate 2: warm-cache overhead vs the plain SweepRunner.
-        t_runner, t_service, ratio = time_paired(
+        # -- gate 2: warm-cache overhead vs the plain run_experiment loop.
+        t_loop, t_service, ratio = time_paired(
             9,
             5,
-            lambda: SweepRunner(
-                spec, AXES, store=ArtifactStore(store_root), jobs=1
-            ).run(),
+            lambda: reference_records(spec, ArtifactStore(store_root)),
             lambda: SweepService(
                 spec, AXES, store=ArtifactStore(store_root), jobs=1,
                 retry=RETRY,
@@ -209,7 +224,7 @@ def bench_sweep_service(benchmark=None):
         )
         overhead = ratio - 1.0
         rows += [
-            f"warm SweepRunner (best batch avg)  {t_runner:8.3f} s",
+            f"warm plain loop (best batch avg)   {t_loop:8.3f} s",
             f"warm SweepService (best batch avg) {t_service:8.3f} s",
             f"service overhead              {overhead:8.1%}  "
             f"(gate: <= {MAX_OVERHEAD:.0%})",
@@ -217,9 +232,9 @@ def bench_sweep_service(benchmark=None):
         warm_service = SweepService(
             spec, AXES, store=ArtifactStore(store_root), jobs=1, retry=RETRY
         ).run()
-        warm_exact = warm_service.records_json() == reference.records_json()
+        warm_exact = warm_service.records_json() == reference
         rows.append(f"warm service records byte-identical: {warm_exact}")
-        assert warm_exact, "service records differ from SweepRunner"
+        assert warm_exact, "service records differ from the plain loop"
         assert overhead <= MAX_OVERHEAD, (
             f"service overhead {overhead:.1%} exceeds the "
             f"{MAX_OVERHEAD:.0%} acceptance bar"
@@ -234,7 +249,7 @@ def bench_sweep_service(benchmark=None):
         )
         chaos = chaos_service.run()
         t_chaos = time.perf_counter() - t0
-        chaos_exact = chaos.records_json() == reference.records_json()
+        chaos_exact = chaos.records_json() == reference
         rows += [
             f"chaos (jobs=2, {len(plan.faults)} seeded kills) "
             f"{t_chaos:8.3f} s",
@@ -252,10 +267,10 @@ def bench_sweep_service(benchmark=None):
         )
         key = stage_key(design_spec, "design")
         corrupt_artifact(ArtifactStore(store_root), key, mode="garbage")
-        recompute = SweepRunner(
-            spec, AXES, store=ArtifactStore(store_root), jobs=1
+        recompute = SweepService(
+            spec, AXES, store=ArtifactStore(store_root), jobs=1, retry=RETRY
         ).run()
-        corrupt_exact = recompute.records_json() == reference.records_json()
+        corrupt_exact = recompute.records_json() == reference
         recomputed_designs = recompute.executed("design")
         rows += [
             f"corrupt-design recompute: {recomputed_designs} design "
@@ -278,7 +293,7 @@ def bench_sweep_service(benchmark=None):
                 },
                 "interrupted_cold_s": round(t_interrupted, 4),
                 "resume_s": round(t_resumed, 4),
-                "warm_runner_s": round(t_runner, 4),
+                "warm_loop_s": round(t_loop, 4),
                 "warm_service_s": round(t_service, 4),
                 "service_overhead": round(overhead, 4),
                 "chaos_s": round(t_chaos, 4),

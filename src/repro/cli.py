@@ -42,21 +42,27 @@ it; the default location is ``$REPRO_ARTIFACT_DIR`` or
 ``~/.cache/repro/artifacts``.
 
 Sweeps (``sweep`` and multi-axis ``run``) execute through the
-fault-tolerant :class:`~repro.exp.SweepService` whenever a journal
-location exists (an on-disk store or ``--journal-dir``): every point is
-checkpointed, failing points retry up to ``--retries`` then quarantine
-into ``failures.json`` (exit 1), and Ctrl-C checkpoints the journal and
-prints the exact ``--resume`` command (exit 130) instead of discarding
-completed work.  ``--fault-plan plan.json`` injects deterministic
-worker kills / failures / delays / artifact corruption for chaos
-testing.
+fault-tolerant :class:`~repro.exp.SweepService`: every point is
+journaled, failing points retry up to ``--retries`` then quarantine
+(exit 1, the other points' rows still print), and ``--point-timeout``
+arms the pool watchdog.  With a durable journal location (an on-disk
+store or ``--journal-dir``) failures are reported in ``failures.json``
+and Ctrl-C checkpoints the journal and prints the exact ``--resume``
+command (exit 130) instead of discarding completed work.  A
+``--no-cache`` sweep without ``--journal-dir`` journals into a
+temporary directory removed on exit, so it cannot be resumed.
+``--fault-plan plan.json`` injects deterministic worker kills /
+failures / delays / artifact corruption for chaos testing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
+import tempfile
 
 #: Per-command default site counts for the sized scenarios (us/city_dc),
 #: preserving the pre-orchestration CLI defaults.
@@ -120,11 +126,12 @@ def _add_service_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_service(args: argparse.Namespace, spec, axes, store):
-    """A SweepService for the CLI flags, or None to use plain SweepRunner.
+def _run_sweep(args: argparse.Namespace, spec, axes, store):
+    """Run a sweep through SweepService; return (result, exit status).
 
-    The plain runner only remains for ``--no-cache`` sweeps without a
-    journal directory — there is nowhere durable to checkpoint them.
+    A ``--no-cache`` sweep without ``--journal-dir`` has nowhere durable
+    to checkpoint, so it journals into a temporary directory removed on
+    exit: it gets retries, quarantine and the watchdog, but no resume.
     """
     from .exp import FaultPlan, NullStore, RetryPolicy, SweepService
 
@@ -134,8 +141,8 @@ def _build_service(args: argparse.Namespace, spec, axes, store):
             fault_plan = FaultPlan.from_json_file(args.fault_plan)
         except OSError as exc:
             raise SystemExit(f"cannot read fault plan: {exc}")
-    journal_free = isinstance(store, NullStore) and args.journal_dir is None
-    if journal_free:
+    scratch = isinstance(store, NullStore) and args.journal_dir is None
+    if scratch:
         if args.resume:
             raise SystemExit(
                 "--resume needs a journal: drop --no-cache or pass "
@@ -146,26 +153,42 @@ def _build_service(args: argparse.Namespace, spec, axes, store):
                 "--fault-plan needs a journaled sweep: drop --no-cache or "
                 "pass --journal-dir"
             )
-        return None
     if args.retries < 1:
         raise SystemExit("--retries must be >= 1")
-    return SweepService(
-        spec,
-        axes=axes,
-        store=store,
-        jobs=args.jobs,
-        journal_dir=args.journal_dir,
-        resume=args.resume,
-        retry=RetryPolicy(max_attempts=args.retries),
-        point_timeout_s=args.point_timeout,
-        fault_plan=fault_plan,
-    )
+    timeout = args.point_timeout
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise SystemExit(
+            f"--point-timeout must be a finite number > 0, got {timeout}"
+        )
+    with contextlib.ExitStack() as stack:
+        journal_dir = args.journal_dir
+        if scratch:
+            journal_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-sweep-")
+            )
+        service = SweepService(
+            spec,
+            axes=axes,
+            store=store,
+            jobs=args.jobs,
+            journal_dir=journal_dir,
+            resume=args.resume,
+            retry=RetryPolicy(max_attempts=args.retries),
+            point_timeout_s=timeout,
+            fault_plan=fault_plan,
+        )
+        # Closed before the scratch directory is removed (LIFO).
+        stack.callback(service.queue.close)
+        if not scratch:
+            stack.callback(_checkpoint_on_sigint(service))
+        result = service.run()
+        return result, _service_exit_status(args, service, result, scratch)
 
 
 def _checkpoint_on_sigint(service):
     """SIGINT checkpoints the journal instead of killing the sweep.
 
-    Returns a zero-argument restore function for a ``finally`` block.
+    Returns a zero-argument function that restores the previous handler.
     """
     import signal
 
@@ -191,11 +214,14 @@ def _resume_command(args: argparse.Namespace) -> str:
     return "python -m repro " + shlex.join(argv)
 
 
-def _service_exit_status(args: argparse.Namespace, service, result) -> int:
+def _service_exit_status(
+    args: argparse.Namespace, service, result, scratch: bool
+) -> int:
     """Report interruption/quarantine to stderr; pick the exit code.
 
     0 = clean sweep, 1 = quarantined failures, 130 = interrupted (the
-    conventional SIGINT code) with a copy-pasteable resume command.
+    conventional SIGINT code) with a copy-pasteable resume command.  A
+    ``scratch`` journal is deleted on exit, so no message names it.
     """
     counts = service.queue.counts()
     if result.interrupted:
@@ -209,9 +235,12 @@ def _service_exit_status(args: argparse.Namespace, service, result) -> int:
         print(f"resume with: {_resume_command(args)}", file=sys.stderr)
         return 130
     if result.failures:
+        report = (
+            "" if scratch else f" (report: {service.queue.failure_report_path})"
+        )
         print(
-            f"\n{len(result.failures)} point(s) quarantined after retries "
-            f"(report: {service.queue.failure_report_path}):",
+            f"\n{len(result.failures)} point(s) quarantined after "
+            f"retries{report}:",
             file=sys.stderr,
         )
         for failure in result.failures:
@@ -294,28 +323,18 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .exp import DesignSpec, ExperimentSpec, SweepRunner
+    from .exp import DesignSpec, ExperimentSpec
 
-    n_points = max(args.points, 2)
-    budgets = [float(b) for b in np.linspace(0.0, args.max_budget, n_points)]
+    if args.points < 2:
+        raise SystemExit(f"--points must be >= 2, got {args.points}")
+    budgets = [float(b) for b in np.linspace(0.0, args.max_budget, args.points)]
     spec = ExperimentSpec(
         scenario=_scenario_spec(args, "sweep"),
         design=DesignSpec(budget_towers=budgets[0], solver=args.solver),
     )
-    axes = {"design.budget_towers": budgets}
-    store = _store_from_args(args)
-    service = _build_service(args, spec, axes, store)
-    status = 0
-    if service is not None:
-        restore_sigint = _checkpoint_on_sigint(service)
-        try:
-            result = service.run()
-        finally:
-            restore_sigint()
-        status = _service_exit_status(args, service, result)
-    else:
-        runner = SweepRunner(spec, axes=axes, store=store, jobs=args.jobs)
-        result = runner.run()
+    result, status = _run_sweep(
+        args, spec, {"design.budget_towers": budgets}, _store_from_args(args)
+    )
     print("budget_towers  mean_stretch  links")
     for row in result.records:
         if row["stage"] != "design":
@@ -438,7 +457,7 @@ def _cmd_econ(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .exp import ExperimentSpec, SweepRunner, run_experiment
+    from .exp import ExperimentSpec, run_experiment
     from .viz import render_records_table
 
     try:
@@ -474,18 +493,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             path: [tuple(v) if isinstance(v, list) else v for v in values]
             for path, values in axes.items()
         }
-        service = _build_service(args, spec, axes, store)
-        if service is not None:
-            restore_sigint = _checkpoint_on_sigint(service)
-            try:
-                result = service.run()
-            finally:
-                restore_sigint()
-            status = _service_exit_status(args, service, result)
-        else:
-            runner = SweepRunner(spec, axes=axes, store=store, jobs=args.jobs)
-            result = runner.run()
-            status = 0
+        result, status = _run_sweep(args, spec, axes, store)
         records = result.records
         counts = result.stage_counts
     else:

@@ -4,11 +4,12 @@ The composition layer behind every paper experiment: a declarative,
 seed-pinned :class:`ExperimentSpec` runs through the stage graph
 ``substrate → design → {netsim, weather, apps, econ}`` with each stage
 memoized in a content-addressed :class:`ArtifactStore`, and
-:class:`SweepRunner` fans a spec out over axes across worker processes
-into one tidy records table.  :class:`SweepService` adds fault
-tolerance on top: a durable :class:`WorkQueue` journal, bounded retry
-with quarantine, worker heartbeats + watchdog restarts, crash resume,
-and deterministic :class:`FaultPlan` injection for chaos testing.
+:class:`SweepService` fans a spec out over axes, inline or across
+worker processes, into one tidy :class:`SweepResult` table.  Every
+sweep point is fault tolerant: a durable :class:`WorkQueue` journal,
+bounded retry with quarantine, worker heartbeats + watchdog restarts,
+crash resume, and deterministic :class:`FaultPlan` injection for chaos
+testing.
 """
 
 from .faults import (
@@ -22,9 +23,6 @@ from .queue import TaskRecord, WorkQueue
 from .runner import (
     ExperimentRun,
     SweepAxis,
-    SweepPointError,
-    SweepResult,
-    SweepRunner,
     expand_points,
     point_waves,
     run_experiment,
@@ -32,7 +30,7 @@ from .runner import (
 from .service import (
     PointFailure,
     RetryPolicy,
-    ServiceResult,
+    SweepResult,
     SweepService,
     sweep_fingerprint,
 )
@@ -67,11 +65,8 @@ __all__ = [
     "RetryPolicy",
     "STAGES",
     "ScenarioSpec",
-    "ServiceResult",
     "SweepAxis",
-    "SweepPointError",
     "SweepResult",
-    "SweepRunner",
     "SweepService",
     "TaskRecord",
     "WeatherSpec",

@@ -30,11 +30,14 @@ a point executes, never *what* it computes — every stage is a pure
 function of its seed-pinned spec slice, and the table is assembled in
 point order.
 
-``jobs=1`` executes points inline (no pool, no watchdog — matching
-``SweepRunner`` overhead); ``jobs>=2`` runs the supervised pool.  A
-seed-pinned :class:`~repro.exp.faults.FaultPlan` can be injected to
-deterministically kill workers, delay points, or corrupt artifacts —
-the chaos tests and ``bench_sweep_service.py`` are built on it.
+It is the one sweep executor: the CLI, the library, the tests and the
+benchmarks all run sweeps through it.  ``jobs=1`` executes points
+inline (no pool, no watchdog — within a few percent of a plain
+:func:`~repro.exp.runner.run_experiment` loop); ``jobs>=2`` runs the
+supervised pool.  A seed-pinned :class:`~repro.exp.faults.FaultPlan`
+can be injected to deterministically kill workers, delay points, or
+corrupt artifacts — the chaos tests and ``bench_sweep_service.py`` are
+built on it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import numbers
 import os
 import random
 import signal
@@ -52,7 +57,7 @@ from collections import deque
 from collections.abc import Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -61,9 +66,7 @@ from .queue import DONE, FAILED, RUNNING, WorkQueue
 from .runner import (
     ExperimentRun,
     SweepAxis,
-    SweepResult,
     _axis_list,
-    _worker_store,
     expand_points,
     point_waves,
     run_experiment,
@@ -72,6 +75,13 @@ from .spec import ExperimentSpec, canonical_json
 from .store import ArtifactStore, CACHED, COMPUTED, NullStore
 
 logger = logging.getLogger(__name__)
+
+#: Seconds between a pool worker's heartbeat rewrites.
+HEARTBEAT_INTERVAL_S = 0.5
+
+#: Heartbeat age past which the watchdog counts a pool worker as dead or
+#: frozen and kills it.
+STALL_TIMEOUT_S = 15.0
 
 
 def sweep_fingerprint(
@@ -83,6 +93,16 @@ def sweep_fingerprint(
         "axes": [[axis.path, list(axis.values)] for axis in axes],
     }
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+def _finite_positive(value: Any) -> bool:
+    """A real number (not a bool) that is finite and > 0."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -145,15 +165,22 @@ class PointFailure:
 
 
 @dataclass
-class ServiceResult(SweepResult):
-    """A :class:`SweepResult` plus fault-tolerance accounting.
+class SweepResult:
+    """A finished (or interrupted) sweep: the tidy table plus accounting.
 
     ``records`` / ``records_json()`` cover the *done* points only, in
-    point order — for a sweep with no quarantined points this is
-    byte-identical to :meth:`SweepRunner.run`'s result, whether the
-    points ran in one shot or across crashes and resumes.
+    point order, and are byte-identical whether the points ran inline,
+    in a pool, or across crashes and resumes.
 
     Attributes:
+        axes: the sweep axes, first axis outermost.
+        records: one row per (done point, stage row), in point order;
+            every row carries ``point`` plus one column per axis path.
+        points: one :class:`ExperimentRun` summary (records + stage
+            status) per point, in point order; a quarantined or
+            unfinished point has no records and no stage status.
+        stage_counts: stage -> {"computed": n, "cached": n} aggregated
+            over all done points.
         failures: quarantined points (index, assignment, attempts, last
             error), also persisted to ``failures.json`` in the journal.
         interrupted: the run stopped early (``request_stop`` / SIGINT);
@@ -163,15 +190,29 @@ class ServiceResult(SweepResult):
         executed_points: points actually executed this session.
         pool_restarts: how many times the watchdog respawned the pool.
         journal_dir: where the journal (and failure report) lives.
+        session_stage_counts: ``stage_counts`` over the points executed
+            this session only.
     """
 
-    failures: list[PointFailure] = field(default_factory=list)
-    interrupted: bool = False
-    resumed_points: int = 0
-    executed_points: int = 0
-    pool_restarts: int = 0
-    journal_dir: Path | None = None
-    session_stage_counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    axes: tuple[SweepAxis, ...]
+    records: list[dict]
+    points: list[ExperimentRun]
+    stage_counts: dict[str, dict[str, int]]
+    failures: list[PointFailure]
+    interrupted: bool
+    resumed_points: int
+    executed_points: int
+    pool_restarts: int
+    journal_dir: Path
+    session_stage_counts: dict[str, dict[str, int]]
+
+    def records_json(self) -> str:
+        """Canonical JSON of the table (byte-comparable across runs)."""
+        return canonical_json(self.records)
+
+    def executed(self, stage: str) -> int:
+        """How many points actually *computed* this stage (vs cache hits)."""
+        return self.stage_counts.get(stage, {}).get(COMPUTED, 0)
 
     def session_executed(self, stage: str) -> int:
         """Stage executions (not cache hits) *this session* only."""
@@ -186,10 +227,9 @@ class ServiceResult(SweepResult):
 class _Heartbeat(threading.Thread):
     """Daemon thread atomically rewriting this worker's heartbeat file."""
 
-    def __init__(self, hb_dir: str, interval_s: float) -> None:
+    def __init__(self, hb_dir: str) -> None:
         super().__init__(daemon=True, name="repro-sweep-heartbeat")
         self.path = Path(hb_dir) / f"worker-{os.getpid()}.json"
-        self.interval_s = interval_s
         self._lock = threading.Lock()
         self._task: int | None = None
         self._attempt: int | None = None
@@ -221,18 +261,31 @@ class _Heartbeat(threading.Thread):
     def run(self) -> None:  # pragma: no cover - timing-dependent loop
         while True:
             self.beat()
-            time.sleep(self.interval_s)
+            time.sleep(HEARTBEAT_INTERVAL_S)
 
 
 _WORKER_HEARTBEAT: _Heartbeat | None = None
 
 
-def _ensure_heartbeat(hb_dir: str, interval_s: float) -> _Heartbeat:
+def _ensure_heartbeat(hb_dir: str) -> _Heartbeat:
     global _WORKER_HEARTBEAT
     if _WORKER_HEARTBEAT is None:
-        _WORKER_HEARTBEAT = _Heartbeat(hb_dir, interval_s)
+        _WORKER_HEARTBEAT = _Heartbeat(hb_dir)
         _WORKER_HEARTBEAT.start()
     return _WORKER_HEARTBEAT
+
+
+#: One store per (worker process, root): keeps the store's per-process
+#: memory layer effective across the several points a worker executes.
+_WORKER_STORES: dict[str | None, ArtifactStore] = {}
+
+
+def _worker_store(store_root: str | None) -> ArtifactStore:
+    if store_root not in _WORKER_STORES:
+        _WORKER_STORES[store_root] = (
+            ArtifactStore(store_root) if store_root is not None else NullStore()
+        )
+    return _WORKER_STORES[store_root]
 
 
 def _service_worker(
@@ -241,7 +294,6 @@ def _service_worker(
     index: int,
     attempt: int,
     hb_dir: str,
-    hb_interval_s: float,
     fault_doc: dict | None,
 ) -> tuple:
     """Pool entry: run one point, reporting errors as data (never raising).
@@ -250,7 +302,7 @@ def _service_worker(
     ``("error", ...)`` keeps the supervisor's retry bookkeeping in one
     place and reserves exceptions for genuine pool breakage.
     """
-    heartbeat = _ensure_heartbeat(hb_dir, hb_interval_s)
+    heartbeat = _ensure_heartbeat(hb_dir)
     heartbeat.set_task(index, attempt)
     try:
         plan = FaultPlan.from_dict(fault_doc) if fault_doc else None
@@ -285,7 +337,8 @@ class SweepService:
     Args:
         base_spec: the spec every point starts from.
         axes: mapping of dotted spec path -> values (or ``SweepAxis``
-            list), exactly as for :class:`~repro.exp.SweepRunner`.
+            list); the sweep is their cartesian product, first axis
+            outermost (see :func:`~repro.exp.runner.expand_points`).
         store: shared artifact cache.  The journal lives under
             ``<store root>/sweeps/<fingerprint>`` unless ``journal_dir``
             overrides it; a :class:`NullStore` needs an explicit
@@ -295,12 +348,12 @@ class SweepService:
         resume: load the existing journal and execute only points
             without a ``done`` entry.
         retry: bounded-retry policy (attempts, backoff, jitter).
-        point_timeout_s: wall-clock budget per point attempt; the
-            watchdog kills the worker past it (pool mode only).
-        heartbeat_interval_s: worker heartbeat period.
-        stall_timeout_s: heartbeat age past which a worker counts as
-            dead/frozen and is killed (pool mode only).
-        poll_interval_s: supervisor wait tick (watchdog granularity).
+        point_timeout_s: wall-clock budget per point attempt (None or
+            a finite number > 0); the watchdog kills the worker past it
+            (pool mode only).  A worker whose heartbeat is older than
+            :data:`STALL_TIMEOUT_S` is killed regardless.
+        poll_interval_s: supervisor wait tick (watchdog granularity), a
+            finite number > 0.
         fault_plan: deterministic fault injection for chaos tests.
     """
 
@@ -314,21 +367,31 @@ class SweepService:
         resume: bool = False,
         retry: RetryPolicy | None = None,
         point_timeout_s: float | None = None,
-        heartbeat_interval_s: float = 0.5,
-        stall_timeout_s: float = 15.0,
         poll_interval_s: float = 0.25,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        # Zero or negative timeouts would quarantine every point and a
+        # NaN one would silently disable the watchdog.
+        if point_timeout_s is not None and not _finite_positive(
+            point_timeout_s
+        ):
+            raise ValueError(
+                "point_timeout_s must be None or a finite number > 0, "
+                f"got {point_timeout_s!r}"
+            )
+        if not _finite_positive(poll_interval_s):
+            raise ValueError(
+                "poll_interval_s must be a finite number > 0, "
+                f"got {poll_interval_s!r}"
+            )
         self.base_spec = base_spec
         self.axes = _axis_list(axes)
         self.store = store if store is not None else ArtifactStore()
         self.jobs = jobs
         self.retry = retry if retry is not None else RetryPolicy()
         self.point_timeout_s = point_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.stall_timeout_s = stall_timeout_s
         self.poll_interval_s = poll_interval_s
         self.fault_plan = fault_plan
         # Fail fast on bad paths / disabled sections before any work runs.
@@ -369,7 +432,7 @@ class SweepService:
 
     def run(
         self, on_point: Callable[[int, list[dict]], None] | None = None
-    ) -> ServiceResult:
+    ) -> SweepResult:
         """Execute (or resume) the sweep; see the class docs.
 
         ``on_point(index, rows)`` fires for points executed this
@@ -470,7 +533,6 @@ class SweepService:
                             index,
                             attempt,
                             str(self.queue.heartbeat_dir),
-                            self.heartbeat_interval_s,
                             fault_doc,
                         )
                         futures[future] = index
@@ -516,6 +578,10 @@ class SweepService:
                         self._kill_workers(victims)
                 if self._stop.is_set():
                     break  # keep this wave's in-flight futures for requeue
+            else:
+                # Every point settled: reap the idle workers, so no
+                # heartbeat lands in the journal after run() returns.
+                pool.shutdown(wait=True)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
             if self._stop.is_set():
@@ -642,10 +708,7 @@ class SweepService:
                     f"timeout (worker pid {pid} killed)"
                 )
                 victims[pid] = task
-            elif (
-                self.stall_timeout_s is not None
-                and now - stamp > self.stall_timeout_s
-            ):
+            elif now - stamp > STALL_TIMEOUT_S:
                 self._kill_reasons[task] = (
                     f"watchdog: worker pid {pid} heartbeat stale for "
                     f"{now - stamp:.1f}s (killed)"
@@ -712,7 +775,7 @@ class SweepService:
 
     # -- assembly ---------------------------------------------------------
 
-    def _collect(self, resumed: int) -> ServiceResult:
+    def _collect(self, resumed: int) -> SweepResult:
         table: list[dict] = []
         runs: list[ExperimentRun] = []
         counts: dict[str, dict[str, int]] = {}
@@ -770,7 +833,7 @@ class SweepService:
                 )
             )
         self.queue.write_failure_report([f.to_dict() for f in failures])
-        return ServiceResult(
+        return SweepResult(
             axes=self.axes,
             records=table,
             points=runs,

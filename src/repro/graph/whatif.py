@@ -79,8 +79,6 @@ class ByteBudgetLRU:
         budget_bytes: evict least-recently-used entries once the held
             bytes exceed this (``None`` = unbounded).
         size_of: value -> size in bytes (default: ``value.nbytes``).
-        on_evict: called as ``on_evict(key, value)`` for every evicted
-            entry (not for replacements via :meth:`put`).
 
     Pinned keys (:meth:`pin`) and the most recently inserted entry are
     never evicted, so the cache can exceed its budget by at most one
@@ -92,13 +90,11 @@ class ByteBudgetLRU:
         self,
         budget_bytes: float | None = None,
         size_of: Callable | None = None,
-        on_evict: Callable | None = None,
     ) -> None:
         if budget_bytes is not None and budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0 (or None)")
         self._budget = None if budget_bytes is None else float(budget_bytes)
         self._size_of = size_of or (lambda value: int(value.nbytes))
-        self._on_evict = on_evict
         self._data: dict = {}
         self._sizes: dict = {}
         self._pinned: set = set()
@@ -141,8 +137,12 @@ class ByteBudgetLRU:
             self._sizes[key] = self._sizes.pop(key)
         return value
 
-    def put(self, key, value) -> None:
-        """Insert/replace ``key`` at MRU, then evict down to budget."""
+    def put(self, key, value) -> list:
+        """Insert/replace ``key`` at MRU, then evict down to budget.
+
+        Returns the evicted keys, least recently used first (a
+        replacement of ``key`` itself is not an eviction).
+        """
         size = int(self._size_of(value))
         if key in self._data:
             del self._data[key]
@@ -150,18 +150,19 @@ class ByteBudgetLRU:
         self._data[key] = value
         self._sizes[key] = size
         self._bytes += size
+        evicted: list = []
         if self._budget is None:
-            return
+            return evicted
         for victim in list(self._data):
             if self._bytes <= self._budget:
                 break
             if victim == key or victim in self._pinned:
                 continue
-            evicted = self._data.pop(victim)
+            del self._data[victim]
             self._bytes -= self._sizes.pop(victim)
             self.evictions += 1
-            if self._on_evict is not None:
-                self._on_evict(victim, evicted)
+            evicted.append(victim)
+        return evicted
 
 
 class _CacheEntry:
@@ -261,10 +262,12 @@ class FailureSetSolver:
         self.delta_solves = 0
         self.memo_hits = 0
         self.union_solves = 0
+        # put() returns the evicted keys: an eviction callback bound to
+        # this solver would make solver and cache a reference cycle that
+        # keeps every cached matrix alive until a full garbage collection.
         self._cache = ByteBudgetLRU(
             cache_bytes,
             size_of=lambda entry: int(entry.dist.nbytes),
-            on_evict=self._forget,
         )
         base = (
             np.asarray(base_distances, dtype=float)
@@ -433,9 +436,10 @@ class FailureSetSolver:
             self._by_link.setdefault(link, set()).add(key)
         if 0 < len(key) < self._delta_k:
             self._tiny.add(key)
-        self._cache.put(key, entry)
+        for victim in self._cache.put(key, entry):
+            self._forget(victim)
 
-    def _forget(self, key: frozenset, entry: _CacheEntry) -> None:
+    def _forget(self, key: frozenset) -> None:
         for link in key:
             bucket = self._by_link.get(link)
             if bucket is not None:

@@ -31,7 +31,6 @@ from .network import EdgeSpec, Network
 from .nodes import Node
 from .packets import Packet
 from .routing import (
-    RoutingCache,
     k_shortest_paths,
     mean_route_latency,
     min_max_utilization_routing,
@@ -51,7 +50,6 @@ __all__ = [
     "FluidFlow",
     "FluidResult",
     "PathPool",
-    "RoutingCache",
     "Simulator",
     "aggregate_capacities",
     "hybrid_routing_graph",

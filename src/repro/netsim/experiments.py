@@ -31,7 +31,6 @@ from .flows import DEFAULT_UDP_PACKET_BYTES, UdpFlow
 from .flowtable import FlowTable, PathPool
 from .monitor import FlowMonitor
 from .network import EdgeSpec, Network
-from .routing import RoutingCache
 from .tcpmodel import solve_fluid_tcp
 
 # The engine/demand-model/transport lists are owned by the
@@ -544,10 +543,10 @@ def run_failure_reroute_experiment(
     packets black-hole between ``fail_at_s`` and the reroute, then flow
     loss returns to its pre-failure level on the recomputed paths.
 
-    Rerouting goes through a :class:`RoutingCache` over the hybrid site
-    graph: failing the link invalidates only the commodities routed
-    across it, and replacement paths are computed per affected
-    commodity — not via a fresh all-pairs recompute.
+    Rerouting removes the failed link from the hybrid site graph
+    (:func:`hybrid_routing_graph`) and recomputes a latency-shortest
+    path for each commodity whose route crossed it; every other
+    commodity keeps its route.
     """
     failed_link = (min(failed_link), max(failed_link))
     if failed_link not in topology.mw_links:
@@ -581,14 +580,14 @@ def run_failure_reroute_experiment(
     # Post-failure routes must avoid the failed *site pair* entirely: in
     # the simulated network the MW link and the (hypothetical) direct
     # fiber between the same pair share one edge, and that edge is down.
-    cache = RoutingCache(topology.graph_view(), weight="latency")
-    cache.fail_link(*failed_link)
+    graph = hybrid_routing_graph(topology)
+    graph.remove_edge(*failed_link)
     new_routes: dict[tuple[int, int], list[int]] = {}
     for (s, t), _node_path, _h in kept:
         if not crosses_failed(routes[(s, t)]):
             continue
         try:
-            new_routes[(s, t)] = cache.shortest_path(s, t)
+            new_routes[(s, t)] = nx.shortest_path(graph, s, t, weight="latency")
         except nx.NetworkXNoPath:
             continue
     # The post-failure routing may use fiber edges the original routing

@@ -19,8 +19,6 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
 
-from ..graph import GraphView
-
 
 def k_shortest_paths(
     graph: nx.Graph, source, target, k: int, weight: str = "latency"
@@ -50,25 +48,15 @@ def _path_lp(
     demands: dict[tuple, float],
     k: int,
     objective: str,
-    cache: "RoutingCache | None" = None,
 ) -> dict[tuple, list]:
     """Shared LP for min-max-utilization and throughput-optimal routing.
 
     Variables: per-commodity path fractions x_{k,p} plus one auxiliary
     (the max utilization u, minimized; or the concurrent-flow factor
-    lambda, maximized).  Passing a :class:`RoutingCache` reuses
-    k-shortest-path enumerations across repeated solves (sweeps,
-    failure loops) — Yen's algorithm dominates LP setup cost.
+    lambda, maximized).
     """
     commodities = sorted(demands)
-    if cache is not None:
-        if cache.graph is not graph:
-            raise ValueError("cache must be built over the same graph object")
-        paths: dict[tuple, list[list]] = {
-            c: cache.k_shortest(c[0], c[1], k) for c in commodities
-        }
-    else:
-        paths = {c: k_shortest_paths(graph, c[0], c[1], k) for c in commodities}
+    paths = {c: k_shortest_paths(graph, c[0], c[1], k) for c in commodities}
     edges = list(graph.edges())
     edge_index = {}
     for idx, (u, v) in enumerate(edges):
@@ -145,170 +133,18 @@ def min_max_utilization_routing(
     graph: nx.Graph,
     demands: dict[tuple, float],
     k: int = 4,
-    cache: "RoutingCache | None" = None,
 ) -> dict[tuple, list]:
     """Route to minimize the maximum link utilization."""
-    return _path_lp(graph, demands, k, "min_max_util", cache=cache)
+    return _path_lp(graph, demands, k, "min_max_util")
 
 
 def throughput_optimal_routing(
     graph: nx.Graph,
     demands: dict[tuple, float],
     k: int = 4,
-    cache: "RoutingCache | None" = None,
 ) -> dict[tuple, list]:
     """Route to maximize the concurrent-flow scaling factor."""
-    return _path_lp(graph, demands, k, "throughput", cache=cache)
-
-
-class RoutingCache:
-    """Memoized shortest-path / k-shortest-path queries over one graph.
-
-    Entries are invalidated eagerly on mutation: a reverse index from
-    edges to the cache keys whose paths traverse them lets
-    :meth:`fail_link` drop *only* the commodities actually routed over
-    the failed link — every other commodity stays warm.  Restoring a
-    link can shorten any path, so :meth:`restore_link` flushes the
-    whole cache.  :attr:`signature` exposes a monotonic version of the
-    cached graph state so external consumers (sweep drivers, tests)
-    can detect that mutations occurred.
-
-    Mutations must go through :meth:`fail_link` / :meth:`restore_link`;
-    editing ``graph`` directly bypasses invalidation and can leave
-    stale paths being served.
-
-    The cache can be built directly over a
-    :class:`~repro.graph.GraphView` (the shared graph kernel's
-    versioned handle): the view is exported once to the networkx form
-    Yen's algorithm needs and kept on :attr:`view`, and
-    :meth:`fail_link` / :meth:`restore_link` mirror their mutations
-    into it — the view's weights and version always describe the
-    cache's current graph state.
-    """
-
-    def __init__(self, graph: nx.Graph | GraphView, weight: str = "latency") -> None:
-        if isinstance(graph, GraphView):
-            self.view: GraphView | None = graph
-            graph = graph.to_networkx(weight=weight)
-        else:
-            self.view = None
-        self.graph = graph
-        self.weight = weight
-        self._version = 0
-        self._cache: dict[tuple, list] = {}
-        self._edge_keys: dict[tuple, set[tuple]] = {}
-        self._key_edges: dict[tuple, set[tuple]] = {}
-        self._saved_edges: dict[tuple, dict] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    @property
-    def signature(self) -> tuple[int, int, int]:
-        """(version, n_nodes, n_edges) identifying the cached graph state."""
-        return (
-            self._version,
-            self.graph.number_of_nodes(),
-            self.graph.number_of_edges(),
-        )
-
-    @staticmethod
-    def _edge_key(u, v) -> tuple:
-        return (u, v) if not v < u else (v, u)
-
-    def _index(self, key: tuple, path: list) -> None:
-        key_edges = self._key_edges.setdefault(key, set())
-        for u, v in zip(path[:-1], path[1:]):
-            edge = self._edge_key(u, v)
-            key_edges.add(edge)
-            self._edge_keys.setdefault(edge, set()).add(key)
-
-    def _drop(self, key: tuple) -> bool:
-        """Remove one cache entry and fully unlink it from the index."""
-        if self._cache.pop(key, None) is None:
-            return False
-        for edge in self._key_edges.pop(key, ()):
-            keys = self._edge_keys.get(edge)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._edge_keys[edge]
-        return True
-
-    def shortest_path(self, source, target) -> list:
-        """Cached latency-shortest path (raises ``NetworkXNoPath``)."""
-        key = ("sp", source, target)
-        path = self._cache.get(key)
-        if path is not None:
-            self.hits += 1
-            return path
-        self.misses += 1
-        path = nx.shortest_path(self.graph, source, target, weight=self.weight)
-        self._cache[key] = path
-        self._index(key, path)
-        return path
-
-    def k_shortest(self, source, target, k: int) -> list[list]:
-        """Cached Yen k-shortest loop-free paths."""
-        key = ("ksp", source, target, k)
-        paths = self._cache.get(key)
-        if paths is not None:
-            self.hits += 1
-            return paths
-        self.misses += 1
-        paths = k_shortest_paths(self.graph, source, target, k, self.weight)
-        self._cache[key] = paths
-        for path in paths:
-            self._index(key, path)
-        return paths
-
-    def fail_link(self, u, v) -> int:
-        """Remove an edge; drop only the entries whose paths used it.
-
-        Returns the number of cache entries invalidated.  The edge's
-        attributes are saved for :meth:`restore_link`.
-        """
-        if not self.graph.has_edge(u, v):
-            raise KeyError(f"no edge {u!r}-{v!r} in the routing graph")
-        edge = self._edge_key(u, v)
-        self._saved_edges[edge] = dict(self.graph[u][v])
-        self.graph.remove_edge(u, v)
-        if self.view is not None:
-            self.view.remove_edge(u, v)
-        self._version += 1
-        dropped = 0
-        for key in list(self._edge_keys.get(edge, ())):
-            if self._drop(key):
-                dropped += 1
-        self._edge_keys.pop(edge, None)
-        self.invalidations += dropped
-        return dropped
-
-    def restore_link(self, u, v, **attrs) -> None:
-        """Re-add a failed edge; any path may improve, so flush all.
-
-        The edge's attributes come from the ``fail_link`` snapshot,
-        overlaid with ``attrs``.  Restoring an edge that was never
-        failed (and giving no attributes) would silently add a
-        weightless edge — networkx treats a missing weight as 1 — so
-        that is an error instead.
-        """
-        saved = self._saved_edges.pop(self._edge_key(u, v), None)
-        if saved is None and not attrs:
-            raise ValueError(
-                f"edge ({u}, {v}) has no saved attributes to restore "
-                "(not failed via fail_link?); pass explicit attributes"
-            )
-        saved = dict(saved or {})
-        saved.update(attrs)
-        self.graph.add_edge(u, v, **saved)
-        if self.view is not None and self.weight in saved:
-            self.view.set_edge(u, v, float(saved[self.weight]))
-        self._version += 1
-        self.invalidations += len(self._cache)
-        self._cache.clear()
-        self._edge_keys.clear()
-        self._key_edges.clear()
+    return _path_lp(graph, demands, k, "throughput")
 
 
 def mean_route_latency(

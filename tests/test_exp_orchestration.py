@@ -24,7 +24,7 @@ from repro.exp import (
     NetsimSpec,
     NullStore,
     ScenarioSpec,
-    SweepRunner,
+    SweepService,
     WeatherSpec,
     canonical_json,
     run_experiment,
@@ -275,14 +275,14 @@ AXES = {
 }
 
 
-class TestSweepRunner:
+class TestSweeps:
     def test_warm_two_axis_sweep_is_byte_identical_and_skips_stages(
         self, shared_store
     ):
         """The PR acceptance criterion, end to end."""
         spec = tiny_spec()
-        cold = SweepRunner(spec, AXES, store=shared_store).run()
-        warm = SweepRunner(spec, AXES, store=shared_store).run()
+        cold = SweepService(spec, AXES, store=shared_store).run()
+        warm = SweepService(spec, AXES, store=shared_store).run()
         assert cold.records_json() == warm.records_json()
         assert warm.executed("substrate") == 0
         assert warm.executed("design") == 0
@@ -290,20 +290,20 @@ class TestSweepRunner:
 
     def test_jobs_4_matches_jobs_1(self, shared_store):
         spec = tiny_spec()
-        serial = SweepRunner(spec, AXES, store=shared_store, jobs=1).run()
-        parallel = SweepRunner(spec, AXES, store=shared_store, jobs=4).run()
+        serial = SweepService(spec, AXES, store=shared_store, jobs=1).run()
+        parallel = SweepService(spec, AXES, store=shared_store, jobs=4).run()
         assert serial.records_json() == parallel.records_json()
 
     def test_parallel_cold_sweep_computes_shared_stages_once(self, tmp_path):
         """Workers must not race to rebuild shared substrates/designs."""
-        result = SweepRunner(
+        result = SweepService(
             tiny_spec(), AXES, store=ArtifactStore(tmp_path), jobs=4
         ).run()
         assert result.stage_counts["substrate"]["computed"] == 1
         assert result.stage_counts["design"]["computed"] == 2  # one per budget
 
     def test_point_rows_carry_axis_columns(self, shared_store):
-        result = SweepRunner(tiny_spec(), AXES, store=shared_store).run()
+        result = SweepService(tiny_spec(), AXES, store=shared_store).run()
         row = result.records[0]
         assert row["point"] == 0
         assert row["design.budget_towers"] == 100.0
@@ -311,23 +311,29 @@ class TestSweepRunner:
 
     def test_streaming_callback_sees_every_point(self, shared_store):
         seen = []
-        SweepRunner(tiny_spec(), AXES, store=shared_store).run(
+        SweepService(tiny_spec(), AXES, store=shared_store).run(
             on_point=lambda index, rows: seen.append(index)
         )
         assert sorted(seen) == [0, 1, 2, 3]
 
-    def test_bad_axis_path_fails_before_any_work(self, shared_store):
+    def test_bad_axis_path_fails_before_any_work(self, tmp_path):
         with pytest.raises(ValueError, match="not enabled"):
-            SweepRunner(
+            SweepService(
                 tiny_spec(weather=None),
                 {"weather.n_intervals": [3, 5]},
-                store=shared_store,
+                store=ArtifactStore(tmp_path),
             )
+        assert not (tmp_path / "sweeps").exists()  # no journal either
 
-    def test_null_store_still_deterministic(self):
+    def test_null_store_still_deterministic(self, tmp_path):
         spec = tiny_spec()
-        a = SweepRunner(spec, {"design.budget_towers": [100.0]}, store=NullStore()).run()
-        b = SweepRunner(spec, {"design.budget_towers": [100.0]}, store=NullStore()).run()
+        axes = {"design.budget_towers": [100.0]}
+        a = SweepService(
+            spec, axes, store=NullStore(), journal_dir=tmp_path / "a"
+        ).run()
+        b = SweepService(
+            spec, axes, store=NullStore(), journal_dir=tmp_path / "b"
+        ).run()
         assert a.records_json() == b.records_json()
         assert a.executed("design") == 1
 

@@ -3,8 +3,8 @@
 Covers the kernel's solver equivalences (CSR Dijkstra vs dense FW),
 the incremental single-edge delta rule (against full recomputes, with
 add/remove round-trips), the versioned GraphView, Topology memoization,
-RoutingCache over a GraphView, the delta-evaluated budget evolution,
-and the repo-wide ban on dense Floyd-Warshall call sites outside
+the networkx export the netsim experiments route over, the
+delta-evaluated budget evolution, and the repo-wide ban on dense Floyd-Warshall call sites outside
 ``src/repro/graph/``.
 """
 
@@ -28,7 +28,6 @@ from repro.graph import (
     edge_delta_with_carry,
     graph_kernel_version,
 )
-from repro.netsim.routing import RoutingCache
 
 from conftest import make_toy_design
 
@@ -316,22 +315,10 @@ class TestRoutedPathsDisconnected:
         assert not np.isfinite(dist[0, 3])
 
 
-class TestRoutingCacheOnGraphView:
+class TestGraphViewConsumers:
     def _topology(self):
         design = make_toy_design(8, seed=8)
         return Topology(design=design, mw_links=frozenset({(0, 1), (2, 3)}))
-
-    def test_cache_consumes_view(self):
-        topo = self._topology()
-        view = topo.graph_view()
-        cache = RoutingCache(view, weight="latency")
-        assert cache.view is view
-        assert cache.graph.number_of_nodes() == 8
-        path = cache.shortest_path(0, 5)
-        assert path[0] == 0 and path[-1] == 5
-        assert cache.misses == 1
-        assert cache.shortest_path(0, 5) == path
-        assert cache.hits == 1
 
     def test_view_export_matches_legacy_graph(self):
         from repro.netsim.experiments import hybrid_routing_graph
@@ -348,52 +335,6 @@ class TestRoutingCacheOnGraphView:
             assert graph[0][1]["latency"] == pytest.approx(
                 float(design.mw_km[0, 1])
             )
-
-    def test_fail_link_eviction_and_signature(self):
-        topo = self._topology()
-        cache = RoutingCache(topo.graph_view(), weight="latency")
-        crossing = cache.shortest_path(0, 1)
-        sig0 = cache.signature
-        # Warm a second entry that cannot cross the (0, 1) edge.
-        far_pair = None
-        for s in range(8):
-            for t in range(s + 1, 8):
-                p = cache.shortest_path(s, t)
-                edges = {(min(u, v), max(u, v)) for u, v in zip(p[:-1], p[1:])}
-                if (0, 1) not in edges:
-                    far_pair = (s, t)
-                    break
-            if far_pair:
-                break
-        assert far_pair is not None
-        misses_before = cache.misses
-        dropped = cache.fail_link(0, 1)
-        assert dropped >= 1
-        assert cache.signature != sig0
-        # The non-crossing entry stayed warm.
-        cache.shortest_path(*far_pair)
-        assert cache.misses == misses_before
-        # The crossing pair recomputes around the failure.
-        rerouted = cache.shortest_path(0, 1)
-        assert rerouted != crossing or len(rerouted) > 2
-        # Restore flushes everything and bumps the signature again.
-        sig1 = cache.signature
-        cache.restore_link(0, 1)
-        assert cache.signature != sig1
-        assert len(cache._cache) == 0
-
-    def test_mutations_mirror_into_view(self):
-        topo = self._topology()
-        view = topo.graph_view()
-        cache = RoutingCache(view, weight="latency")
-        original = view.weight(0, 1)
-        assert np.isfinite(original)
-        cache.fail_link(0, 1)
-        assert not np.isfinite(view.weight(0, 1))
-        assert view.version == 1
-        cache.restore_link(0, 1)
-        assert view.weight(0, 1) == pytest.approx(original)
-        assert view.version == 2
 
     def test_single_solve_any_call_order(self, toy_design_8):
         # mean_stretch + mw_shares + routed_paths chains cost one full

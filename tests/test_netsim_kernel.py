@@ -1,8 +1,7 @@
 """Tests for the overhauled netsim kernel: event cancellation,
-commit-on-arrival drop-tail semantics, routing-cache invalidation, and
-the fluid-approximation engine."""
+commit-on-arrival drop-tail semantics, and the fluid-approximation
+engine."""
 
-import networkx as nx
 import pytest
 
 from repro.netsim import (
@@ -11,7 +10,6 @@ from repro.netsim import (
     FluidFlow,
     Network,
     Packet,
-    RoutingCache,
     Simulator,
     TcpFlow,
     UdpFlow,
@@ -150,71 +148,6 @@ class TestCommitOnArrivalQueue:
             sim.schedule_at(t, lambda: observed.append(link.queue_length))
         sim.run()
         assert observed == [3, 2, 1, 0]
-
-
-class TestRoutingCache:
-    def graph(self):
-        g = nx.Graph()
-        for u, v, lat in [
-            ("A", "B", 1.0),
-            ("B", "C", 1.0),
-            ("C", "D", 1.0),
-            ("D", "A", 1.0),
-            ("A", "C", 2.5),
-        ]:
-            g.add_edge(u, v, latency=lat)
-        return g
-
-    def test_hit_after_miss(self):
-        cache = RoutingCache(self.graph())
-        first = cache.shortest_path("A", "C")
-        second = cache.shortest_path("A", "C")
-        assert first == second
-        assert cache.misses == 1
-        assert cache.hits == 1
-
-    def test_fail_link_invalidates_only_affected_commodities(self):
-        cache = RoutingCache(self.graph())
-        path_ac = cache.shortest_path("A", "C")
-        cache.shortest_path("A", "D")  # uses only A-D
-        assert cache.misses == 2
-        crossing = tuple(zip(path_ac[:-1], path_ac[1:]))[0]
-        dropped = cache.fail_link(*crossing)
-        assert dropped == 1
-        # The untouched commodity is still served from cache...
-        cache.shortest_path("A", "D")
-        assert cache.hits == 1
-        # ...while the affected one is recomputed around the failure.
-        rerouted = cache.shortest_path("A", "C")
-        assert rerouted != path_ac
-        assert crossing not in set(zip(rerouted[:-1], rerouted[1:]))
-        assert cache.misses == 3
-
-    def test_signature_changes_on_mutation(self):
-        cache = RoutingCache(self.graph())
-        sig = cache.signature
-        cache.fail_link("A", "B")
-        assert cache.signature != sig
-
-    def test_restore_link_flushes_and_recovers_shortest(self):
-        cache = RoutingCache(self.graph())
-        cache.fail_link("A", "B")
-        detour = cache.shortest_path("A", "B")
-        assert len(detour) > 2
-        cache.restore_link("A", "B")
-        assert cache.shortest_path("A", "B") == ["A", "B"]
-
-    def test_k_shortest_cached(self):
-        cache = RoutingCache(self.graph())
-        paths = cache.k_shortest("A", "C", 2)
-        assert len(paths) == 2
-        assert cache.k_shortest("A", "C", 2) == paths
-        assert cache.hits == 1
-
-    def test_fail_unknown_link_raises(self):
-        cache = RoutingCache(self.graph())
-        with pytest.raises(KeyError):
-            cache.fail_link("A", "Z")
 
 
 class TestFluidEngine:

@@ -7,7 +7,9 @@ only missing points, deterministically failing points retry their
 budget then quarantine without aborting the sweep, the watchdog
 recovers dead and stalled pool workers by respawning the pool, corrupt
 store entries are quarantined as cache misses, and the CLI checkpoints
-on SIGINT and emits the exact ``--resume`` command.
+on SIGINT and emits the exact ``--resume`` command, rejects sweep flags
+that would break the run, and journals ``--no-cache`` sweeps in a
+temporary directory it removes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,15 +39,16 @@ from repro.exp import (
     NullStore,
     RetryPolicy,
     ScenarioSpec,
-    SweepPointError,
-    SweepRunner,
     SweepService,
     WorkQueue,
+    canonical_json,
     corrupt_artifact,
+    expand_points,
     run_experiment,
     stage_key,
     sweep_fingerprint,
 )
+from repro.cli import main
 from repro.exp.runner import _axis_list
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -76,12 +80,22 @@ AXES = {
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
 
 
+def reference_records(spec, axes, store) -> list[dict]:
+    """The plain loop a sweep must reproduce: every point, in order."""
+    rows = []
+    for index, (assignment, point) in enumerate(
+        expand_points(spec, _axis_list(axes))
+    ):
+        for row in run_experiment(point, store=store).records:
+            rows.append({"point": index, **assignment, **row})
+    return rows
+
+
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
-    """The uninterrupted SweepRunner result every service run must match."""
+    """The reference table every service run must match, byte for byte."""
     store = ArtifactStore(tmp_path_factory.mktemp("baseline-store"))
-    result = SweepRunner(tiny_spec(), axes=AXES, store=store, jobs=1).run()
-    return result
+    return reference_records(tiny_spec(), AXES, store)
 
 
 # --------------------------------------------------------------------------
@@ -265,37 +279,40 @@ class TestStoreQuarantine:
 
 
 # --------------------------------------------------------------------------
-# SweepRunner failure naming (satellite a).
+# A failing point is named and quarantined; the other points survive.
 # --------------------------------------------------------------------------
 
-class TestSweepPointError:
-    def test_inline_failure_names_point_and_keeps_rows(self, tmp_path):
-        axes = {"design.aggregate_gbps": [20.0, -5.0]}
-        runner = SweepRunner(
-            tiny_spec(), axes=axes,
-            store=ArtifactStore(tmp_path / "s"), jobs=1,
+FAILING_AXES = {"design.aggregate_gbps": [20.0, -5.0]}
+
+
+class TestQuarantinedPoint:
+    @staticmethod
+    def _check(result, store):
+        """Point 1 is quarantined with its cause; point 0's rows survive."""
+        [failure] = result.failures
+        assert failure.index == 1
+        assert failure.assignment == {"design.aggregate_gbps": -5.0}
+        assert failure.error == "ValueError: aggregate demand must be positive"
+        assert result.records == reference_records(
+            tiny_spec(), {"design.aggregate_gbps": [20.0]}, store
         )
-        with pytest.raises(SweepPointError) as excinfo:
-            runner.run()
-        err = excinfo.value
-        assert err.index == 1
-        assert err.assignment == {"design.aggregate_gbps": -5.0}
-        assert err.completed == [0]
-        assert err.partial_records
-        assert all(row["point"] == 0 for row in err.partial_records)
-        assert "sweep point 1" in str(err)
-        assert "design.aggregate_gbps" in str(err)
+
+    def test_inline_failure_names_point_and_keeps_rows(self, tmp_path):
+        store = ArtifactStore(tmp_path / "s")
+        result = SweepService(
+            tiny_spec(), axes=FAILING_AXES, store=store, jobs=1,
+            retry=FAST_RETRY,
+        ).run()
+        assert result.failures[0].attempts == FAST_RETRY.max_attempts
+        self._check(result, store)
 
     def test_pool_failure_names_point(self, tmp_path):
-        axes = {"design.aggregate_gbps": [20.0, -5.0]}
-        runner = SweepRunner(
-            tiny_spec(), axes=axes,
-            store=ArtifactStore(tmp_path / "s"), jobs=2,
-        )
-        with pytest.raises(SweepPointError) as excinfo:
-            runner.run()
-        assert excinfo.value.index == 1
-        assert excinfo.value.assignment == {"design.aggregate_gbps": -5.0}
+        store = ArtifactStore(tmp_path / "s")
+        result = SweepService(
+            tiny_spec(), axes=FAILING_AXES, store=store, jobs=2,
+            retry=FAST_RETRY,
+        ).run()
+        self._check(result, store)
 
 
 # --------------------------------------------------------------------------
@@ -305,12 +322,13 @@ class TestSweepPointError:
 
 class TestSweepService:
     def test_matches_sweep_runner_byte_for_byte(self, tmp_path, baseline):
+        """Identical to the reference loop (what a plain runner did)."""
         service = SweepService(
             tiny_spec(), axes=AXES,
             store=ArtifactStore(tmp_path / "s"), jobs=1, retry=FAST_RETRY,
         )
         result = service.run()
-        assert result.records_json() == baseline.records_json()
+        assert result.records_json() == canonical_json(baseline)
         assert result.executed_points == 4
         assert not result.interrupted
         assert not result.failures
@@ -321,6 +339,22 @@ class TestSweepService:
         with pytest.raises(ValueError, match="journal_dir"):
             SweepService(tiny_spec(), axes=AXES, store=NullStore())
 
+    @pytest.mark.parametrize("value", [0, -5.0, float("nan"), float("inf")])
+    def test_point_timeout_must_be_finite_and_positive(self, tmp_path, value):
+        with pytest.raises(ValueError, match="point_timeout_s"):
+            SweepService(
+                tiny_spec(), axes=AXES, store=ArtifactStore(tmp_path / "s"),
+                point_timeout_s=value,
+            )
+
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf")])
+    def test_poll_interval_must_be_finite_and_positive(self, tmp_path, value):
+        with pytest.raises(ValueError, match="poll_interval_s"):
+            SweepService(
+                tiny_spec(), axes=AXES, store=ArtifactStore(tmp_path / "s"),
+                poll_interval_s=value,
+            )
+
     def test_transient_fault_retries_to_success(self, tmp_path, baseline):
         plan = FaultPlan(faults=(Fault(point=1, action="fail", attempt=1),))
         service = SweepService(
@@ -328,7 +362,7 @@ class TestSweepService:
             jobs=1, retry=FAST_RETRY, fault_plan=plan,
         )
         result = service.run()
-        assert result.records_json() == baseline.records_json()
+        assert result.records_json() == canonical_json(baseline)
         assert service.queue.record(1).attempts == 2
         assert not result.failures
 
@@ -345,7 +379,7 @@ class TestSweepService:
         result = service.run()
         # Every other point completed; the table is the baseline minus
         # point 2's rows.
-        expected = [r for r in baseline.records if r["point"] != 2]
+        expected = [r for r in baseline if r["point"] != 2]
         assert result.records == expected
         assert [f.index for f in result.failures] == [2]
         assert result.failures[0].attempts == 3
@@ -375,7 +409,7 @@ class TestSweepService:
             resume=True,
         )
         result = resumed.run()
-        assert result.records_json() == baseline.records_json()
+        assert result.records_json() == canonical_json(baseline)
         assert not result.interrupted
         assert result.resumed_points == 2
         assert result.executed_points == 2
@@ -395,7 +429,7 @@ class TestSweepService:
             tiny_spec(), axes=AXES, store=store, jobs=1, retry=FAST_RETRY,
             resume=True,
         ).run()
-        assert again.records_json() == baseline.records_json()
+        assert again.records_json() == canonical_json(baseline)
         assert again.executed_points == 0
         assert again.resumed_points == 4
 
@@ -432,7 +466,7 @@ class TestSweepServicePool:
             poll_interval_s=0.05,
         )
         result = service.run()
-        assert result.records_json() == baseline.records_json()
+        assert result.records_json() == canonical_json(baseline)
         assert result.pool_restarts >= 1
         assert not result.failures
 
@@ -448,7 +482,7 @@ class TestSweepServicePool:
         start = time.monotonic()
         result = service.run()
         assert time.monotonic() - start < 40.0  # far less than the 60s stall
-        assert result.records_json() == baseline.records_json()
+        assert result.records_json() == canonical_json(baseline)
         assert result.pool_restarts >= 1
         assert not result.failures
 
@@ -497,6 +531,19 @@ def cli_sweep_dir(tmp_path):
     return tmp_path
 
 
+def _point_done(store: Path, index: int) -> bool:
+    """Whether any sweep journal under ``store`` holds ``index``'s done event."""
+    for journal in store.glob("sweeps/*/journal.jsonl"):
+        for line in journal.read_text().splitlines():
+            try:
+                event = json.loads(line)
+            except ValueError:  # a line still being appended
+                continue
+            if event.get("e") == "done" and event.get("i") == index:
+                return True
+    return False
+
+
 class TestCliFaultTolerance:
     def test_parent_crash_then_resume_byte_identical(self, cli_sweep_dir):
         # The uninterrupted reference run (separate store).
@@ -529,7 +576,7 @@ class TestCliFaultTolerance:
     ):
         (cli_sweep_dir / "plan.json").write_text(json.dumps(
             {"faults": [
-                {"point": 1, "action": "delay", "attempt": 1, "seconds": 15.0}
+                {"point": 1, "action": "delay", "attempt": 1, "seconds": 3.0}
             ]}
         ))
         proc = subprocess.Popen(
@@ -538,8 +585,13 @@ class TestCliFaultTolerance:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=_cli_env(), cwd=cli_sweep_dir,
         )
-        # Give the run time to finish point 0 and enter point 1's delay.
-        time.sleep(10)
+        # Interrupt once point 0 is journaled done, i.e. during point 1's
+        # delay.
+        deadline = time.monotonic() + 120.0
+        while not _point_done(cli_sweep_dir / "store", 0):
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "point 0 never finished"
+            time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=180)
         assert proc.returncode == 130, err
@@ -583,3 +635,77 @@ class TestCliFaultTolerance:
         )
         assert out.returncode != 0
         assert "--journal-dir" in out.stderr
+
+
+FAILING_DOC = {
+    "spec": SPEC_DOC["spec"],
+    "axes": {"design.aggregate_gbps": [20, -5]},
+}
+
+SWEEP_ARGS = [
+    "sweep", "--sites", "6", "--max-budget", "300", "--solver", "heuristic",
+]
+
+
+class TestCliSweepInput:
+    """Sweep flags that would break the run fail before any work."""
+
+    @pytest.mark.parametrize("points", ["1", "0", "-4"])
+    def test_fewer_than_two_points_rejected(self, points):
+        with pytest.raises(
+            SystemExit, match=f"--points must be >= 2, got {points}$"
+        ):
+            main([*SWEEP_ARGS, "--no-cache", "--points", points])
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_point_timeout_must_be_finite_and_positive(self, tmp_path, value):
+        with pytest.raises(SystemExit, match="--point-timeout must be"):
+            main([*SWEEP_ARGS, "--points", "3", "--jobs", "2",
+                  "--cache-dir", str(tmp_path / "store"),
+                  "--point-timeout", value])
+
+    def test_retries_zero_rejected_without_cache(self, cli_sweep_dir):
+        with pytest.raises(SystemExit, match="--retries must be >= 1"):
+            main(["run", str(cli_sweep_dir / "spec.json"), "--no-cache",
+                  "--retries", "0"])
+
+
+class TestCliScratchJournal:
+    """``--no-cache`` sweeps journal into a directory removed on exit."""
+
+    def test_failing_point_prints_other_rows_and_exits_one(
+        self, cli_sweep_dir, capsys
+    ):
+        (cli_sweep_dir / "failing.json").write_text(json.dumps(FAILING_DOC))
+        status = main(["run", str(cli_sweep_dir / "failing.json"), "--json",
+                       "--no-cache", "--retries", "1"])
+        out, err = capsys.readouterr()
+        assert status == 1
+        rows = json.loads(out)
+        assert rows and all(row["point"] == 0 for row in rows)
+        assert "1 point(s) quarantined after retries:" in err
+        assert "point 1" in err
+        # Nothing points into the deleted journal directory.
+        assert "failures.json" not in err
+
+    def test_no_scratch_journal_left_behind(self, cli_sweep_dir, monkeypatch):
+        scratch = cli_sweep_dir / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        journals = []
+        run = SweepService.run
+
+        def recording_run(service, *args, **kwargs):
+            journals.append(service.queue.journal_dir)
+            return run(service, *args, **kwargs)
+
+        monkeypatch.setattr(SweepService, "run", recording_run)
+        spec = str(cli_sweep_dir / "spec.json")
+        failing = cli_sweep_dir / "failing.json"
+        failing.write_text(json.dumps(FAILING_DOC))
+        assert main(["run", spec, "--no-cache"]) == 0
+        assert main(["run", spec, "--no-cache", "--jobs", "2"]) == 0
+        assert main(["run", str(failing), "--no-cache", "--jobs", "2",
+                     "--retries", "1"]) == 1
+        assert [path.parent for path in journals] == [scratch] * 3
+        assert list(scratch.iterdir()) == []

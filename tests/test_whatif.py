@@ -1,5 +1,8 @@
 """FailureSetSolver: route selection, delta parity, and the LRU budget."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -220,8 +223,8 @@ class TestByteBudget:
     def test_lru_eviction_under_budget(self):
         value = np.zeros(128)  # 1024 bytes each
         lru = ByteBudgetLRU(3 * value.nbytes)
-        for key in "abcd":
-            lru.put(key, value.copy())
+        evicted = [lru.put(key, value.copy()) for key in "abcd"]
+        assert evicted == [[], [], [], ["a"]]
         assert len(lru) == 3
         assert "a" not in lru  # least recently used went first
         assert lru.evictions == 1
@@ -270,6 +273,24 @@ class TestByteBudget:
             np.testing.assert_allclose(
                 got[both], want[both], rtol=1e-9, atol=1e-9
             )
+
+    def test_dropped_solver_frees_its_cache_at_once(self):
+        """No reference cycle: the cached matrices die with the solver,
+        not at the next full garbage collection."""
+        w = random_weights(24, 0.3, 8)
+        solver = FailureSetSolver(
+            GraphView(w), delta_k=2, cache_bytes=4 * w.size * 8
+        )
+        for query in flap_sequence(present_links(w), 13, steps=30):
+            solver.distances_for(query)
+        assert solver.stats()["evictions"] > 0
+        alive = weakref.ref(solver)
+        gc.disable()
+        try:
+            del solver
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_evaluator_stretch_cache_is_bounded(self):
         """The weather evaluator's stretch cache honors cache_mb."""
