@@ -349,26 +349,40 @@ class TestGraphViewConsumers:
         assert topo.mean_stretch() == d1
 
 
+def assert_matches_per_budget_recompute(design, greedy_budget, budgets):
+    """Delta-evaluated budget prefixes agree with a fresh solve of each."""
+    steps = greedy_sequence(design, greedy_budget)
+    points = budget_evolution(design, steps, budgets)
+    assert [p.budget_towers for p in points] == budgets
+    for point in points:
+        links = frozenset(
+            s.link for s in steps if s.cumulative_cost <= point.budget_towers
+        )
+        topo = Topology(design=design, mw_links=links)
+        assert point.n_links == len(links)
+        assert point.mean_stretch == pytest.approx(
+            topo.mean_stretch(), rel=1e-9
+        )
+        traffic_on_mw, share = mw_shares(topo)
+        assert point.traffic_on_mw == pytest.approx(traffic_on_mw, abs=1e-9)
+        assert point.distance_share_mw == pytest.approx(share, abs=1e-9)
+
+
 class TestBudgetEvolutionDelta:
     def test_matches_per_budget_recompute(self, toy_design_10):
-        steps = greedy_sequence(toy_design_10, 500.0)
-        budgets = [0.0, 120.0, 250.0, 500.0]
-        points = budget_evolution(toy_design_10, steps, budgets)
-        assert [p.budget_towers for p in points] == budgets
-        for point in points:
-            links = frozenset(
-                s.link for s in steps if s.cumulative_cost <= point.budget_towers
-            )
-            topo = Topology(design=toy_design_10, mw_links=links)
-            assert point.n_links == len(links)
-            assert point.mean_stretch == pytest.approx(
-                topo.mean_stretch(), rel=1e-9
-            )
-            traffic_on_mw, share = mw_shares(topo)
-            assert point.traffic_on_mw == pytest.approx(
-                traffic_on_mw, abs=1e-9
-            )
-            assert point.distance_share_mw == pytest.approx(share, abs=1e-9)
+        assert_matches_per_budget_recompute(
+            toy_design_10, 500.0, [0.0, 120.0, 250.0, 500.0]
+        )
+
+    def test_matches_per_budget_recompute_on_us_scenario(
+        self, small_us_scenario
+    ):
+        """A realistic prefix: the 20-city US design, greedy to 800 towers."""
+        assert_matches_per_budget_recompute(
+            small_us_scenario.design_input(),
+            800.0,
+            [0.0, 160.0, 320.0, 480.0, 640.0, 800.0],
+        )
 
     def test_unsorted_and_duplicate_budgets(self, toy_design_10):
         steps = greedy_sequence(toy_design_10, 500.0)

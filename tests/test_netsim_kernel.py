@@ -241,6 +241,19 @@ class TestEngineSelector:
             packet.mean_delay_ms, rel=0.5
         )
 
+    def test_fluid_mean_throughput_within_10pct_of_packet(self, topology):
+        """Past the loss onset (tight links at 130% load) the fluid
+        engine's mean per-flow throughput stays within 10% of the
+        packet engine's on the same flows."""
+        from test_golden_packet import run_packets, udp_workload
+
+        specs, flows = udp_workload(topology, 50.0, 1.3)
+        packet_mean = run_packets(specs, flows, 1.0).mean_flow_throughput_bps(1.0)
+        fluid = solve_fluid(
+            specs, [FluidFlow(fid, path, rate) for fid, path, rate in flows]
+        )
+        assert fluid.mean_rate_bps == pytest.approx(packet_mean, rel=0.10)
+
     def test_fluid_loss_appears_beyond_capacity(self, topology):
         overloaded = run_udp_experiment(
             topology, 50.0, 1.5, engine="fluid", capacity_mode="tight"

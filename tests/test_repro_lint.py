@@ -605,14 +605,47 @@ class TestLockfile:
 # CLI
 
 
+#: The tree the CLI lints by default: the committed layout around the
+#: lockfile.
+TREE_PATHS = [
+    REPO_ROOT / name
+    for name in ("src", "tests", "benchmarks")
+    if (REPO_ROOT / name).is_dir()
+]
+
+
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One lint run over the whole tree, shared: each run parses every
+    file, so the CLI and tree-is-clean tests read this result."""
+    return run_lint(TREE_PATHS)
+
+
+def serve_lint_result(monkeypatch, result) -> list:
+    """Make the CLI's ``run_lint`` return ``result``; returns the list
+    that records each call's ``(paths, rules)``."""
+    calls = []
+
+    def fake_run_lint(paths, rules=None, config=None):
+        calls.append((list(paths), rules))
+        return result
+
+    monkeypatch.setattr("repro.analysis.run_lint", fake_run_lint)
+    return calls
+
+
 class TestCli:
-    def test_lint_clean_tree_exits_zero(self, capsys):
+    def test_lint_clean_tree_exits_zero(self, capsys, monkeypatch, tree_lint):
+        calls = serve_lint_result(monkeypatch, tree_lint)
         assert main(["lint"]) == 0
+        assert calls == [([str(p) for p in TREE_PATHS], None)]
         out = capsys.readouterr().out
         assert "clean" in out
 
-    def test_json_format(self, capsys):
+    def test_json_format(self, capsys, monkeypatch, tree_lint):
+        calls = serve_lint_result(monkeypatch, tree_lint)
         assert main(["lint", "--format", "json"]) == 0
+        assert calls == [([str(p) for p in TREE_PATHS], None)]
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
         assert payload["summary"]["rules"]
@@ -651,19 +684,13 @@ class TestCli:
 
 
 class TestTreeIsLintClean:
-    def test_src_tests_benchmarks_lint_clean(self):
-        paths = [
-            REPO_ROOT / name
-            for name in ("src", "tests", "benchmarks")
-            if (REPO_ROOT / name).is_dir()
-        ]
-        result = run_lint(paths)
-        assert result.rules_run and len(result.rules_run) >= 5
-        assert result.findings == [], "\n".join(
-            f"{f.location()}: {f.rule}: {f.message}" for f in result.findings
+    def test_src_tests_benchmarks_lint_clean(self, tree_lint):
+        assert tree_lint.rules_run and len(tree_lint.rules_run) >= 5
+        assert tree_lint.findings == [], "\n".join(
+            f"{f.location()}: {f.rule}: {f.message}" for f in tree_lint.findings
         )
 
-    def test_known_suppressions_carry_reasons(self):
-        result = run_lint([REPO_ROOT / "src", REPO_ROOT / "tests"])
-        for finding in result.suppressed:
+    def test_known_suppressions_carry_reasons(self, tree_lint):
+        assert tree_lint.suppressed
+        for finding in tree_lint.suppressed:
             assert finding.suppress_reason

@@ -387,6 +387,65 @@ class TestWeatherEvaluator:
             row = evaluator.stretches_for(frozenset(failed))
             assert np.array_equal(row, expected)
 
+    def test_graded_year_bitwise_matches_scalar_per_hop_rule(
+        self, small_us_scenario, topology
+    ):
+        """The graded pass equals the per-link scalar rule: one storm
+        field per link and day, one attenuation per hop, and a link's
+        capacity is its weakest hop's."""
+        from repro.weather import (
+            YearlyWeatherEvaluator,
+            graded_capacity_fraction,
+            link_hop_segments,
+        )
+        from repro.weather.failures import distances_with_failures
+
+        sc = small_us_scenario
+        precipitation = PrecipitationYear()
+        # A dry day, a day with downshifts only, and days on which one,
+        # two and six links fail.
+        days = np.array([1, 14, 33, 78, 236])
+        evaluator = YearlyWeatherEvaluator(
+            topology, sc.catalog, sc.registry, precipitation=precipitation,
+            delta_k=0,
+        )
+        per_interval, capacity_loss = evaluator.graded_year(days)
+
+        segments = link_hop_segments(topology, sc.catalog, sc.registry)
+        geo = topology.design.geodesic_km
+        iu = np.triu_indices(topology.design.n_sites, k=1)
+        valid = geo[iu] > 0
+        best = (topology.effective_distance_matrix()[iu] / geo[iu])[valid]
+        losses, downshifts, failures = [], 0, 0
+        for k, day in enumerate(days):
+            failed = set()
+            for link, hops in segments.items():
+                if not hops:
+                    continue
+                lats = np.array([h[0] for h in hops])
+                lons = np.array([h[1] for h in hops])
+                rain = precipitation.rain_rate_mm_h(int(day), lats, lons)
+                fraction = min(
+                    graded_capacity_fraction(
+                        path_attenuation_db(hop_km, float(r)), 18.0, 40.0
+                    )
+                    for (_, _, hop_km), r in zip(hops, rain)
+                )
+                losses.append(1.0 - fraction)
+                if fraction <= 0.0:
+                    failed.add(link)
+                elif fraction < 1.0:
+                    downshifts += 1
+            failures += len(failed)
+            expected = (
+                (distances_with_failures(topology, failed)[iu] / geo[iu])[valid]
+                if failed
+                else best
+            )
+            assert np.array_equal(per_interval[k], expected)
+        assert downshifts > 0 and failures > 0
+        assert abs(capacity_loss - float(np.mean(losses))) <= 1e-12
+
     def test_default_delta_evaluator_matches_reference_to_1e9(
         self, small_us_scenario, topology
     ):
