@@ -1,20 +1,13 @@
-"""Array-native flow-table gate: zero-object end-to-end evaluation at
+"""Flow-table footprint gate: zero-object end-to-end evaluation at
 10^6 flows.
 
 The fluid solver takes one workload form, a struct-of-arrays
-``PathPool``/``FlowTable`` (collapsed into a ``CommodityTable``).  A
-list of ``FluidFlow`` objects is still accepted, but it converts to a
-table at the API edge, one Python allocation per flow.  This benchmark
-pins two promises:
-
-1. **Scale** — from raw demand arrays to per-flow rates on a 10^6-flow
-   continental workload, building the table directly must be >= 10x
-   building a ``FluidFlow`` list and handing it to the same solver
-   (workload build + edge conversion + problem setup + progressive
-   fill).
-2. **Footprint** — peak RSS after the table build + solve at 10^6
-   flows stays under 2 GB (the table path runs first so the ceiling
-   reads its footprint, not the object list's).
+``PathPool``/``FlowTable`` (collapsed into a ``CommodityTable``).  This
+benchmark times raw demand arrays to per-flow rates on a 10^6-flow
+continental workload (table build + problem setup + progressive fill)
+and gates the footprint: peak RSS after the build and solve stays under
+2 GiB.  Each run appends its timing and peak RSS to the
+``BENCH_netsim.json`` perf trajectory.
 """
 
 import resource
@@ -22,12 +15,11 @@ import time
 
 import numpy as np
 
-from repro.netsim import FlowTable, FluidFlow, PathPool, max_min_rates_table
+from repro.netsim import FlowTable, PathPool, max_min_rates_table
 
 from _support import report, write_bench_json
 
-#: Acceptance thresholds (see module docstring).
-MIN_TABLE_SPEEDUP = 10.0
+#: Acceptance threshold (see module docstring).
 MAX_PEAK_RSS_BYTES = 2 * 1024**3
 
 #: Million-flow workload shape: single-homed metros behind a core mesh,
@@ -41,21 +33,10 @@ MEAN_DEMAND_BPS = 2e6
 SEED = 11
 
 
-def build_core_capacities():
-    cores = [f"core{i}" for i in range(N_CORE)]
-    capacities = {}
-    for i, u in enumerate(cores):
-        for v in cores[i + 1:]:
-            capacities[(u, v)] = 40e9
-            capacities[(v, u)] = 40e9
-    return cores, capacities
-
-
 def build_raw_million_flow_demands():
     """The raw workload as plain arrays: (src metro, dst metro, demand).
 
-    This is the input both workload forms start from — the benchmark
-    measures everything downstream of these arrays.
+    The benchmark measures everything downstream of these arrays.
     """
     rng = np.random.default_rng(SEED)
     raw = (rng.pareto(1.3, size=N_FLOWS) + 1.0) * MEAN_DEMAND_BPS
@@ -70,7 +51,12 @@ def build_raw_million_flow_demands():
 
 
 def million_flow_network():
-    cores, capacities = build_core_capacities()
+    cores = [f"core{i}" for i in range(N_CORE)]
+    capacities = {}
+    for i, u in enumerate(cores):
+        for v in cores[i + 1:]:
+            capacities[(u, v)] = 40e9
+            capacities[(v, u)] = 40e9
     home = [cores[m % N_CORE] for m in range(N_METRO)]
     for m in range(N_METRO):
         metro = f"metro{m}"
@@ -102,26 +88,10 @@ def table_path_end_to_end(src, dst, demands, home, capacities):
     return max_min_rates_table(capacities, table)
 
 
-def object_path_end_to_end(src, dst, demands, home, capacities):
-    """Raw arrays -> rates through a FluidFlow list at the API edge."""
-    flows = []
-    for i in range(N_FLOWS):
-        s, d = int(src[i]), int(dst[i])
-        hs, hd = home[s], home[d]
-        if hs == hd:
-            path = (f"metro{s}", hs, f"metro{d}")
-        else:
-            path = (f"metro{s}", hs, hd, f"metro{d}")
-        flows.append(FluidFlow(i, path, float(demands[i])))
-    return max_min_rates_table(capacities, flows)
-
-
-def run_scale_gate(timing_rounds: int = 3):
+def run_footprint_gate(timing_rounds: int = 3):
     home, capacities = million_flow_network()
     src, dst, demands = build_raw_million_flow_demands()
 
-    # Table path FIRST: the RSS ceiling must reflect the array path's
-    # footprint, before a million FluidFlow objects inflate the peak.
     table_times = []
     table_rates = None
     for _ in range(timing_rounds):
@@ -132,42 +102,29 @@ def run_scale_gate(timing_rounds: int = 3):
         table_times.append(time.perf_counter() - t0)
     table_s = float(np.median(table_times))
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-    t0 = time.perf_counter()
-    object_path_end_to_end(src, dst, demands, home, capacities)
-    object_s = time.perf_counter() - t0
     return {
         "n_links": len(capacities),
         "n_flows": N_FLOWS,
         "n_commodities": len(np.unique(src * N_METRO + dst)),
-        "object_s": object_s,
         "table_s": table_s,
-        "speedup": object_s / table_s,
         "carried_fraction": float(table_rates.sum() / demands.sum()),
         "peak_rss_bytes": peak_rss,
     }
 
 
 def bench_flow_table(benchmark=None):
-    scale = run_scale_gate()
+    scale = run_footprint_gate()
 
     rows = [
         f"workload: {scale['n_flows']} flows "
         f"({scale['n_commodities']} pair commodities) over "
         f"{scale['n_links']} directed links, saturated "
         f"(carried {scale['carried_fraction']:.1%} of offered)",
-        "front-end + solve         runtime_s   speedup",
-        f"FluidFlow list at the edge {scale['object_s']:8.3f}  {1.0:7.1f}x",
-        f"array-native table        {scale['table_s']:9.3f}  "
-        f"{scale['speedup']:7.1f}x",
+        f"array-native table, front-end + solve: {scale['table_s']:.3f} s",
         f"peak RSS after table path: "
         f"{scale['peak_rss_bytes'] / 1024**3:.2f} GiB "
         f"(bar {MAX_PEAK_RSS_BYTES / 1024**3:.0f} GiB)",
     ]
-    assert scale["speedup"] >= MIN_TABLE_SPEEDUP, (
-        f"table path speedup {scale['speedup']:.1f}x below the "
-        f"{MIN_TABLE_SPEEDUP:.0f}x acceptance bar"
-    )
     assert scale["peak_rss_bytes"] <= MAX_PEAK_RSS_BYTES, (
         f"table-path peak RSS {scale['peak_rss_bytes'] / 1024**3:.2f} GiB "
         f"exceeds the {MAX_PEAK_RSS_BYTES / 1024**3:.0f} GiB ceiling"
@@ -186,9 +143,7 @@ def bench_flow_table(benchmark=None):
                 "n_tiers": N_TIERS,
                 "carried_fraction": round(scale["carried_fraction"], 4),
             },
-            "object_s": round(scale["object_s"], 4),
             "table_s": round(scale["table_s"], 4),
-            "table_speedup": round(scale["speedup"], 1),
             "peak_rss_gib": round(scale["peak_rss_bytes"] / 1024**3, 3),
         },
     )
