@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 #: Scenario names the substrate stage can build (see
 #: :func:`repro.scenarios.get_scenario`).
@@ -38,6 +38,10 @@ FIXED_LOS_SCENARIOS = ("interdc", "city_dc")
 
 #: Netsim engines (single source; the netsim package and CLI import it).
 ENGINES = ("packet", "fluid")
+
+#: Link provisioning for netsim: "k2" gives each MW link k^2 Gbps for
+#: its routed demand (Step 3); "tight" rounds the demand up to whole Gbps.
+CAPACITY_MODES = ("k2", "tight")
 
 #: How the offered traffic matrix is built: "design" scales the design
 #: matrix by a load fraction; "users" builds it bottom-up from per-city
@@ -67,6 +71,42 @@ def _scalar(value: Any) -> Any:
     if hasattr(value, "item"):  # numpy scalar
         return value.item()
     return value
+
+
+def _check_int(path: str, value: Any, low: int, high: int | None = None) -> None:
+    """Reject a non-integer (a bool included) outside ``[low, high]``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        want = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{path} must be an integer {want}, got {value!r}")
+
+
+def _check_real(path: str, value: Any, want: str, ok: Callable[[Any], bool]) -> None:
+    """Reject a non-number (a bool included), NaN, infinity, or a value
+    failing ``ok``; ``want`` names the accepted range."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not ok(value)
+    ):
+        raise ValueError(f"{path} must be a finite number {want}, got {value!r}")
+
+
+#: The two common ranges of :func:`_check_real`.
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+
+
+def _check_choice(path: str, value: Any, choices) -> None:
+    if value not in choices:
+        raise ValueError(
+            f"{path} must be one of {', '.join(choices)}, got {value!r}"
+        )
 
 
 def _asdict(spec: Any) -> dict:
@@ -120,6 +160,17 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario {self.name!r} (choose from {', '.join(SCENARIO_NAMES)})"
             )
+        if self.sites is not None:
+            _check_int("scenario.sites", self.sites, 2)
+        if self.seed is not None:
+            _check_int("scenario.seed", self.seed, 0)
+        _check_real("scenario.max_range_km", self.max_range_km, *_POSITIVE)
+        _check_real(
+            "scenario.usable_height_fraction",
+            self.usable_height_fraction,
+            "in (0, 1]",
+            lambda v: 0 < v <= 1,
+        )
         if self.name in FIXED_SITE_SCENARIOS and self.sites is not None:
             raise ValueError(
                 f"scenario {self.name!r} has a fixed site list; "
@@ -132,8 +183,6 @@ class ScenarioSpec:
                 f"scenario {self.name!r} does not take LoS overrides "
                 "(max_range_km / usable_height_fraction)"
             )
-        if self.sites is not None and self.sites < 2:
-            raise ValueError("need at least 2 sites")
 
     def resolved_seed(self) -> int:
         """The tower-synthesis seed with the scenario default applied."""
@@ -160,8 +209,10 @@ class DesignSpec:
     solver_opts: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.budget_towers < 0:
-            raise ValueError("budget must be non-negative")
+        from ..core.design import solver_names
+
+        _check_real("design.budget_towers", self.budget_towers, *_NON_NEGATIVE)
+        _check_choice("design.solver", self.solver, solver_names())
         opts = self.solver_opts
         if isinstance(opts, Mapping):
             opts = tuple(sorted(opts.items()))
@@ -231,10 +282,18 @@ class NetsimSpec:
                 f"unknown demand model {self.demand_model!r} "
                 f"(choose from {', '.join(DEMAND_MODELS)})"
             )
-        if not 0 <= self.demand_hour_utc < 24:
-            raise ValueError("demand hour must be in [0, 24)")
-        if self.users_millions is not None and self.users_millions <= 0:
-            raise ValueError("users_millions must be positive")
+        _check_real("netsim.duration_s", self.duration_s, *_POSITIVE)
+        _check_int("netsim.seed", self.seed, 0)
+        _check_choice("netsim.capacity_mode", self.capacity_mode, CAPACITY_MODES)
+        _check_real(
+            "netsim.demand_hour_utc",
+            self.demand_hour_utc,
+            "in [0, 24)",
+            lambda v: 0 <= v < 24,
+        )
+        _check_int("netsim.demand_seed", self.demand_seed, 0)
+        if self.users_millions is not None:
+            _check_real("netsim.users_millions", self.users_millions, *_POSITIVE)
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r} "
@@ -282,40 +341,19 @@ class WeatherSpec:
     cache_mb: float = 256.0
 
     def __post_init__(self) -> None:
-        # Types first: a float count, a string flag or a NaN margin
-        # would otherwise parse and fail late, or never fail at all.
-        for name in ("n_intervals", "seed", "sample_interval_days", "delta_k"):
-            value = getattr(self, name)
-            if value is None and name == "sample_interval_days":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"weather.{name} must be an integer, got {value!r}")
+        # A float count, a string flag or a NaN margin would otherwise
+        # parse and fail late, or never fail at all.
+        _check_int("weather.n_intervals", self.n_intervals, 1)
+        _check_int("weather.seed", self.seed, 0)
+        if self.sample_interval_days is not None:
+            _check_int(
+                "weather.sample_interval_days", self.sample_interval_days, 1, 365
+            )
+        _check_int("weather.delta_k", self.delta_k, 0)
         if not isinstance(self.graded, bool):
             raise ValueError(f"weather.graded must be a boolean, got {self.graded!r}")
         for name in ("fade_margin_db", "frequency_ghz", "cache_mb"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-                or value <= 0
-            ):
-                raise ValueError(
-                    f"weather.{name} must be a finite number > 0, got {value!r}"
-                )
-        if self.n_intervals <= 0:
-            raise ValueError(
-                f"weather.n_intervals must be >= 1, got {self.n_intervals}"
-            )
-        if self.sample_interval_days is not None and not (
-            1 <= self.sample_interval_days <= 365
-        ):
-            raise ValueError(
-                "weather.sample_interval_days must be in [1, 365], "
-                f"got {self.sample_interval_days}"
-            )
-        if self.delta_k < 0:
-            raise ValueError(f"weather.delta_k must be >= 0, got {self.delta_k}")
+            _check_real(f"weather.{name}", getattr(self, name), *_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -331,6 +369,11 @@ class AppsSpec:
     capacity_gbps: float | None = None
     min_value_per_gb: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.capacity_gbps is not None:
+            _check_real("apps.capacity_gbps", self.capacity_gbps, *_POSITIVE)
+        _check_real("apps.min_value_per_gb", self.min_value_per_gb, *_NON_NEGATIVE)
+
 
 @dataclass(frozen=True)
 class EconSpec:
@@ -343,6 +386,10 @@ class EconSpec:
     """
 
     cost_per_gb: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.cost_per_gb is not None:
+            _check_real("econ.cost_per_gb", self.cost_per_gb, *_POSITIVE)
 
 
 #: Evaluation sections, in canonical execution order.

@@ -33,10 +33,11 @@ from .monitor import FlowMonitor
 from .network import EdgeSpec, Network
 from .tcpmodel import solve_fluid_tcp
 
-# The engine/demand-model/transport lists are owned by the
-# (dependency-light) spec module so the spec layer, this package, and
-# the CLI validate against one copy.
+# The engine/capacity-mode/demand-model/transport lists are owned by
+# the (dependency-light) spec module so the spec layer, this package,
+# and the CLI validate against one copy.
 from ..exp.spec import (  # noqa: E402 - re-exported for callers
+    CAPACITY_MODES,
     DEMAND_MODELS,
     ENGINES,
     TRANSPORTS,
@@ -104,8 +105,11 @@ def build_edge_specs(
     """
     if rate_scale <= 0:
         raise ValueError("rate scale must be positive")
-    if capacity_mode not in ("k2", "tight"):
-        raise ValueError("capacity_mode must be 'k2' or 'tight'")
+    if capacity_mode not in CAPACITY_MODES:
+        raise ValueError(
+            f"capacity_mode must be one of {', '.join(CAPACITY_MODES)}, "
+            f"got {capacity_mode!r}"
+        )
     design = topology.design
     demands = route_link_demands(topology, aggregate_gbps)
     routes = topology.routed_paths()

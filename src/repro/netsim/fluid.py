@@ -20,7 +20,7 @@ Two implementations of the same allocation live here:
   saturated — so the solve only tracks per-commodity freeze levels plus
   a single globally demand-sorted flow array, and demand-limited flows
   freeze in bulk per round.  This is what makes million-flow commodity
-  aggregates tractable (see ``benchmarks/bench_fluid_engine.py``).
+  aggregates tractable (see ``benchmarks/bench_flow_table.py``).
   A ``FluidFlow`` list is accepted too; it converts to a table once, at
   the API edge.
 * ``max_min_rates`` — the scalar reference: explicit per-round Python

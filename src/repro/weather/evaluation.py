@@ -36,10 +36,10 @@ Four properties make the sampled-year loop scale:
   matrices and stretch rows live under an LRU byte budget
   (``cache_mb``), so long runs cannot exhaust memory.
 
-With ``delta_k=0`` the evaluator reproduces the PR 5 memo-only path
-bit-identically (CI-gated by ``benchmarks/bench_weather.py``); the
-delta route is gated to <= 1e-9 against it by
-``benchmarks/bench_storm_track.py``.  Route selection is deterministic,
+With ``delta_k=0`` the evaluator reproduces the per-interval re-solve
+bit-identically (``tests/test_weather.py`` pins the binary year to it
+and the graded year to the scalar per-hop rule); the delta route is
+gated to <= 1e-9 against it by ``benchmarks/bench_storm_track.py``.  Route selection is deterministic,
 so two identically configured evaluators fed the same query sequence
 return bitwise-identical arrays.
 """

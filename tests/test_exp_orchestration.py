@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,33 @@ class TestSpec:
         for value in bad:
             with pytest.raises(ValueError, match=f"weather.{field} must be"):
                 ExperimentSpec.from_dict({"weather": {field: value}})
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            ("scenario.sites", [2.5, "6", True, 1]),
+            ("scenario.max_range_km", [-1, 0, float("nan"), float("inf"), "100"]),
+            ("scenario.usable_height_fraction", [0, 2, -0.5, float("nan"), "1"]),
+            ("scenario.seed", ["x", 1.5, True, -1]),
+            ("design.budget_towers", [float("nan"), float("inf"), -1, "800", None]),
+            ("design.solver", ["bogus", None, 3]),
+            ("netsim.duration_s", [-1, 0, float("nan"), "0.5", True]),
+            ("netsim.seed", [1.5, "0", True, -1]),
+            ("netsim.capacity_mode", ["bogus", None]),
+            ("netsim.demand_hour_utc", [float("nan"), 24, -1, "20"]),
+            ("netsim.demand_seed", [1.5, "0", False, -1]),
+            ("netsim.users_millions", [float("nan"), float("inf"), 0, -2.0, "2"]),
+            ("apps.capacity_gbps", [float("nan"), 0, -5.0, "100"]),
+            ("apps.min_value_per_gb", [float("nan"), float("inf"), -1.0, "1"]),
+            ("econ.cost_per_gb", [-1, 0, float("nan"), float("inf"), "0.81"]),
+        ],
+    )
+    def test_spec_rejects_malformed_field(self, path, bad):
+        """Each malformed field fails at parse time, naming the field."""
+        section, _, field = path.partition(".")
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{re.escape(path)} must be"):
+                ExperimentSpec.from_dict({section: {field: value}})
 
     def test_weather_spec_accepts_ints_for_float_fields(self):
         spec = ExperimentSpec.from_dict(
