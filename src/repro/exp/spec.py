@@ -209,6 +209,8 @@ class DesignSpec:
     solver_opts: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
+        # Imported here: the solver registry lives in repro.core, which
+        # this dependency-light module must not pull in at import time.
         from ..core.design import solver_names
 
         _check_real("design.budget_towers", self.budget_towers, *_NON_NEGATIVE)

@@ -39,9 +39,9 @@ Four properties make the sampled-year loop scale:
 With ``delta_k=0`` the evaluator reproduces the per-interval re-solve
 bit-identically (``tests/test_weather.py`` pins the binary year to it
 and the graded year to the scalar per-hop rule); the delta route is
-gated to <= 1e-9 against it by ``benchmarks/bench_storm_track.py``.  Route selection is deterministic,
-so two identically configured evaluators fed the same query sequence
-return bitwise-identical arrays.
+gated to <= 1e-9 against it by ``benchmarks/bench_storm_track.py``.
+Route selection is deterministic, so two identically configured
+evaluators fed the same query sequence return bitwise-identical arrays.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
@@ -71,6 +73,26 @@ def toy_design_8():
 @pytest.fixture
 def toy_design_10():
     return make_toy_design(10, seed=10)
+
+
+@pytest.fixture(scope="session")
+def lint_tree_paths():
+    """What ``repro lint`` checks by default: src, tests and benchmarks."""
+    root = Path(__file__).resolve().parent.parent
+    return [
+        root / name
+        for name in ("src", "tests", "benchmarks")
+        if (root / name).is_dir()
+    ]
+
+
+@pytest.fixture(scope="session")
+def tree_lint(lint_tree_paths):
+    """One lint run over the whole tree, shared by every test that only
+    reads its result: each run parses every file."""
+    from repro.analysis import run_lint
+
+    return run_lint(lint_tree_paths)
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import solve_heuristic
-from repro.scenarios import EU_FIBER_STRETCH, europe_scenario
+from repro.scenarios import EU_FIBER_STRETCH, get_scenario
 
 
 @pytest.fixture(scope="module")
 def europe():
-    return europe_scenario()
+    # The substrate stage's call: experiment runs on Europe in the same
+    # session then reuse this build instead of making their own.
+    return get_scenario("europe")
 
 
 @pytest.fixture(scope="module")

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro.core import budget_evolution, greedy_sequence, mw_shares, shares_from_state
 from repro.core.topology import Topology, mean_stretch_from_distances
 from repro.graph import (
@@ -422,15 +420,13 @@ class TestNoDenseFwOutsideKernel:
     aliased import still does.
     """
 
-    def test_ast_rule_gate(self):
+    def test_ast_rule_gate(self, tree_lint):
         """Dense Floyd-Warshall may only appear inside src/repro/graph/."""
-        from repro.analysis import run_lint
-
-        package_root = Path(repro.__file__).resolve().parent
-        result = run_lint([package_root], rules=["dense-fw-ban"])
-        assert result.findings == [], (
+        assert "dense-fw-ban" in tree_lint.rules_run
+        findings = [f for f in tree_lint.findings if f.rule == "dense-fw-ban"]
+        assert findings == [], (
             "dense FW call sites outside the graph kernel: "
-            + ", ".join(f.location() for f in result.findings)
+            + ", ".join(f.location() for f in findings)
         )
 
     def test_rule_has_teeth(self, tmp_path):

@@ -605,22 +605,6 @@ class TestLockfile:
 # CLI
 
 
-#: The tree the CLI lints by default: the committed layout around the
-#: lockfile.
-TREE_PATHS = [
-    REPO_ROOT / name
-    for name in ("src", "tests", "benchmarks")
-    if (REPO_ROOT / name).is_dir()
-]
-
-
-@pytest.fixture(scope="module")
-def tree_lint():
-    """One lint run over the whole tree, shared: each run parses every
-    file, so the CLI and tree-is-clean tests read this result."""
-    return run_lint(TREE_PATHS)
-
-
 def serve_lint_result(monkeypatch, result) -> list:
     """Make the CLI's ``run_lint`` return ``result``; returns the list
     that records each call's ``(paths, rules)``."""
@@ -635,17 +619,19 @@ def serve_lint_result(monkeypatch, result) -> list:
 
 
 class TestCli:
-    def test_lint_clean_tree_exits_zero(self, capsys, monkeypatch, tree_lint):
+    def test_lint_clean_tree_exits_zero(
+        self, capsys, monkeypatch, tree_lint, lint_tree_paths
+    ):
         calls = serve_lint_result(monkeypatch, tree_lint)
         assert main(["lint"]) == 0
-        assert calls == [([str(p) for p in TREE_PATHS], None)]
+        assert calls == [([str(p) for p in lint_tree_paths], None)]
         out = capsys.readouterr().out
         assert "clean" in out
 
-    def test_json_format(self, capsys, monkeypatch, tree_lint):
+    def test_json_format(self, capsys, monkeypatch, tree_lint, lint_tree_paths):
         calls = serve_lint_result(monkeypatch, tree_lint)
         assert main(["lint", "--format", "json"]) == 0
-        assert calls == [([str(p) for p in TREE_PATHS], None)]
+        assert calls == [([str(p) for p in lint_tree_paths], None)]
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
         assert payload["summary"]["rules"]
