@@ -11,11 +11,9 @@ from __future__ import annotations
 import ast
 import json
 import textwrap
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.analysis import (
     LintConfig,
     RuleScope,
@@ -38,8 +36,6 @@ from repro.analysis.versions import (
     write_lock,
 )
 from repro.cli import main
-
-REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
 
 def findings_for(source: str, rule: str) -> list:
