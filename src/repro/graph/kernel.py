@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, shortest_path
+from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 #: Code-version tag of the kernel's semantics.  The experiment
 #: orchestration layer embeds it in stage cache keys (like
@@ -155,7 +155,7 @@ class GraphKernel:
     read-only arrays shared across callers; copy before mutating.
     """
 
-    __slots__ = ("_weights", "_method", "_csr", "_dist", "_pred")
+    __slots__ = ("_weights", "_method", "_csr", "_dist", "_pred", "_density")
 
     def __init__(self, weights: np.ndarray, method: str = "auto") -> None:
         if method not in ("auto", "dense", "sparse"):
@@ -170,6 +170,7 @@ class GraphKernel:
         self._csr: csr_matrix | None = None
         self._dist: np.ndarray | None = None
         self._pred: np.ndarray | None = None
+        self._density: float | None = None
 
     @property
     def n(self) -> int:
@@ -186,9 +187,11 @@ class GraphKernel:
         return int(np.isfinite(self._weights[iu]).sum())
 
     def density(self) -> float:
-        """Fraction of site pairs with a direct edge."""
-        pairs = self.n * (self.n - 1) // 2
-        return self.edge_count() / pairs if pairs else 0.0
+        """Fraction of site pairs with a direct edge (computed once)."""
+        if self._density is None:
+            pairs = self.n * (self.n - 1) // 2
+            self._density = self.edge_count() / pairs if pairs else 0.0
+        return self._density
 
     def csr(self) -> csr_matrix:
         """The sparse CSR adjacency (finite off-diagonal entries)."""
@@ -213,9 +216,11 @@ class GraphKernel:
 
     def _solve(self, return_predecessors: bool):
         if self._use_dense():
-            return shortest_path(
+            # floyd_warshall itself, not shortest_path(method="FW"): the
+            # wrapper validates the dense input once more, with the same
+            # result, before floyd_warshall validates it again.
+            return floyd_warshall(
                 np.array(self._weights),
-                method="FW",
                 directed=False,
                 return_predecessors=return_predecessors,
             )

@@ -117,6 +117,16 @@ class TestHeuristicVsIlp:
         with pytest.raises(ValueError):
             solve_heuristic(toy_design_8, 100.0, inflation=0.5)
 
+    def test_nan_inflation_raises(self, toy_design_8):
+        # NaN passed the `inflation < 1` check.
+        with pytest.raises(ValueError, match="inflation"):
+            solve_heuristic(toy_design_8, 100.0, inflation=float("nan"))
+
+    def test_nan_budget_raises(self, toy_design_8):
+        # A NaN budget used to return an empty topology.
+        with pytest.raises(ValueError, match="budget_towers"):
+            solve_heuristic(toy_design_8, float("nan"))
+
 
 class TestGreedy:
     def test_sequence_monotone_stretch(self, toy_design_10):
@@ -153,6 +163,21 @@ class TestGreedy:
     def test_invalid_selection_raises(self, toy_design_8):
         with pytest.raises(ValueError):
             greedy_sequence(toy_design_8, 100.0, selection="magic")
+
+    def test_nan_budget_raises(self, toy_design_8):
+        # Every `spent + cost > nan` is False: a NaN budget bought every link.
+        with pytest.raises(ValueError, match="budget_towers"):
+            greedy_sequence(toy_design_8, float("nan"))
+
+    def test_reversed_candidate_raises(self, toy_design_8):
+        # (3, 1) used to be accepted and emitted as a pick.
+        with pytest.raises(ValueError, match="candidates"):
+            greedy_sequence(toy_design_8, 1000.0, candidates=[(1, 3), (3, 1)])
+
+    def test_out_of_range_candidate_raises(self, toy_design_8):
+        # Used to raise a bare IndexError from the cost lookup.
+        with pytest.raises(ValueError, match="candidates"):
+            greedy_sequence(toy_design_8, 1000.0, candidates=[(1, 8)])
 
     def test_first_pick_is_best_single_link(self, toy_design_8):
         steps = greedy_sequence(toy_design_8, 10_000.0)

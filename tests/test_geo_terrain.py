@@ -145,6 +145,17 @@ class TestTerrainModel:
         with pytest.raises(ValueError, match="noise_scale_deg"):
             TerrainModel(noise_scale_deg=noise_scale_deg)
 
+    @pytest.mark.parametrize("base_m", [float("nan"), float("inf")])
+    def test_rejects_non_finite_base(self, base_m):
+        # A NaN base made every elevation NaN, failing every LoS check.
+        with pytest.raises(ValueError, match="base_m"):
+            TerrainModel(base_m=base_m)
+
+    @pytest.mark.parametrize("relief_m", [float("nan"), -100.0])
+    def test_rejects_bad_relief(self, relief_m):
+        with pytest.raises(ValueError, match="relief_m"):
+            TerrainModel(relief_m=relief_m)
+
     def test_flat_terrain_is_flat(self):
         t = flat_terrain(100.0)
         lats = np.linspace(30, 45, 50)

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from repro.core import budget_evolution, greedy_sequence, mw_shares, shares_from_state
 from repro.core.topology import Topology, mean_stretch_from_distances
@@ -171,6 +172,35 @@ class TestGraphKernel:
         assert not np.isfinite(k.distances()[0, 2])
         assert k.path(0, 2) is None
         assert k.path(0, 1) == [0, 1]
+
+    def test_dense_solve_equals_shortest_path_fw(self, small_us_scenario):
+        """The dense path calls floyd_warshall itself: distances and
+        predecessors equal shortest_path(method="FW") bitwise on a hybrid
+        closure, two failure sets and a zero off-diagonal weight."""
+        design = small_us_scenario.design_input()
+        steps = greedy_sequence(design, 800.0)
+        hybrid = Topology(design=design, mw_links=frozenset(s.link for s in steps))
+        hybrid = np.array(hybrid.hybrid_weight_matrix())
+        removed, reverted = hybrid.copy(), hybrid.copy()
+        for a, b in (s.link for s in steps[:3]):
+            removed[a, b] = removed[b, a] = np.inf
+            reverted[a, b] = reverted[b, a] = design.fiber_km[a, b]
+        zero = random_weights(12, 0.6, 5)
+        zero[2, 7] = zero[7, 2] = 0.0
+        for w in (hybrid, removed, reverted, zero):
+            dist, pred = GraphKernel(w, method="dense").predecessors()
+            dense = np.array(w)
+            np.fill_diagonal(dense, 0.0)
+            # repro: allow[dense-fw-ban] -- the scipy wrapper the kernel's direct floyd_warshall call replaced
+            want = shortest_path(dense, method="FW", directed=False, return_predecessors=True)
+            assert np.array_equal(dist, want[0]) and np.array_equal(pred, want[1])
+        assert np.isinf(removed).any() and np.isinf(zero).any()
+
+    def test_density_computed_once(self, monkeypatch):
+        kernel = GraphKernel(random_weights(12, 0.5, 1))
+        first = kernel.density()
+        monkeypatch.setattr(GraphKernel, "edge_count", lambda self: pytest.fail("recounted"))
+        assert kernel.density() == first
 
     def test_validation(self):
         with pytest.raises(ValueError):
