@@ -96,6 +96,15 @@ def tree_lint(lint_tree_paths):
 
 
 @pytest.fixture(scope="session")
+def current_entries():
+    """The lockfile entries of the tree as it stands, computed once: each
+    computation fingerprints every versioned component's call graph."""
+    from repro.analysis import compute_entries
+
+    return compute_entries()
+
+
+@pytest.fixture(scope="session")
 def small_us_scenario():
     """A cached 20-city US scenario for integration tests."""
     from repro.scenarios import us_scenario

@@ -28,7 +28,6 @@ from repro.analysis.versions import (
     UPDATE_COMMAND,
     LockEntry,
     compare_lock,
-    compute_entries,
     default_lock_path,
     default_package_root,
     read_lock,
@@ -523,9 +522,17 @@ class TestCallGraph:
 # Lockfile
 
 
-@pytest.fixture(scope="module")
-def current_entries():
-    return compute_entries()
+def serve_entries(monkeypatch, entries) -> list:
+    """Make ``update_lock``'s ``compute_entries`` return ``entries``;
+    returns the list that records each call's ``index`` argument."""
+    calls = []
+
+    def fake_compute_entries(index=None):
+        calls.append(index)
+        return entries
+
+    monkeypatch.setattr("repro.analysis.versions.compute_entries", fake_compute_entries)
+    return calls
 
 
 class TestLockfile:
@@ -582,9 +589,11 @@ class TestLockfile:
         assert any(removed in m and "not in" in m for m in messages)
         assert any("stage:ghost" in m and "no longer" in m for m in messages)
 
-    def test_update_lock_round_trip(self, tmp_path, current_entries):
+    def test_update_lock_round_trip(self, tmp_path, monkeypatch, current_entries):
+        calls = serve_entries(monkeypatch, current_entries)
         lock = tmp_path / LOCK_NAME
         path, entries = update_lock(lock)
+        assert calls == [None]
         assert path == lock
         assert read_lock(lock) == entries == current_entries
 
@@ -654,10 +663,12 @@ class TestCli:
         assert "dense-fw-ban" in out
 
     def test_update_lock_writes_current_entries(
-        self, tmp_path, capsys, current_entries
+        self, tmp_path, capsys, monkeypatch, current_entries
     ):
+        calls = serve_entries(monkeypatch, current_entries)
         lock = tmp_path / LOCK_NAME
         assert main(["lint", "--update-lock", "--lock", str(lock)]) == 0
+        assert calls == [None]
         assert read_lock(lock) == current_entries
 
 
