@@ -122,10 +122,11 @@ class TestHeuristicVsIlp:
         with pytest.raises(ValueError, match="inflation"):
             solve_heuristic(toy_design_8, 100.0, inflation=float("nan"))
 
-    def test_nan_budget_raises(self, toy_design_8):
-        # A NaN budget used to return an empty topology.
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_bad_budget_raises(self, toy_design_8, budget):
+        # Both used to return an empty topology.
         with pytest.raises(ValueError, match="budget_towers"):
-            solve_heuristic(toy_design_8, float("nan"))
+            solve_heuristic(toy_design_8, budget)
 
 
 class TestGreedy:
@@ -164,10 +165,12 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_sequence(toy_design_8, 100.0, selection="magic")
 
-    def test_nan_budget_raises(self, toy_design_8):
-        # Every `spent + cost > nan` is False: a NaN budget bought every link.
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_bad_budget_raises(self, toy_design_8, budget):
+        # Every `spent + cost > nan` is False: a NaN budget bought every
+        # link; a negative one silently picked nothing.
         with pytest.raises(ValueError, match="budget_towers"):
-            greedy_sequence(toy_design_8, float("nan"))
+            greedy_sequence(toy_design_8, budget)
 
     def test_reversed_candidate_raises(self, toy_design_8):
         # (3, 1) used to be accepted and emitted as a pick.
