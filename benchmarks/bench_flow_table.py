@@ -65,8 +65,8 @@ def million_flow_network():
     return home, capacities
 
 
-def table_path_end_to_end(src, dst, demands, home, capacities):
-    """Raw arrays -> rates, never materializing per-flow objects."""
+def million_flow_table(src, dst, demands, home):
+    """Raw arrays -> one pool row per metro pair and a flow table."""
     pair_code = src * N_METRO + dst
     seen = np.zeros(N_METRO * N_METRO, dtype=bool)
     seen[pair_code] = True
@@ -79,12 +79,17 @@ def table_path_end_to_end(src, dst, demands, home, capacities):
         inner = (hs,) if hs == hd else (hs, hd)
         paths.append((f"metro{s}",) + inner + (f"metro{d}",))
     pool = PathPool.from_paths(paths)
-    table = FlowTable(
+    return FlowTable(
         pool=pool,
         path_id=path_id,
         demand_bps=demands,
         flow_ids=np.arange(N_FLOWS, dtype=np.int64),
     )
+
+
+def table_path_end_to_end(src, dst, demands, home, capacities):
+    """Raw arrays -> rates, never materializing per-flow objects."""
+    table = million_flow_table(src, dst, demands, home)
     return max_min_rates_table(capacities, table)
 
 

@@ -16,6 +16,7 @@ from .experiments import (
 )
 from .fluid import (
     FluidFlow,
+    FluidNetwork,
     FluidResult,
     aggregate_capacities,
     max_min_rates,
@@ -48,6 +49,7 @@ __all__ = [
     "Event",
     "FlowTable",
     "FluidFlow",
+    "FluidNetwork",
     "FluidResult",
     "PathPool",
     "Simulator",

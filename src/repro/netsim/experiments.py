@@ -26,7 +26,7 @@ from ..core.topology import Topology
 from ..geo.coords import SPEED_OF_LIGHT_KM_S
 from ..traffic.matrices import user_demand_matrix
 from .engine import Simulator
-from .fluid import solve_fluid
+from .fluid import FluidNetwork, solve_fluid
 from .flows import DEFAULT_UDP_PACKET_BYTES, UdpFlow
 from .flowtable import FlowTable, PathPool
 from .monitor import FlowMonitor
@@ -192,10 +192,13 @@ class _ExperimentSetup:
     Everything here depends only on the topology, the demand model, and
     the provisioning knobs — not on the load fraction — so a load curve
     derives capacities, routes the demand matrix, and filters the kept
-    flows exactly once instead of once per load point.
+    flows exactly once instead of once per load point.  ``network`` is
+    the fluid engine's indexed form of ``specs``; it is built only for
+    ``engine="fluid"`` (None for the packet engine).
     """
 
     specs: list[EdgeSpec]
+    network: FluidNetwork | None
     offered_aggregate_gbps: float
     rate_scale: float
     kept_mass: float
@@ -250,6 +253,7 @@ def _prepare_experiment(
     demand_hour_utc: float,
     demand_seed: int,
     users_millions: float | None,
+    engine: str,
 ) -> _ExperimentSetup:
     """Build the load-invariant half of an experiment."""
     design = topology.design
@@ -285,6 +289,7 @@ def _prepare_experiment(
         raise ValueError("no flows above the rate cutoff")
     return _ExperimentSetup(
         specs=specs,
+        network=FluidNetwork.from_specs(specs) if engine == "fluid" else None,
         offered_aggregate_gbps=offered_aggregate_gbps,
         rate_scale=rate_scale,
         kept_mass=kept_mass,
@@ -366,9 +371,9 @@ def run_udp_experiment(
             demand_hour_utc,
             demand_seed,
             users_millions,
+            engine,
         )
     )
-    specs = setup.specs
     kept_mass = setup.kept_mass
     offered_bps = setup.offered_bps(input_rate_fraction)
 
@@ -385,11 +390,11 @@ def run_udp_experiment(
         ).to_commodities()
         if transport == "tcp":
             result = solve_fluid_tcp(
-                specs, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES
+                setup.network, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES
             )
         else:
             result = solve_fluid(
-                specs, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES
+                setup.network, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES
             )
         return UdpExperimentResult(
             input_rate_fraction=input_rate_fraction,
@@ -400,7 +405,7 @@ def run_udp_experiment(
         )
 
     sim = Simulator()
-    net = Network.from_edges(sim, specs)
+    net = Network.from_edges(sim, setup.specs)
     monitor = FlowMonitor(sim)
     for link in net.links.values():
         monitor.watch_link(link)
@@ -481,6 +486,7 @@ def run_load_curve(
                 demand_hour_utc,
                 demand_seed,
                 users_millions,
+                engine,
             )
         res = run_udp_experiment(
             topology,

@@ -26,7 +26,7 @@ solver:
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -227,6 +227,16 @@ def _used_rows(
     return np.flatnonzero(mask), rank[path_id]
 
 
+def _check_demands(demand_bps: np.ndarray) -> None:
+    """Reject a demand that is not positive (NaN included) or not finite."""
+    if len(demand_bps) == 0:
+        return
+    if not demand_bps.min() > 0:
+        raise ValueError("offered rate must be positive")
+    if not demand_bps.max() < np.inf:
+        raise ValueError("offered rate must be finite")
+
+
 def _check_unique_ids(flow_ids: np.ndarray) -> None:
     """Reject a repeated flow id, naming the first repeat in table order."""
     if len(flow_ids) < 2 or bool(np.all(flow_ids[1:] > flow_ids[:-1])):
@@ -289,8 +299,7 @@ class FlowTable:
         n = len(self.path_id)
         if len(self.demand_bps) != n or len(self.flow_ids) != n:
             raise ValueError("flow columns must have equal length")
-        if n and self.demand_bps.min() <= 0:
-            raise ValueError("offered rate must be positive")
+        _check_demands(self.demand_bps)
         _check_unique_ids(self.flow_ids)
         _check_used_paths(self.pool, self.path_id, self.flow_ids)
 
@@ -404,8 +413,7 @@ class CommodityTable:
         n = len(self.flow_commodity)
         if len(self.demand_bps) != n or len(self.flow_ids) != n:
             raise ValueError("flow columns must have equal length")
-        if n and self.demand_bps.min() <= 0:
-            raise ValueError("offered rate must be positive")
+        _check_demands(self.demand_bps)
         if n and (
             self.flow_commodity.min() < 0
             or self.flow_commodity.max() >= len(self.commodity_path)
@@ -439,11 +447,17 @@ class CommodityTable:
         """The same commodity structure with new per-flow demands.
 
         The TCP macro-model iterates offers against a fixed path set;
-        this re-demand avoids rebuilding (and re-validating) paths.
+        this re-demand checks only the new demand column and shares
+        every other column with ``self``, without rebuilding or
+        re-validating paths.
         """
-        return dataclasses.replace(
-            self, demand_bps=_as_float(demand_bps, "demand_bps")
-        )
+        demand_bps = _as_float(demand_bps, "demand_bps")
+        if len(demand_bps) != self.n_flows:
+            raise ValueError("flow columns must have equal length")
+        _check_demands(demand_bps)
+        table = copy.copy(self)
+        object.__setattr__(table, "demand_bps", demand_bps)
+        return table
 
 
 __all__ = ["PathPool", "FlowTable", "CommodityTable"]

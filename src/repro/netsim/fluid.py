@@ -19,14 +19,21 @@ Two implementations of the same allocation live here:
   where ``theta_P`` is the fill level at which its path's first link
   saturated — so the solve only tracks per-commodity freeze levels plus
   a single globally demand-sorted flow array, and demand-limited flows
-  freeze in bulk per round.  This is what makes million-flow commodity
-  aggregates tractable (see ``benchmarks/bench_flow_table.py``).
-  A ``FluidFlow`` list is accepted too; it converts to a table once, at
-  the API edge.
+  freeze in bulk per round.  A round costs one matvec over the
+  link-major incidence of the commodities still filling, plus work in
+  proportion to what it changed (a recount after rounds that froze
+  flows, the saturated links' incidence rows).  This is what makes
+  million-flow commodity aggregates tractable (see
+  ``benchmarks/bench_flow_table.py``).  A ``FluidFlow`` list is
+  accepted too; it converts to a table once, at the API edge, as an
+  edge-spec list converts to a :class:`FluidNetwork`.
 * ``max_min_rates`` — the scalar reference: explicit per-round Python
   loops over a residual-capacity dict.  Exact and readable; O(rounds x
-  (flows + links)) interpreter work, so it is the oracle that tests and
-  benchmarks compare the solver against, not a scale path.
+  (flows + links)) interpreter work, so it is the oracle that tier-1
+  tests (``test_fluid_engine.py``, ``test_flow_table.py``,
+  ``test_netsim_kernel.py``) compare the solver against, not a scale
+  path.  ``tests/test_fluid_exactness.py`` keeps the earlier matvec
+  fill as a bitwise reference for this one.
 
 The engine consumes the same :class:`~repro.netsim.network.EdgeSpec`
 capacities and node paths as the packet engine, so an experiment can
@@ -36,6 +43,7 @@ API (see :func:`repro.netsim.experiments.run_udp_experiment`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from time import perf_counter
@@ -77,8 +85,10 @@ class FluidFlow:
     offered_bps: float
 
     def __post_init__(self) -> None:
-        if self.offered_bps <= 0:
+        if not self.offered_bps > 0:
             raise ValueError("offered rate must be positive")
+        if not self.offered_bps < math.inf:
+            raise ValueError("offered rate must be finite")
         if len(self.path) < 2:
             raise ValueError("path needs at least two nodes")
         if not _path_is_edge_simple(self.path):
@@ -121,10 +131,10 @@ class FluidResult:
             ``1 + CAPACITY_SLACK_REL``; an over-allocation is a bug and
             raises rather than being clamped out of sight.
         timings_s: wall-clock seconds per solve phase (``setup_s`` —
-            problem construction, ``fill_s`` — progressive filling,
-            ``freeze_s`` — result accounting).  Excluded from equality:
-            two solves of the same workload are the same result however
-            long they took.
+            problem construction, not the :class:`FluidNetwork` build,
+            ``fill_s`` — progressive filling, ``freeze_s`` — result
+            accounting).  Excluded from equality: two solves of the same
+            workload are the same result however long they took.
     """
 
     flow_ids: np.ndarray
@@ -265,55 +275,109 @@ def max_min_rates(
     return alloc
 
 
-class _CommodityProblem:
-    """Flows collapsed into path commodities over an indexed link set.
+class FluidNetwork:
+    """Directed links as arrays, plus the lookup from node pairs to links.
 
-    Built once per solve from a :class:`CommodityTable`: each commodity
-    becomes one incidence row (its flows' demands stay individually
-    visible to the filling loop via one globally demand-sorted array),
-    links become dense capacity / delay arrays, and path->link
-    membership becomes a CSR matrix ``incidence`` of shape
-    (n_commodities, n_links).
+    Everything a solve needs from the network and nothing from the
+    workload: a load curve solves dozens of workloads over one network,
+    so it builds this once (see :meth:`from_specs`) instead of
+    re-aggregating edge specs and re-indexing links on every solve.
 
-    Construction is all-array: path edges come from the pool in one
-    gather, the link lookup is a searchsorted over integer edge codes,
-    and the CSR incidence lands with columns in traversal order and rows
-    in the table's first-seen commodity order.
+    The lookup is a dense node x node table of link indices, 4 bytes per
+    ordered node pair (58 KB for the 120-site US network): one gather
+    per path edge, where a binary search per edge costs ~40x more.
+
+    Attributes:
+        link_keys: directed links ``(u, v)``; link ``i`` of every array.
+        capacities: capacity per link, bits/second.
+        delays: one-way propagation delay per link, seconds (zero when
+            built from capacities alone).
     """
 
     def __init__(
         self,
         capacities_bps: dict[tuple[str, str], float],
-        table: CommodityTable,
+        delays_s: dict[tuple[str, str], float] | None = None,
     ) -> None:
         self.link_keys = list(capacities_bps)
-        self.capacities = np.array(
-            [capacities_bps[key] for key in self.link_keys], dtype=float
-        )
-        pool = table.pool
-        n_names = len(pool.node_names)
-        name_id = {name: i for i, name in enumerate(pool.node_names)}
-        # Integer code u_id * n + v_id per capacity link; links naming
-        # nodes outside the pool get unique negative codes (no pool
-        # path can ever reference them, they just keep the table total).
-        link_codes = np.empty(len(self.link_keys), dtype=np.int64)
-        for i, (u, v) in enumerate(self.link_keys):
-            ui = name_id.get(u)
-            vi = name_id.get(v)
-            link_codes[i] = (
-                ui * n_names + vi if ui is not None and vi is not None else -(i + 1)
+        self.capacities = np.array(list(capacities_bps.values()), dtype=float)
+        bad = ~((self.capacities > 0) & (self.capacities < np.inf))
+        if bad.any():
+            u, v = self.link_keys[int(np.argmax(bad))]
+            raise ValueError(
+                f"link {u}->{v}: capacity must be positive and finite, "
+                f"got {self.capacities[bad][0]!r}"
             )
-        code_order = np.argsort(link_codes, kind="stable")
-        sorted_codes = link_codes[code_order]
+        self.delays = (
+            np.zeros(len(self.link_keys))
+            if delays_s is None
+            else np.array([delays_s[key] for key in self.link_keys], dtype=float)
+        )
+        self._node_index: dict[str, int] = {}
+        for u, v in self.link_keys:
+            self._node_index.setdefault(u, len(self._node_index))
+            self._node_index.setdefault(v, len(self._node_index))
+        # Row and column n stand for every node outside the network.
+        n = len(self._node_index)
+        self._link_of = np.full((n + 1, n + 1), -1, dtype=np.int32)
+        index = self._node_index
+        for i, (u, v) in enumerate(self.link_keys):
+            self._link_of[index[u], index[v]] = i
 
+    @classmethod
+    def from_specs(cls, specs: list[EdgeSpec]) -> "FluidNetwork":
+        """The network of an edge-spec list (see :func:`aggregate_capacities`)."""
+        return cls(*aggregate_capacities(specs))
+
+    @property
+    def n_links(self) -> int:
+        return len(self.link_keys)
+
+    def link_index(
+        self, names: tuple[str, ...], u: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        """Link index of each directed node pair ``(names[u], names[v])``.
+
+        ``u`` / ``v`` index ``names``; pairs that are not a link get -1.
+        """
+        outside = len(self._node_index)
+        ids = np.fromiter(
+            (self._node_index.get(name, outside) for name in names),
+            dtype=np.int64,
+            count=len(names),
+        )
+        return self._link_of[ids[u], ids[v]]
+
+
+def _as_network(network: FluidNetwork | list[EdgeSpec]) -> FluidNetwork:
+    """An edge-spec list as a :class:`FluidNetwork`, built at the API edge."""
+    if isinstance(network, FluidNetwork):
+        return network
+    return FluidNetwork.from_specs(network)
+
+
+class _CommodityProblem:
+    """Flows collapsed into path commodities over a network's links.
+
+    Built once per solve from a :class:`CommodityTable`: each commodity
+    becomes one run of incidence entries (its flows' demands stay
+    individually visible to the filling loop via one globally
+    demand-sorted array).  ``links[indptr[c]:indptr[c + 1]]`` are
+    commodity ``c``'s links in traversal order, and ``link_incidence``
+    is the same membership link-major: a CSR matrix (n_links,
+    n_commodities) listing each link's commodities in ascending order.
+
+    Construction is all-array: path edges come from the pool in one
+    gather, the link lookup is one gather from the network's table, and
+    the link-major form is one stable sort of the entries.
+    """
+
+    def __init__(self, network: FluidNetwork, table: CommodityTable) -> None:
+        self.capacities = network.capacities
+        pool = table.pool
         edge_u, edge_v, edge_indptr = pool.gather_edges(table.commodity_path)
-        codes = edge_u * n_names + edge_v
-        pos = np.searchsorted(sorted_codes, codes)
-        pos = np.minimum(pos, max(len(sorted_codes) - 1, 0))
-        if len(sorted_codes):
-            bad = sorted_codes[pos] != codes
-        else:
-            bad = np.ones(len(codes), dtype=bool)
+        links = network.link_index(pool.node_names, edge_u, edge_v)
+        bad = links < 0
         if bad.any():
             # Report the first offense in (commodity, traversal) order.
             first = int(np.argmax(bad))
@@ -322,34 +386,58 @@ class _CommodityProblem:
             u = pool.node_names[int(edge_u[first])]
             v = pool.node_names[int(edge_v[first])]
             raise KeyError(f"flow {fid} uses unknown link {u}->{v}")
-        indices = code_order[pos].astype(np.int64)
         self.flow_ids = table.flow_ids
         self.demands = table.demand_bps
         self.flow_commodity = table.flow_commodity
-        self.incidence = sparse.csr_matrix(
-            (
-                np.ones(len(indices), dtype=float),
-                indices,
-                edge_indptr.astype(np.int64),
-            ),
-            shape=(len(table.commodity_path), len(self.link_keys)),
-        )
         self.n_commodities = len(table.commodity_path)
+        self.links = links
+        self.indptr = edge_indptr
+        self.entry_commodity = np.repeat(
+            np.arange(self.n_commodities, dtype=np.int64), np.diff(edge_indptr)
+        )
+        n_links = network.n_links
+        # numpy's stable sort is a radix sort for keys of 16 bits or
+        # fewer, so sort the smallest unsigned type that holds a link.
+        by_link = np.argsort(
+            links.astype(np.min_scalar_type(max(n_links - 1, 0))), kind="stable"
+        )
+        link_indptr = np.zeros(n_links + 1, dtype=np.int64)
+        np.cumsum(np.bincount(links, minlength=n_links), out=link_indptr[1:])
+        self.link_incidence = sparse.csr_matrix(
+            (
+                np.ones(len(links), dtype=float),
+                self.entry_commodity[by_link],
+                link_indptr,
+            ),
+            shape=(n_links, self.n_commodities),
+        )
 
     def commodity_flow_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n_commodities, dtype=np.int64)
-        np.add.at(counts, self.flow_commodity, 1)
-        return counts
+        return np.bincount(self.flow_commodity, minlength=self.n_commodities)
 
     def path_costs(self, per_link: np.ndarray) -> np.ndarray:
-        """Per-commodity sum of a per-link quantity (one sparse matvec)."""
-        return self.incidence @ per_link
+        """Per-commodity sum of a per-link quantity.
+
+        Each sum runs from +0.0 in traversal order, one term per link,
+        as a commodity-major CSR matvec does.
+        """
+        return np.bincount(
+            self.entry_commodity,
+            weights=per_link[self.links],
+            minlength=self.n_commodities,
+        )
 
     def link_loads(self, flow_rates: np.ndarray) -> np.ndarray:
-        """Per-link load implied by per-flow rates (one sparse matvec)."""
-        commodity_rates = np.zeros(self.n_commodities, dtype=float)
-        np.add.at(commodity_rates, self.flow_commodity, flow_rates)
-        return self.incidence.T @ commodity_rates
+        """Per-link load implied by per-flow rates.
+
+        Flow rates sum into their commodity in flow order, and commodity
+        rates into each link in ascending commodity order, as the
+        transposed commodity-major matvec does.
+        """
+        commodity_rates = np.bincount(
+            self.flow_commodity, weights=flow_rates, minlength=self.n_commodities
+        )
+        return self.link_incidence @ commodity_rates
 
 
 def _progressive_fill(problem: _CommodityProblem) -> np.ndarray:
@@ -365,19 +453,26 @@ def _progressive_fill(problem: _CommodityProblem) -> np.ndarray:
     whose residual reaches zero freeze every commodity crossing them at
     the current level.  A flow's final rate is ``min(demand, theta)``
     of its commodity's freeze level.
+
+    A round costs one pass over the link-major incidence of the
+    commodities still filling (the residual update) plus work in
+    proportion to what it changed: link counts are recounted only after
+    a round that changed ``k``, and the commodities to freeze are read
+    off the saturated links' incidence rows.  No mask selects the
+    loaded, unsaturated links: an unloaded link's share is residual / 0
+    = +inf, and a saturated link's residual is set to +inf, which keeps
+    it out of the saturation test (saturating freezes every commodity
+    on the link, so it is unloaded from then on).
     """
     order = np.argsort(problem.demands, kind="stable")
     sorted_demands = problem.demands[order]
     sorted_commodity = problem.flow_commodity[order]
+    n_flows = len(sorted_demands)
 
     n_c = problem.n_commodities
-    # Rows of the incidence matrix are compacted as commodities freeze;
-    # col_map tracks each current row's original commodity index.
-    inc = problem.incidence
-    # The two per-round matvecs go through the transpose; cache it as
-    # CSR (refreshed only at compaction) instead of reconstructing a
-    # transposed view a thousand times.
-    inc_t = inc.T.tocsr()
+    # Entries are dropped from the link-major incidence as commodities
+    # freeze; col_map tracks each current column's original commodity.
+    inc_t = problem.link_incidence
     k = problem.commodity_flow_counts().astype(float)
     col_map = np.arange(n_c, dtype=np.int64)
     orig_to_cur = np.arange(n_c, dtype=np.int64)
@@ -385,77 +480,110 @@ def _progressive_fill(problem: _CommodityProblem) -> np.ndarray:
     theta = np.full(n_c, np.inf)
     residual = problem.capacities.astype(float).copy()
     eps_link = _EPS_BPS + _EPS_REL * problem.capacities
-    link_done = np.zeros(len(problem.capacities), dtype=bool)
 
     level = 0.0
     ptr = 0
-    while k.any():
-        counts = inc_t @ k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = np.where(counts > 0, residual / np.maximum(counts, 1.0), np.inf)
-        delta = max(float(share.min(initial=np.inf)), 0.0)
-        if not np.isfinite(delta):  # no loaded link left (defensive)
-            break
-        new_level = level + delta
+    # Link sums run one term per entry from +0.0 in ascending commodity
+    # order, as a matvec over the full incidence does; a k = 0 column
+    # adds +0.0, which leaves every sum's bits unchanged, so dropping
+    # its entries never changes a result.  Counts are whole numbers, so
+    # they are exact in any order.
+    counts = inc_t @ k
+    n_active = int(np.count_nonzero(k))
+    # Capacities are positive and every residual <= eps becomes +inf,
+    # so residual / 0 is +inf (never nan) for every unloaded link.
+    with np.errstate(divide="ignore"):
+        while n_active:
+            delta = max(float((residual / counts).min()), 0.0)
+            if not math.isfinite(delta):  # no loaded link left (defensive)
+                break
+            new_level = level + delta
 
-        # Bulk demand freezes: every flow whose demand lies in
-        # (level, new_level] stops growing at its own demand.
-        new_ptr = int(
-            np.searchsorted(sorted_demands, new_level, side="right")
-        )
-        increment = k * delta
-        crossed = 0
-        if new_ptr > ptr:
-            cz_orig = sorted_commodity[ptr:new_ptr]
-            cz_cur = orig_to_cur[cz_orig]
-            live = cz_cur >= 0
-            cz_cur = cz_cur[live]
-            crossed = len(cz_cur)
-            if crossed:
-                overshoot = new_level - sorted_demands[ptr:new_ptr][live]
-                np.subtract.at(increment, cz_cur, overshoot)
-                np.subtract.at(k, cz_cur, 1.0)
-        residual -= inc_t @ increment
-        level = new_level
-        ptr = new_ptr
+            # Bulk demand freezes: every flow whose demand lies in
+            # (level, new_level] stops growing at its own demand.
+            increment = k * delta
+            crossed = 0
+            if ptr < n_flows and sorted_demands[ptr] <= new_level:
+                new_ptr = int(
+                    np.searchsorted(sorted_demands, new_level, side="right")
+                )
+                cz_cur = orig_to_cur[sorted_commodity[ptr:new_ptr]]
+                live = cz_cur >= 0
+                cz_cur = cz_cur[live]
+                crossed = len(cz_cur)
+                if crossed:
+                    overshoot = new_level - sorted_demands[ptr:new_ptr][live]
+                    np.subtract.at(increment, cz_cur, overshoot)
+                    np.subtract.at(k, cz_cur, 1.0)
+                ptr = new_ptr
+            residual -= inc_t @ increment
+            level = new_level
 
-        # Freeze every commodity crossing a newly saturated link.
-        saturated = (residual <= eps_link) & ~link_done
-        froze_any = False
-        if saturated.any():
-            link_done |= saturated
-            touched = inc @ saturated.astype(float)
-            newly = (touched > 0) & (k > 0)
-            if newly.any():
-                froze_any = True
-                frozen_orig = col_map[newly]
-                theta[frozen_orig] = level
-                k[newly] = 0.0
-                # A frozen commodity's still-unmet demands must not be
-                # processed when the global pointer passes them later.
-                orig_to_cur[frozen_orig] = -1
-        if delta <= 0.0 and crossed == 0 and not froze_any:
-            # Numerical safety valve (mirrors the scalar solver): no
-            # progress is possible, freeze everything at the level.
-            remaining = k > 0
-            theta[col_map[remaining]] = level
-            k[remaining] = 0.0
-            break
+            # Freeze every commodity crossing a newly saturated link.
+            # Each link saturates once, so the row gathers total O(nnz).
+            saturated = np.flatnonzero(residual <= eps_link)
+            froze = 0
+            if len(saturated):
+                residual[saturated] = np.inf
+                indptr, indices = inc_t.indptr, inc_t.indices
+                touched = np.concatenate(
+                    [indices[indptr[i] : indptr[i + 1]] for i in saturated.tolist()]
+                )
+                newly = touched[k[touched] > 0]
+                froze = len(newly)
+                if froze:
+                    frozen_orig = col_map[newly]
+                    theta[frozen_orig] = level
+                    k[newly] = 0.0
+                    # A frozen commodity's still-unmet demands must not
+                    # be processed when the global pointer passes them.
+                    orig_to_cur[frozen_orig] = -1
+            if not (crossed or froze):
+                if delta <= 0.0:
+                    # Numerical safety valve (mirrors the scalar
+                    # solver): no progress is possible, freeze
+                    # everything at the level.
+                    theta[col_map[k > 0]] = level
+                    break
+                continue
 
-        # Compact away frozen/exhausted commodities once they are the
-        # majority, keeping the per-round matvecs proportional to the
-        # surviving active set.
-        active = k > 0
-        n_active = int(active.sum())
-        if n_active and n_active * 2 <= len(k):
-            inc = inc[active]
-            inc_t = inc.T.tocsr()
-            k = k[active]
-            col_map = col_map[active]
-            orig_to_cur = np.full(n_c, -1, dtype=np.int64)
-            orig_to_cur[col_map] = np.arange(len(col_map), dtype=np.int64)
+            # Compact away frozen/exhausted commodities once they are the
+            # majority, keeping the per-round passes proportional to the
+            # surviving active set.
+            n_active = int(np.count_nonzero(k))
+            if n_active and n_active * 2 <= len(k):
+                active = k > 0
+                inc_t = _drop_columns(inc_t, active, n_active)
+                k = k[active]
+                col_map = col_map[active]
+                orig_to_cur = np.full(n_c, -1, dtype=np.int64)
+                orig_to_cur[col_map] = np.arange(n_active, dtype=np.int64)
+            counts = inc_t @ k
 
     return np.minimum(problem.demands, theta[problem.flow_commodity])
+
+
+def _drop_columns(
+    matrix: sparse.csr_matrix, keep_columns: np.ndarray, n_kept: int
+) -> sparse.csr_matrix:
+    """``matrix[:, keep_columns]`` by an nnz mask, each row kept in order.
+
+    The new index arrays keep the matrix's index dtype, so the CSR
+    constructor need not check and downcast them.
+    """
+    index_dtype = matrix.indices.dtype
+    new_col = np.cumsum(keep_columns, dtype=index_dtype) - 1
+    keep = keep_columns[matrix.indices]
+    kept_before = np.zeros(len(keep) + 1, dtype=index_dtype)
+    np.cumsum(keep, out=kept_before[1:])
+    return sparse.csr_matrix(
+        (
+            matrix.data[keep],
+            new_col[matrix.indices[keep]],
+            kept_before[matrix.indptr],
+        ),
+        shape=(matrix.shape[0], n_kept),
+    )
 
 
 def aggregate_capacities(
@@ -467,10 +595,24 @@ def aggregate_capacities(
     keep the smallest delay — the packet path's "aggregate the bandwidth
     of parallel links" semantics — instead of the last spec silently
     overwriting the first.
+
+    Raises ``ValueError`` naming the edge and the field for a
+    ``rate_bps`` that is not positive and finite, or a ``delay_s`` that
+    is not non-negative and finite.
     """
     capacities: dict[tuple[str, str], float] = {}
     delays: dict[tuple[str, str], float] = {}
     for spec in specs:
+        if not 0 < spec.rate_bps < math.inf:
+            raise ValueError(
+                f"edge {spec.a}-{spec.b}: rate_bps must be positive and "
+                f"finite, got {spec.rate_bps!r}"
+            )
+        if not 0 <= spec.delay_s < math.inf:
+            raise ValueError(
+                f"edge {spec.a}-{spec.b}: delay_s must be non-negative and "
+                f"finite, got {spec.delay_s!r}"
+            )
         for u, v in ((spec.a, spec.b), (spec.b, spec.a)):
             if (u, v) in capacities:
                 capacities[(u, v)] += spec.rate_bps
@@ -521,43 +663,53 @@ def max_min_rates_table(
     utilization accounting.  Entry ``i`` of the result belongs to the
     ``i``-th flow of the workload.
     """
+    network = FluidNetwork(capacities_bps)
     table = _as_commodities(table)
     if table.n_flows == 0:
         return np.empty(0, dtype=float)
-    return _progressive_fill(_CommodityProblem(capacities_bps, table))
+    return _progressive_fill(_CommodityProblem(network, table))
 
 
 def solve_fluid(
-    specs: list[EdgeSpec],
+    network: FluidNetwork | list[EdgeSpec],
     flows: list[FluidFlow] | FlowTable | CommodityTable,
     packet_bytes: int = 500,
 ) -> FluidResult:
-    """Allocate max-min rates over a network built from edge specs.
+    """Allocate max-min rates over a network.
 
-    ``flows`` is a :class:`FlowTable` / :class:`CommodityTable`, or a
-    ``FluidFlow`` list that converts to one at the API edge.  Flow ids
-    must be unique.  ``packet_bytes`` only affects the static latency
-    estimate (one serialization per hop), mirroring the packet engine's
-    uniform UDP size.
+    ``network`` is a :class:`FluidNetwork`, or an edge-spec list that
+    converts to one at the API edge; callers that solve many workloads
+    over one network build it once.  ``flows`` is a :class:`FlowTable` /
+    :class:`CommodityTable`, or a ``FluidFlow`` list that converts to
+    one at the API edge.  Flow ids must be unique.  ``packet_bytes``
+    only affects the static latency estimate (one serialization per
+    hop), mirroring the packet engine's uniform UDP size.
+
+    ``timings_s["setup_s"]`` covers the workload conversion and the
+    problem build, not the network build.
     """
+    if not packet_bytes > 0:
+        raise ValueError(f"packet_bytes must be positive, got {packet_bytes!r}")
+    network = _as_network(network)
     t0 = perf_counter()
     table = _as_commodities(flows)
-    capacities, delays = aggregate_capacities(specs)
-    problem = _CommodityProblem(capacities, table)
+    problem = _CommodityProblem(network, table)
     t1 = perf_counter()
     rates = _progressive_fill(problem)
     t2 = perf_counter()
     # Vectorized accounting: per-commodity latency and per-link load via
-    # the same incidence matrix the solver filled over.
-    delay_arr = np.array([delays[key] for key in problem.link_keys])
-    per_link_latency = delay_arr + packet_bytes * 8 / problem.capacities
+    # the same incidence the solver filled over.
+    per_link_latency = network.delays + packet_bytes * 8 / network.capacities
     latencies = problem.path_costs(per_link_latency)[problem.flow_commodity]
     loads = problem.link_loads(rates)
-    _assert_capacity_invariant(loads, problem.capacities)
-    utilization = {
-        problem.link_keys[i]: float(loads[i] / problem.capacities[i])
-        for i in np.flatnonzero(loads > 0)
-    }
+    _assert_capacity_invariant(loads, network.capacities)
+    used = np.flatnonzero(loads > 0)
+    utilization = dict(
+        zip(
+            map(network.link_keys.__getitem__, used.tolist()),
+            (loads[used] / network.capacities[used]).tolist(),
+        )
+    )
     t3 = perf_counter()
     return FluidResult(
         flow_ids=problem.flow_ids,

@@ -28,7 +28,14 @@ import math
 
 import numpy as np
 
-from .fluid import FluidFlow, FluidResult, _as_commodities, solve_fluid
+from .fluid import (
+    FluidFlow,
+    FluidNetwork,
+    FluidResult,
+    _as_commodities,
+    _as_network,
+    solve_fluid,
+)
 from .flowtable import CommodityTable, FlowTable
 from .network import EdgeSpec
 from .tcp import DEFAULT_MSS_BYTES
@@ -62,7 +69,7 @@ def mathis_rate_bps(
 
 
 def solve_fluid_tcp(
-    specs: list[EdgeSpec],
+    network: FluidNetwork | list[EdgeSpec],
     flows: list[FluidFlow] | FlowTable | CommodityTable,
     loss_floor: float = DEFAULT_LOSS_FLOOR,
     iterations: int = 25,
@@ -73,29 +80,36 @@ def solve_fluid_tcp(
 ) -> FluidResult:
     """Fluid allocation under the Mathis TCP macro-model.
 
-    ``flows`` carry the *application* demand (an upper bound on what
-    each flow would send), as a table or a ``FluidFlow`` list that
-    converts once at the API edge.  The realized offer is capped by the
-    Mathis rate at the flow's current loss estimate, and the loss
-    estimate relaxes toward the unserved fraction of the offer under
-    ``damping`` until it moves less than ``tolerance`` (or
-    ``iterations`` runs out).  Each iterate re-demands the fixed
-    :class:`CommodityTable` and calls :func:`solve_fluid` once.
+    ``network`` is a :class:`FluidNetwork`, or an edge-spec list that
+    converts to one once, at the API edge.  ``flows`` carry the
+    *application* demand (an upper bound on what each flow would send),
+    as a table or a ``FluidFlow`` list that converts once at the API
+    edge.  The realized offer is capped by the Mathis rate at the flow's
+    current loss estimate, and the loss estimate relaxes toward the
+    unserved fraction of the offer under ``damping`` until it moves less
+    than ``tolerance`` (or ``iterations`` runs out).  Each iterate
+    re-demands the fixed :class:`CommodityTable` and calls
+    :func:`solve_fluid` once, over the one network.
 
     Returns the final result; its ``offered_bps`` are the converged TCP
     offers, so ``loss_rate`` reports the unserved share of what TCP
     actually attempted, not of the application demand.
     """
-    table = _as_commodities(flows)
-    if table.n_flows == 0:
-        return solve_fluid(specs, table, packet_bytes=packet_bytes)
     if not 0 < loss_floor < 1:
         raise ValueError("loss floor must be in (0, 1)")
     if not 0 < damping <= 1:
         raise ValueError("damping must be in (0, 1]")
+    if not iterations >= 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations!r}")
+    if not mss_bytes > 0:
+        raise ValueError(f"mss_bytes must be positive, got {mss_bytes!r}")
+    network = _as_network(network)
+    table = _as_commodities(flows)
+    if table.n_flows == 0:
+        return solve_fluid(network, table, packet_bytes=packet_bytes)
 
     # One solve at the application demands fixes the (static) RTTs.
-    base = solve_fluid(specs, table, packet_bytes=packet_bytes)
+    base = solve_fluid(network, table, packet_bytes=packet_bytes)
     rtt = 2.0 * base.latencies_s
     if np.any(rtt <= 0):
         raise ValueError("RTT must be positive")
@@ -107,7 +121,7 @@ def solve_fluid_tcp(
     for _ in range(iterations):
         offers = np.minimum(demand, mathis_num / (rtt * np.sqrt(p)))
         result = solve_fluid(
-            specs, table.with_demands(offers), packet_bytes=packet_bytes
+            network, table.with_demands(offers), packet_bytes=packet_bytes
         )
         offered = result.offered_bps
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -23,8 +23,9 @@ from repro.netsim import (
     solve_fluid,
     solve_fluid_tcp,
 )
+from repro.netsim import experiments, flowtable
 from repro.netsim.experiments import kept_flow_table
-from repro.netsim.fluid import _CommodityProblem, _as_commodities
+from repro.netsim.fluid import FluidNetwork, _CommodityProblem, _as_commodities
 from repro.netsim.flows import DEFAULT_UDP_PACKET_BYTES
 from repro.traffic import demand_pairs, user_demand_matrix, user_demand_pairs
 
@@ -207,12 +208,13 @@ class TestToCommodities:
         # A FluidFlow list converted at the API edge builds the same
         # problem as the table it was expanded from.
         capacities, table, flows = random_table_workload(3)
-        obj = _CommodityProblem(capacities, _as_commodities(flows))
-        tab = _CommodityProblem(capacities, table.to_commodities())
+        network = FluidNetwork(capacities)
+        obj = _CommodityProblem(network, _as_commodities(flows))
+        tab = _CommodityProblem(network, table.to_commodities())
         assert obj.n_commodities == tab.n_commodities
-        assert (obj.incidence != tab.incidence).nnz == 0
-        assert obj.incidence.indices.tolist() == tab.incidence.indices.tolist()
-        assert obj.incidence.indptr.tolist() == tab.incidence.indptr.tolist()
+        assert (obj.link_incidence != tab.link_incidence).nnz == 0
+        assert obj.links.tolist() == tab.links.tolist()
+        assert obj.indptr.tolist() == tab.indptr.tolist()
         assert obj.demands.tolist() == tab.demands.tolist()
         assert obj.flow_commodity.tolist() == tab.flow_commodity.tolist()
         assert obj.flow_ids.tolist() == tab.flow_ids.tolist()
@@ -227,7 +229,7 @@ class TestToCommodities:
         ).to_commodities()
         capacities = {("a", "b"): 1.0, ("b", "a"): 1.0}
         with pytest.raises(KeyError) as table_err:
-            _CommodityProblem(capacities, table)
+            _CommodityProblem(FluidNetwork(capacities), table)
         with pytest.raises(KeyError) as object_err:
             max_min_rates(
                 capacities,
@@ -444,6 +446,41 @@ class TestWithDemands:
         with pytest.raises(ValueError, match="positive"):
             ct.with_demands(np.zeros(ct.n_flows))
 
+    @pytest.mark.parametrize(
+        "make_demands, message",
+        [
+            (lambda n: np.ones((n, 2)), "^demand_bps must be one-dimensional$"),
+            (lambda n: np.ones(n + 1), "^flow columns must have equal length$"),
+            (lambda n: np.zeros(n), "^offered rate must be positive$"),
+            (lambda n: np.full(n, -1.0), "^offered rate must be positive$"),
+            (lambda n: np.full(n, np.nan), "^offered rate must be positive$"),
+            (lambda n: np.full(n, np.inf), "^offered rate must be finite$"),
+        ],
+        ids=["2d", "wrong-length", "zero", "negative", "nan", "inf"],
+    )
+    def test_with_demands_checks_the_new_column(self, make_demands, message):
+        ct = random_table_workload(5)[1].to_commodities()
+        with pytest.raises(ValueError, match=message):
+            ct.with_demands(make_demands(ct.n_flows))
+
+    def test_with_demands_skips_path_checks_and_shares_columns(self, monkeypatch):
+        ct = random_table_workload(5)[1].to_commodities()
+        calls = []
+        real = flowtable._check_used_paths
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(flowtable, "_check_used_paths", counting)
+        new = ct.with_demands(np.full(ct.n_flows, 2.5))
+        assert calls == []
+        assert new.pool is ct.pool
+        assert new.commodity_path is ct.commodity_path
+        assert new.flow_commodity is ct.flow_commodity
+        assert new.flow_ids is ct.flow_ids
+        assert ct.demand_bps.tolist() != new.demand_bps.tolist()
+
 
 def kept_flow_shares(routes, traffic, node_names, min_flow_rate_fraction):
     """Per-pair scalar reference for ``kept_flow_table``."""
@@ -584,6 +621,24 @@ class TestExperimentIntegration:
         assert {"setup_s", "fill_s", "freeze_s"} <= set(rows[0])
         default_rows = run_load_curve(designed, 50.0, (0.5,), engine="fluid")
         assert "setup_s" not in default_rows[0]
+
+    def test_network_built_once_per_fluid_curve(self, designed, monkeypatch):
+        builds = []
+        real = FluidNetwork.from_specs.__func__
+
+        def counting(cls, specs):
+            builds.append(len(specs))
+            return real(cls, specs)
+
+        monkeypatch.setattr(
+            experiments.FluidNetwork, "from_specs", classmethod(counting)
+        )
+        run_load_curve(designed, 50.0, (0.4, 0.8, 1.1), engine="fluid",
+                       transport="tcp")
+        assert len(builds) == 1
+        run_load_curve(designed, 50.0, (0.4, 0.8), engine="packet",
+                       duration_s=0.02)
+        assert len(builds) == 1
 
     def test_fluid_result_timings_surface(self, designed):
         res = run_udp_experiment(designed, 50.0, 0.5, engine="fluid")

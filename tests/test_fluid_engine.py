@@ -2,6 +2,8 @@
 commodity-aggregate solver checked against the scalar ``max_min_rates``
 oracle, the Mathis TCP macro-model, and the million-user demand layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,10 @@ from repro.exp.spec import (
 from repro.exp.stages import STAGES, _netsim_payload
 from repro.netsim import (
     EdgeSpec,
+    FlowTable,
     FluidFlow,
+    FluidNetwork,
+    PathPool,
     aggregate_capacities,
     mathis_rate_bps,
     max_min_rates,
@@ -226,6 +231,98 @@ class TestAllocationBugRegressions:
             _assert_capacity_invariant(
                 np.array([2.0]), np.array([1.0])
             )
+
+
+class TestInputValidation:
+    """Inputs the packet engine or the scalar ``max_min_rates`` reject or
+    solve differently fail loudly, with a message naming the field."""
+
+    FLOWS = [FluidFlow(1, ("A", "B", "C"), 8e6), FluidFlow(2, ("A", "B"), 8e6)]
+
+    @staticmethod
+    def specs(**fields):
+        """A two-link toy; ``fields`` override the B-C edge."""
+        bc = {"rate_bps": 10e6, "delay_s": 1e-3, **fields}
+        return [EdgeSpec("A", "B", 10e6, 1e-3), EdgeSpec("B", "C", **bc)]
+
+    @pytest.mark.parametrize(
+        "demand, message",
+        [(float("nan"), "^offered rate must be positive$"),
+         (float("inf"), "^offered rate must be finite$")],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_demand_rejected(self, demand, message):
+        with pytest.raises(ValueError, match=message):
+            FluidFlow(1, ("A", "B"), demand)
+        pool = PathPool.from_paths([("A", "B")])
+        with pytest.raises(ValueError, match=message):
+            FlowTable(pool, np.array([0, 0]), np.array([8e6, demand]),
+                      np.array([0, 1]))
+        table = FlowTable(pool, np.array([0, 0]), np.array([8e6, 8e6]),
+                          np.array([0, 1])).to_commodities()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(table, demand_bps=np.array([8e6, demand]))
+        with pytest.raises(ValueError, match=message):
+            table.with_demands(np.array([8e6, demand]))
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("rate_bps", float("nan"), "positive and finite"),
+            ("rate_bps", -5e6, "positive and finite"),
+            ("rate_bps", 0.0, "positive and finite"),
+            ("rate_bps", float("inf"), "positive and finite"),
+            ("delay_s", -1e-3, "non-negative and finite"),
+            ("delay_s", float("nan"), "non-negative and finite"),
+            ("delay_s", float("inf"), "non-negative and finite"),
+        ],
+    )
+    def test_edge_field_rejected_where_network_is_built(self, field, value, rule):
+        specs = self.specs(**{field: value})
+        message = f"^edge B-C: {field} must be {rule}, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            solve_fluid(specs, self.FLOWS)
+        with pytest.raises(ValueError, match=message):
+            solve_fluid_tcp(specs, self.FLOWS)
+        with pytest.raises(ValueError, match=message):
+            FluidNetwork.from_specs(specs)
+
+    @pytest.mark.parametrize("capacity", [float("inf"), float("nan"), 0.0])
+    def test_capacity_map_rejected(self, capacity):
+        capacities = {("A", "B"): 10e6, ("B", "C"): capacity}
+        with pytest.raises(ValueError, match="^link B->C: capacity must be"):
+            max_min_rates_table(capacities, self.FLOWS)
+
+    @pytest.mark.parametrize("packet_bytes", [0, -500])
+    def test_packet_bytes_must_be_positive(self, packet_bytes):
+        message = "^packet_bytes must be positive"
+        with pytest.raises(ValueError, match=message):
+            solve_fluid(self.specs(), self.FLOWS, packet_bytes=packet_bytes)
+        with pytest.raises(ValueError, match=message):
+            solve_fluid_tcp(self.specs(), self.FLOWS, packet_bytes=packet_bytes)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="^iterations must be non-negative"):
+            solve_fluid_tcp(self.specs(), self.FLOWS, iterations=-3)
+
+    def test_zero_mss_rejected(self):
+        with pytest.raises(ValueError, match="^mss_bytes must be positive"):
+            solve_fluid_tcp(self.specs(), self.FLOWS, mss_bytes=0)
+
+    def test_tcp_parameters_checked_for_an_empty_table(self):
+        with pytest.raises(ValueError, match="loss floor"):
+            solve_fluid_tcp(self.specs(), [], loss_floor=2.0)
+        with pytest.raises(ValueError, match="^iterations"):
+            solve_fluid_tcp(self.specs(), [], iterations=-1)
+
+    def test_valid_toy_matches_scalar_oracle(self):
+        # The checks reject nothing valid: the toy solves as before.
+        result = solve_fluid(self.specs(), self.FLOWS)
+        capacities, _delays = aggregate_capacities(self.specs())
+        assert result.rates_by_flow() == pytest.approx(
+            max_min_rates(capacities, self.FLOWS)
+        )
+        assert result.link_utilization[("A", "B")] == pytest.approx(1.0)
 
 
 class TestTcpMacroModel:
