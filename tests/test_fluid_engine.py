@@ -315,15 +315,6 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="^iterations"):
             solve_fluid_tcp(self.specs(), [], iterations=-1)
 
-    def test_valid_toy_matches_scalar_oracle(self):
-        # The checks reject nothing valid: the toy solves as before.
-        result = solve_fluid(self.specs(), self.FLOWS)
-        capacities, _delays = aggregate_capacities(self.specs())
-        assert result.rates_by_flow() == pytest.approx(
-            max_min_rates(capacities, self.FLOWS)
-        )
-        assert result.link_utilization[("A", "B")] == pytest.approx(1.0)
-
 
 class TestTcpMacroModel:
     def test_mathis_monotone_in_loss_and_rtt(self):
