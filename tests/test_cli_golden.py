@@ -38,7 +38,7 @@ SPEC_FILES = {
     "single.json": SPEC_DOC["spec"],
     "failing.json": {
         "spec": SPEC_DOC["spec"],
-        "axes": {"design.aggregate_gbps": [20, -5]},
+        "axes": {"design.aggregate_gbps": [20, None]},
     },
 }
 

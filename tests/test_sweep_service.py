@@ -282,7 +282,7 @@ class TestStoreQuarantine:
 # A failing point is named and quarantined; the other points survive.
 # --------------------------------------------------------------------------
 
-FAILING_AXES = {"design.aggregate_gbps": [20.0, -5.0]}
+FAILING_AXES = {"design.aggregate_gbps": [20.0, None]}
 
 
 class TestQuarantinedPoint:
@@ -291,8 +291,11 @@ class TestQuarantinedPoint:
         """Point 1 is quarantined with its cause; point 0's rows survive."""
         [failure] = result.failures
         assert failure.index == 1
-        assert failure.assignment == {"design.aggregate_gbps": -5.0}
-        assert failure.error == "ValueError: aggregate demand must be positive"
+        assert failure.assignment == {"design.aggregate_gbps": None}
+        assert failure.error == (
+            "ValueError: the netsim stage needs design.aggregate_gbps (link "
+            "capacities derive from routing the design traffic)"
+        )
         assert result.records == reference_records(
             tiny_spec(), {"design.aggregate_gbps": [20.0]}, store
         )
@@ -639,7 +642,7 @@ class TestCliFaultTolerance:
 
 FAILING_DOC = {
     "spec": SPEC_DOC["spec"],
-    "axes": {"design.aggregate_gbps": [20, -5]},
+    "axes": {"design.aggregate_gbps": [20, None]},
 }
 
 SWEEP_ARGS = [
