@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.topology import DesignInput, Topology
 from repro.datasets.sites import Site
 from repro.geo.coords import pairwise_distance_matrix
+from repro.graph import whatif
 from repro.links.builder import CandidateLink, LinkCatalog
 from repro.towers.registry import Tower, TowerRegistry
 from repro.traffic.matrices import population_product_matrix
@@ -68,9 +69,9 @@ STORM_WIDTH = 10
 P_ADVANCE = 0.02
 SEED = 821
 
-#: Solver tuning under test (the library defaults).
+#: Solver tuning under test: the default neighbor radius, and a cache
+#: large enough that neither side evicts.
 DELTA_K = 2
-RESTORE_K = 12
 CACHE_MB = 1024.0
 
 #: Full solves may exceed the corridor's link count only by this much
@@ -195,12 +196,7 @@ def main() -> None:
         topology, catalog, registry, delta_k=0, cache_mb=CACHE_MB
     )
     delta = YearlyWeatherEvaluator(
-        topology,
-        catalog,
-        registry,
-        delta_k=DELTA_K,
-        restore_k=RESTORE_K,
-        cache_mb=CACHE_MB,
+        topology, catalog, registry, delta_k=DELTA_K, cache_mb=CACHE_MB
     )
 
     t_memo = t_delta = 0.0
@@ -218,8 +214,8 @@ def main() -> None:
         max_err = max(max_err, err)
     speedup = t_memo / t_delta if t_delta > 0 else float("inf")
 
-    memo_stats = memo.solver_stats()
-    delta_stats = delta.solver_stats()
+    memo_stats = memo.solver.stats()
+    delta_stats = delta.solver.stats()
     del memo, delta
     gc.collect()
 
@@ -231,7 +227,7 @@ def main() -> None:
         f"(delta_k=0: one full solve per distinct set, "
         f"{memo_stats['full_solves']} full solves)",
         f"delta evaluator          {t_delta:8.3f} s  "
-        f"(delta_k={DELTA_K}, restore_k={RESTORE_K}: "
+        f"(delta_k={DELTA_K}, RESTORE_K={whatif.RESTORE_K}: "
         f"{delta_stats['full_solves']} full / "
         f"{delta_stats['delta_solves']} delta / "
         f"{delta_stats['memo_hits']} memo, "

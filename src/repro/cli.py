@@ -276,8 +276,6 @@ def _scenario_spec(args: argparse.Namespace, command: str):
     return ScenarioSpec(
         name=args.scenario,
         sites=_resolve_sites(args, command),
-        max_range_km=getattr(args, "max_range_km", 100.0),
-        usable_height_fraction=getattr(args, "usable_height", 1.0),
         seed=args.seed,
     )
 
@@ -371,7 +369,6 @@ def _cmd_netsim(args: argparse.Namespace) -> int:
             demand_seed=args.demand_seed,
             users_millions=args.users_millions,
             transport=args.transport,
-            profile=args.profile,
         ),
     )
     run = run_experiment(spec, store=_store_from_args(args))
@@ -380,20 +377,12 @@ def _cmd_netsim(args: argparse.Namespace) -> int:
           f"budget {args.budget:.0f} towers)")
     print(f"engine:    {args.engine} ({args.transport}, "
           f"{args.demand} demand)")
-    header = "load  mean_delay_ms  loss_rate  max_link_util"
-    if args.profile:
-        header += "  setup_ms  fill_ms  freeze_ms"
-    print(header)
+    print("load  mean_delay_ms  loss_rate  max_link_util")
     for row in run.records:
         if row["stage"] != "netsim":
             continue
-        line = (f"{row['load']:4.2f}  {row['mean_delay_ms']:13.3f}  "
-                f"{row['loss_rate']:9.4f}  {row['max_link_utilization']:13.3f}")
-        if args.profile and "setup_s" in row:
-            line += (f"  {row['setup_s'] * 1e3:8.2f}  "
-                     f"{row['fill_s'] * 1e3:7.2f}  "
-                     f"{row['freeze_s'] * 1e3:9.2f}")
-        print(line)
+        print(f"{row['load']:4.2f}  {row['mean_delay_ms']:13.3f}  "
+              f"{row['loss_rate']:9.4f}  {row['max_link_utilization']:13.3f}")
     return 0
 
 
@@ -412,8 +401,6 @@ def _cmd_weather(args: argparse.Namespace) -> int:
             graded=args.graded,
             frequency_ghz=args.frequency_ghz,
             sample_interval_days=args.interval_days,
-            delta_k=args.delta_k,
-            cache_mb=args.cache_mb,
         ),
     )
     run = run_experiment(spec, store=_store_from_args(args))
@@ -659,13 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         help="packet: per-packet simulation; fluid: max-min fast path",
     )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="add fluid setup/fill/freeze wall-clock timings to each "
-             "record row (timings are nondeterministic; default records "
-             "stay byte-identical)",
-    )
     p.add_argument("--loads", default="0.3,0.6,0.9",
                    help="comma-separated offered-load fractions")
     p.add_argument("--duration", type=float, default=0.5,
@@ -709,12 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate every Nth day of the year "
                         "deterministically (1 = daily resolution) "
                         "instead of sampling --intervals random days")
-    p.add_argument("--delta-k", type=int, default=2,
-                   help="failure-set solver neighbor radius (0 = "
-                        "memo-only, no delta reuse)")
-    p.add_argument("--cache-mb", type=float, default=256.0,
-                   help="LRU byte budget (MiB) for cached distance "
-                        "matrices and stretch rows")
     _add_cache_args(p)
     p.set_defaults(func=_cmd_weather)
 

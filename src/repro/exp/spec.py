@@ -140,9 +140,10 @@ class ScenarioSpec:
     Attributes:
         name: scenario family ("us", "europe", "interdc", "city_dc").
         sites: site-list size for scenarios that take one (``us``,
-            ``city_dc``); must stay None for fixed-site scenarios
-            (``europe``, ``interdc``) — passing it there is an error,
-            never silently ignored.
+            ``city_dc``), at most the number of US population centers;
+            must stay None for fixed-site scenarios (``europe``,
+            ``interdc``) — passing it there is an error, never silently
+            ignored.
         max_range_km: maximum MW hop length (§6.5 sweeps 60-100 km).
         usable_height_fraction: antenna mounting-height restriction.
         seed: tower-synthesis seed; None pins the scenario's historical
@@ -161,7 +162,13 @@ class ScenarioSpec:
                 f"unknown scenario {self.name!r} (choose from {', '.join(SCENARIO_NAMES)})"
             )
         if self.sites is not None:
-            _check_int("scenario.sites", self.sites, 2)
+            # Imported here, as DesignSpec imports the solver names:
+            # this module must stay dependency-light at import time.
+            from ..datasets.us_cities import us_population_centers
+
+            sized = self.name in ("us", "city_dc")
+            high = len(us_population_centers()) if sized else None
+            _check_int("scenario.sites", self.sites, 2, high)
         if self.seed is not None:
             _check_int("scenario.seed", self.seed, 0)
         _check_real("scenario.max_range_km", self.max_range_km, *_POSITIVE)
@@ -196,8 +203,8 @@ class DesignSpec:
     Attributes:
         budget_towers: the tower budget B.
         solver: registry backend name (see ``repro.core.solver_names``).
-        aggregate_gbps: Step-3 provisioning target; None skips capacity
-            augmentation and costing.
+        aggregate_gbps: Step-3 provisioning target (a finite number
+            > 0); None skips capacity augmentation and costing.
         solver_opts: backend-specific options, stored as a sorted tuple
             of (key, value) pairs so the spec stays hashable and its
             canonical form is order-independent.
@@ -215,6 +222,8 @@ class DesignSpec:
 
         _check_real("design.budget_towers", self.budget_towers, *_NON_NEGATIVE)
         _check_choice("design.solver", self.solver, solver_names())
+        if self.aggregate_gbps is not None:
+            _check_real("design.aggregate_gbps", self.aggregate_gbps, *_POSITIVE)
         opts = self.solver_opts
         if isinstance(opts, Mapping):
             opts = tuple(sorted(opts.items()))
@@ -247,10 +256,6 @@ class NetsimSpec:
             counts (users model only).
         transport: "udp" (open-loop offers) or "tcp" (Mathis macro-model
             caps; requires ``engine="fluid"``).
-        profile: include the fluid engine's per-phase wall-clock
-            timings (setup/fill/freeze) in each record row.  Off by
-            default: timings are nondeterministic, and default records
-            must stay byte-identical across runs.
     """
 
     loads: tuple[float, ...] = (0.3, 0.6, 0.9)
@@ -263,7 +268,6 @@ class NetsimSpec:
     demand_seed: int = 0
     users_millions: float | None = None
     transport: str = "udp"
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.loads, (tuple, list)):
@@ -306,8 +310,6 @@ class NetsimSpec:
                 "transport='tcp' is a fluid-engine macro-model; "
                 "use engine='fluid' (the packet engine has TcpFlow)"
             )
-        if not isinstance(self.profile, bool):
-            raise ValueError("profile must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -326,11 +328,6 @@ class WeatherSpec:
             365-day year deterministically (``1`` = full daily
             resolution) instead of sampling ``n_intervals`` random
             days; ``n_intervals`` and ``seed`` are then ignored.
-        delta_k: the failure-set solver's neighbor radius — queries
-            within ``delta_k`` links of a previously solved set take
-            the compositional delta route (``0`` = memo-only).
-        cache_mb: LRU byte budget (MiB) for the solver's cached
-            distance matrices and the per-set stretch rows.
     """
 
     n_intervals: int = 120
@@ -339,8 +336,6 @@ class WeatherSpec:
     graded: bool = False
     frequency_ghz: float = 11.0
     sample_interval_days: int | None = None
-    delta_k: int = 2
-    cache_mb: float = 256.0
 
     def __post_init__(self) -> None:
         # A float count, a string flag or a NaN margin would otherwise
@@ -351,10 +346,9 @@ class WeatherSpec:
             _check_int(
                 "weather.sample_interval_days", self.sample_interval_days, 1, 365
             )
-        _check_int("weather.delta_k", self.delta_k, 0)
         if not isinstance(self.graded, bool):
             raise ValueError(f"weather.graded must be a boolean, got {self.graded!r}")
-        for name in ("fade_margin_db", "frequency_ghz", "cache_mb"):
+        for name in ("fade_margin_db", "frequency_ghz"):
             _check_real(f"weather.{name}", getattr(self, name), *_POSITIVE)
 
 

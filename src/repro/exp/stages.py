@@ -185,7 +185,6 @@ def _netsim_payload(spec: ExperimentSpec) -> dict:
             None if ns.users_millions is None else float(ns.users_millions)
         ),
         "transport": ns.transport,
-        "profile": bool(ns.profile),
     }
 
 
@@ -214,7 +213,6 @@ def _run_netsim(spec: ExperimentSpec, inputs: dict[str, Any]):
         demand_seed=ns.demand_seed,
         users_millions=ns.users_millions,
         transport=ns.transport,
-        profile=ns.profile,
     )
 
 
@@ -243,8 +241,6 @@ def _weather_payload(spec: ExperimentSpec) -> dict:
             if w.sample_interval_days is None
             else int(w.sample_interval_days)
         ),
-        "delta_k": int(w.delta_k),
-        "cache_mb": float(w.cache_mb),
     }
 
 
@@ -274,8 +270,6 @@ def _run_weather(spec: ExperimentSpec, inputs: dict[str, Any]):
         graded=w.graded,
         frequency_ghz=w.frequency_ghz,
         sample_interval_days=w.sample_interval_days,
-        delta_k=w.delta_k,
-        cache_mb=w.cache_mb,
     )
 
 
@@ -400,6 +394,8 @@ STAGES: dict[str, Stage] = {
         # hoisted out of the per-load loop (values unchanged), and
         # profile=True rows carry setup/fill/freeze timing counters.
         # v4: the payload lost ``workload`` (one fluid workload path).
+        # Still v4 after the payload lost ``profile``: no valid spec's
+        # records changed, and the payload change alone moves the keys.
         version="4",
         deps=lambda spec: ("design",),
         payload=_netsim_payload,
@@ -419,7 +415,8 @@ STAGES: dict[str, Stage] = {
         # (daily-resolution grid), ``delta_k``, and ``cache_mb``.
         # v4: Europe evaluates storms from the European climate instead
         # of the US one, so Europe weather records change; US records
-        # (us, interdc, city_dc) do not.
+        # (us, interdc, city_dc) do not.  Still v4 after the payload lost
+        # ``delta_k`` and ``cache_mb``: no valid spec's records changed.
         version="4",
         deps=_weather_deps,
         payload=_weather_payload,

@@ -22,8 +22,8 @@ set.  The solver instead picks the cheapest route per query:
   restarted (batched Dijkstra on the query graph) and merged into the
   neighbor's matrix.  A cached *superset* of the query needs only
   restorations — no restart at all — so supersets are accepted up to
-  the larger ``restore_k`` budget and preferred over any neighbor that
-  needs removals.
+  the larger :data:`RESTORE_K` budget and preferred over any neighbor
+  that needs removals.
 * **full solve** — no cached neighbor is close enough: fall back to the
   view's batch what-if query, exactly as before.
 
@@ -45,13 +45,14 @@ the cached sets.  Cached matrices live under an LRU byte budget
 (:class:`ByteBudgetLRU`) so long daily-resolution runs cannot exhaust
 memory; the healthy-base matrix is pinned.  Route counters
 (``full_solves`` / ``delta_solves`` / ``memo_hits``, plus cache bytes
-and evictions) surface in the weather stage records.
+and evictions) surface in the weather stage records through
+:meth:`FailureSetSolver.stats`.
 
 Accuracy contract: delta-derived matrices match the full solve to
 <= 1e-9 relative.  The restoration rule is exact and removals restart
 affected rows from scratch, so the only divergence from a full solve is
 float association error, bounded by capping delta-chain depth
-(``max_chain``); a removal-only delta taken directly from the base of a
+(:data:`MAX_CHAIN`); a removal-only delta taken directly from the base of a
 *sparse* view is bit-identical to the full solve (same machinery).
 Route selection is deterministic, so identical query sequences through
 identically configured solvers return bitwise-identical results.
@@ -70,6 +71,15 @@ from .view import GraphView, affected_sources
 
 #: Default LRU budget for cached distance matrices (bytes).
 DEFAULT_CACHE_BYTES = 256 * 2**20
+
+#: Symmetric-difference budget for a cached *superset* of a query
+#: (restoration-only deltas, pure O(n^2) insertion rules); also caps
+#: the padded union solves.  Never below the solver's ``delta_k``.
+RESTORE_K = 12
+
+#: Maximum delta-chain depth: a query whose every candidate neighbor
+#: sits this deep is fully solved, bounding float drift.
+MAX_CHAIN = 64
 
 
 class ByteBudgetLRU:
@@ -189,17 +199,13 @@ class FailureSetSolver:
             the healthy weight is rejected — failures only worsen.
         delta_k: maximum symmetric difference (in links) to a cached
             neighbor for the delta route; ``0`` disables deltas, giving
-            PR 5's memo-only behavior.
-        restore_k: maximum symmetric difference to a cached *superset*
-            of the query (restoration-only: pure O(n^2) insertion
-            rules, never a restart), accepted beyond ``delta_k``.
-            Inert while ``delta_k`` is 0.
+            the memo-only behavior (one full solve per distinct set).
+            Cached *supersets* of the query are accepted up to
+            ``max(RESTORE_K, delta_k)``.
         cache_bytes: LRU byte budget for cached matrices (``None`` =
             unbounded; default 256 MiB).  The healthy base is pinned.
         base_distances: optional exact all-pairs matrix of ``view``'s
             weights to seed the healthy entry without a solve.
-        max_chain: full-solve when every candidate neighbor already
-            sits at this delta-chain depth, bounding float drift.
     """
 
     def __init__(
@@ -208,23 +214,16 @@ class FailureSetSolver:
         fail_weight: Callable | None = None,
         *,
         delta_k: int = 2,
-        restore_k: int = 12,
         cache_bytes: float | None = DEFAULT_CACHE_BYTES,
         base_distances: np.ndarray | None = None,
-        max_chain: int = 64,
     ) -> None:
         if delta_k < 0:
             raise ValueError("delta_k must be >= 0")
-        if restore_k < 0:
-            raise ValueError("restore_k must be >= 0")
-        if max_chain < 1:
-            raise ValueError("max_chain must be >= 1")
         self._view = view
         self._fail_weight = fail_weight
         self._base_version = view.version
         self._delta_k = int(delta_k)
-        self._restore_k = max(int(restore_k), int(delta_k))
-        self._max_chain = int(max_chain)
+        self._restore_k = max(RESTORE_K, int(delta_k))
         # Per-source Dijkstra restarts stop paying off once too many
         # sources are affected; past the budget the delta route defers
         # to a (union) full solve.  Sparse bases restart per source in
@@ -282,22 +281,6 @@ class FailureSetSolver:
         self._remember(frozenset(), base, depth=0)
 
     # -- public surface -------------------------------------------------
-
-    @property
-    def view(self) -> GraphView:
-        return self._view
-
-    @property
-    def delta_k(self) -> int:
-        return self._delta_k
-
-    @property
-    def cache_bytes_held(self) -> int:
-        return self._cache.bytes_held
-
-    @property
-    def evictions(self) -> int:
-        return self._cache.evictions
 
     def stats(self) -> dict:
         """Solve-route counters and cache occupancy as plain numbers."""
@@ -381,13 +364,13 @@ class FailureSetSolver:
             # was cost-gated).  Promote the solve to a *superset*: the
             # query unioned with the neighbor and the recently active
             # links, capped so later queries can still restore down
-            # within ``restore_k``.  One full solve then covers the
+            # within the superset budget.  One full solve then covers the
             # storm's whole active neighborhood — the query itself and
             # its surrounding combinations fall out by restorations.
             target = self._padded(key if neighbor is None else key | neighbor)
             if target != key:
                 tentry = self._cache.peek(target)
-                if tentry is None or tentry.depth >= self._max_chain:
+                if tentry is None or tentry.depth >= MAX_CHAIN:
                     tdist = self._full_solve(target)
                     self.full_solves += 1
                     self.union_solves += 1
@@ -415,9 +398,9 @@ class FailureSetSolver:
     def _padded(self, seed: frozenset) -> frozenset:
         """``seed`` plus recently active links, newest first.
 
-        Capped at ``max(|seed|, restore_k)`` links so every future
-        subset query can restore down within the ``restore_k``
-        neighbor budget.
+        Capped at ``max(|seed|, RESTORE_K)`` links so every future
+        subset query can restore down within the superset neighbor
+        budget.
         """
         target = set(seed)
         limit = max(len(seed), self._restore_k)
@@ -457,7 +440,7 @@ class FailureSetSolver:
         the tiny sets (small enough to neighbor disjoint queries), and
         the pinned healthy base.  Eligible are sets within ``delta_k``
         links (symmetric difference), plus *supersets* of the query up
-        to ``restore_k`` — a superset needs only restorations, each an
+        to :data:`RESTORE_K` — a superset needs only restorations, each an
         exact O(n^2) insertion rule, so it stays cheap well past the
         radius where a removal restart would.  Ranking prefers
         restoration-only neighbors, then the smallest symmetric
@@ -486,7 +469,7 @@ class FailureSetSolver:
             if symdiff > budget:
                 continue
             entry = self._cache.peek(cand)
-            if entry is None or entry.depth >= self._max_chain:
+            if entry is None or entry.depth >= MAX_CHAIN:
                 continue
             rank = (removals > 0, symdiff, entry.depth, -entry.seq)
             if best_rank is None or rank < best_rank:

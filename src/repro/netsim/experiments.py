@@ -16,7 +16,7 @@ hence queueing behavior, are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -72,16 +72,12 @@ class UdpExperimentResult:
         mean_delay_ms: mean end-to-end packet delay.
         loss_rate: network-wide packet loss fraction.
         max_link_utilization: highest per-link utilization observed.
-        timings_s: fluid-engine phase timings (``setup_s`` / ``fill_s``
-            / ``freeze_s``) when the fluid engine produced this point;
-            None for the packet engine.  Excluded from equality.
     """
 
     input_rate_fraction: float
     mean_delay_ms: float
     loss_rate: float
     max_link_utilization: float
-    timings_s: dict[str, float] | None = field(default=None, compare=False)
 
 
 def build_edge_specs(
@@ -315,7 +311,6 @@ def run_udp_experiment(
     demand_seed: int = 0,
     users_millions: float | None = None,
     transport: str = "udp",
-    _setup: _ExperimentSetup | None = None,
 ) -> UdpExperimentResult:
     """One Fig 5 / Fig 11 load point.
 
@@ -357,23 +352,33 @@ def run_udp_experiment(
     _validate_experiment_params(
         input_rate_fraction, engine, demand_model, transport
     )
-    setup = (
-        _setup
-        if _setup is not None
-        else _prepare_experiment(
-            topology,
-            design_aggregate_gbps,
-            offered_traffic,
-            rate_scale,
-            min_flow_rate_fraction,
-            capacity_mode,
-            demand_model,
-            demand_hour_utc,
-            demand_seed,
-            users_millions,
-            engine,
-        )
+    setup = _prepare_experiment(
+        topology,
+        design_aggregate_gbps,
+        offered_traffic,
+        rate_scale,
+        min_flow_rate_fraction,
+        capacity_mode,
+        demand_model,
+        demand_hour_utc,
+        demand_seed,
+        users_millions,
+        engine,
     )
+    return _run_point(
+        setup, input_rate_fraction, engine, transport, duration_s, seed
+    )
+
+
+def _run_point(
+    setup: _ExperimentSetup,
+    input_rate_fraction: float,
+    engine: str,
+    transport: str,
+    duration_s: float,
+    seed: int,
+) -> UdpExperimentResult:
+    """One load point over already-prepared invariants."""
     kept_mass = setup.kept_mass
     offered_bps = setup.offered_bps(input_rate_fraction)
 
@@ -401,7 +406,6 @@ def run_udp_experiment(
             mean_delay_ms=result.mean_latency_s() * 1000.0,
             loss_rate=result.loss_rate,
             max_link_utilization=result.max_link_utilization,
-            timings_s=result.timings_s,
         )
 
     sim = Simulator()
@@ -451,30 +455,22 @@ def run_load_curve(
     demand_seed: int = 0,
     users_millions: float | None = None,
     transport: str = "udp",
-    profile: bool = False,
 ) -> list[dict]:
     """The full Fig 5 load curve as tidy records (the netsim stage).
 
-    One :func:`run_udp_experiment` per load fraction, flattened to
+    One :func:`run_udp_experiment` point per load fraction, flattened to
     plain-scalar rows so the orchestration layer can cache, merge, and
     serialize them deterministically.  The load-invariant work — link
     capacities, the routed path pool, the kept-flow filter — is hoisted
     out of the loop and computed once for the whole curve.
-
-    ``profile=True`` adds the fluid engine's per-phase wall-clock
-    timings (``setup_s`` / ``fill_s`` / ``freeze_s``) to each row.
-    Off by default: timings are nondeterministic, and default records
-    must stay byte-identical across runs and processes.
     """
     rows: list[dict] = []
     setup: _ExperimentSetup | None = None
     for load in loads:
+        # Every load point is validated before it runs; the first one
+        # also hoists the invariants.
+        _validate_experiment_params(float(load), engine, demand_model, transport)
         if setup is None:
-            # Validate with the first load point (preserving the
-            # historical error order), then hoist the invariants.
-            _validate_experiment_params(
-                float(load), engine, demand_model, transport
-            )
             setup = _prepare_experiment(
                 topology,
                 design_aggregate_gbps,
@@ -488,23 +484,10 @@ def run_load_curve(
                 users_millions,
                 engine,
             )
-        res = run_udp_experiment(
-            topology,
-            design_aggregate_gbps,
-            float(load),
-            offered_traffic=offered_traffic,
-            duration_s=duration_s,
-            capacity_mode=capacity_mode,
-            seed=seed,
-            engine=engine,
-            demand_model=demand_model,
-            demand_hour_utc=demand_hour_utc,
-            demand_seed=demand_seed,
-            users_millions=users_millions,
-            transport=transport,
-            _setup=setup,
+        res = _run_point(
+            setup, float(load), engine, transport, duration_s, seed
         )
-        row = {
+        rows.append({
             "stage": "netsim",
             "engine": engine,
             "transport": transport,
@@ -513,12 +496,7 @@ def run_load_curve(
             "mean_delay_ms": float(res.mean_delay_ms),
             "loss_rate": float(res.loss_rate),
             "max_link_utilization": float(res.max_link_utilization),
-        }
-        if profile and res.timings_s is not None:
-            row.update(
-                {key: float(value) for key, value in res.timings_s.items()}
-            )
-        rows.append(row)
+        })
     return rows
 
 

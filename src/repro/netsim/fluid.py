@@ -44,9 +44,8 @@ API (see :func:`repro.netsim.experiments.run_udp_experiment`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from time import perf_counter
 
 import numpy as np
 from scipy import sparse
@@ -130,11 +129,6 @@ class FluidResult:
             the *true* ratio.  The solver guarantees it never exceeds
             ``1 + CAPACITY_SLACK_REL``; an over-allocation is a bug and
             raises rather than being clamped out of sight.
-        timings_s: wall-clock seconds per solve phase (``setup_s`` —
-            problem construction, not the :class:`FluidNetwork` build,
-            ``fill_s`` — progressive filling, ``freeze_s`` — result
-            accounting).  Excluded from equality: two solves of the same
-            workload are the same result however long they took.
     """
 
     flow_ids: np.ndarray
@@ -142,7 +136,6 @@ class FluidResult:
     offered_bps: np.ndarray
     latencies_s: np.ndarray
     link_utilization: dict[tuple[str, str], float]
-    timings_s: dict[str, float] | None = field(default=None, compare=False)
 
     @property
     def n_flows(self) -> int:
@@ -684,19 +677,12 @@ def solve_fluid(
     one at the API edge.  Flow ids must be unique.  ``packet_bytes``
     only affects the static latency estimate (one serialization per
     hop), mirroring the packet engine's uniform UDP size.
-
-    ``timings_s["setup_s"]`` covers the workload conversion and the
-    problem build, not the network build.
     """
     if not packet_bytes > 0:
         raise ValueError(f"packet_bytes must be positive, got {packet_bytes!r}")
     network = _as_network(network)
-    t0 = perf_counter()
-    table = _as_commodities(flows)
-    problem = _CommodityProblem(network, table)
-    t1 = perf_counter()
+    problem = _CommodityProblem(network, _as_commodities(flows))
     rates = _progressive_fill(problem)
-    t2 = perf_counter()
     # Vectorized accounting: per-commodity latency and per-link load via
     # the same incidence the solver filled over.
     per_link_latency = network.delays + packet_bytes * 8 / network.capacities
@@ -710,16 +696,10 @@ def solve_fluid(
             (loads[used] / network.capacities[used]).tolist(),
         )
     )
-    t3 = perf_counter()
     return FluidResult(
         flow_ids=problem.flow_ids,
         rates_bps=rates,
         offered_bps=problem.demands,
         latencies_s=latencies,
         link_utilization=utilization,
-        timings_s={
-            "setup_s": t1 - t0,
-            "fill_s": t2 - t1,
-            "freeze_s": t3 - t2,
-        },
     )

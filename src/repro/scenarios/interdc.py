@@ -48,11 +48,16 @@ def city_dc_scenario(
 ) -> Scenario:
     """Cities plus data centers in one site list.
 
-    The DC sites are appended after the cities, so DC indices are
-    ``range(n_cities, n_cities + 6)`` — as returned by
-    :func:`dc_indices`.
+    ``n_cities`` is in [2, 120].  The DC sites are appended after the
+    cities, so DC indices are ``range(n_cities, n_cities + 6)`` — as
+    returned by :func:`dc_indices`.
     """
-    sites = us_population_centers()[:n_cities] + google_us_datacenters()
+    centers = us_population_centers()
+    if not 2 <= n_cities <= len(centers):
+        raise ValueError(
+            f"n_cities must be in [2, {len(centers)}], got {n_cities!r}"
+        )
+    sites = centers[:n_cities] + google_us_datacenters()
     return build_scenario(
         name="us-city-dc",
         sites=sites,

@@ -31,8 +31,9 @@ def us_scenario(
     """Build (and cache) the US scenario.
 
     Args:
-        n_sites: number of population centers (<= 120); smaller values
-            give the city subsets used in the scalability experiments.
+        n_sites: number of population centers, in [2, 120]; smaller
+            values give the city subsets used in the scalability
+            experiments.
         max_range_km: maximum MW hop length (§6.5 varies 60-100 km).
         usable_height_fraction: antenna mounting height restriction
             (§6.5 varies 0.45-1.0).
@@ -40,7 +41,12 @@ def us_scenario(
         pipeline: hop-enumeration pipeline override; the default shares
             US terrain profiles across every sweep point.
     """
-    sites = us_population_centers()[:n_sites]
+    centers = us_population_centers()
+    if not 2 <= n_sites <= len(centers):
+        raise ValueError(
+            f"n_sites must be in [2, {len(centers)}], got {n_sites!r}"
+        )
+    sites = centers[:n_sites]
     terrain = us_terrain()
     los = LosConfig(
         radio=RadioProfile(max_range_km=max_range_km),

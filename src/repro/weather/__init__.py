@@ -22,7 +22,6 @@ from .evaluation import (
     YearlyWeatherEvaluator,
     link_hop_arrays,
     link_hop_segments,
-    resolve_evaluator,
     sample_interval_days,
     strided_interval_days,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "YearlyStretchResult",
     "YearlyWeatherEvaluator",
     "link_hop_arrays",
-    "resolve_evaluator",
     "sample_interval_days",
     "strided_interval_days",
     "distances_with_failures",

@@ -26,15 +26,7 @@ import numpy as np
 from ..core.topology import Topology
 from ..links.builder import LinkCatalog
 from ..towers.registry import TowerRegistry
-from .evaluation import (
-    YearlyWeatherEvaluator,
-    resolve_evaluator,
-    strided_interval_days,
-)
-
-# The keyword argument ``sample_interval_days`` (the stride) shadows the
-# sampler of the same name inside the functions below.
-from .evaluation import sample_interval_days as _random_interval_days
+from .evaluation import YearlyWeatherEvaluator, select_days
 from .precipitation import PrecipitationYear
 
 
@@ -87,8 +79,7 @@ def graded_yearly_comparison(
     hard_margin_db: float = 40.0,
     binary_margin_db: float = 30.0,
     seed: int = 7,
-    frequency_ghz: float | None = None,
-    evaluator: YearlyWeatherEvaluator | None = None,
+    frequency_ghz: float = 11.0,
     sample_interval_days: int | None = None,
 ) -> GradedComparison:
     """Run the paper's binary model and the graded refinement side by side.
@@ -96,20 +87,15 @@ def graded_yearly_comparison(
     The graded model only drops links above the (higher) hard margin, so
     its latency statistics are no worse than the binary model's; the
     cost is surfaced as the mean capacity-loss fraction.  Both passes
-    consume one day sample and one carrier frequency
-    (``None`` = 11 GHz) through the shared evaluator — they can never
-    desynchronize.  An injected ``evaluator``'s pinned context wins;
-    contradicting ``precipitation``/``frequency_ghz`` raise.  A set
+    consume one day sample and one carrier frequency through one
+    evaluator — they can never desynchronize.  A set
     ``sample_interval_days`` stride replaces the random day sample with
     the deterministic every-Nth-day grid (``n_intervals``/``seed``
     ignored).
     """
-    if sample_interval_days is not None:
-        days = strided_interval_days(sample_interval_days)
-    else:
-        days = _random_interval_days(seed, n_intervals)
-    evaluator = resolve_evaluator(
-        topology, catalog, registry, precipitation, frequency_ghz, evaluator
+    days = select_days(n_intervals, seed, sample_interval_days)
+    evaluator = YearlyWeatherEvaluator(
+        topology, catalog, registry, precipitation, frequency_ghz
     )
     binary = evaluator.binary_year(days, fade_margin_db=binary_margin_db)
     per_interval, capacity_loss = evaluator.graded_year(
@@ -135,8 +121,6 @@ def weather_stage_records(
     graded: bool = False,
     frequency_ghz: float = 11.0,
     sample_interval_days: int | None = None,
-    delta_k: int = 2,
-    cache_mb: float = 256.0,
 ) -> list[dict]:
     """The yearly weather analysis as tidy records (the weather stage).
 
@@ -155,18 +139,9 @@ def weather_stage_records(
     A final ``series="solver"`` row reports the failure-set solver's
     route counters (full / delta / memo) and cache occupancy.
     """
-    if sample_interval_days is not None:
-        days = strided_interval_days(sample_interval_days)
-    else:
-        days = _random_interval_days(seed, n_intervals)
+    days = select_days(n_intervals, seed, sample_interval_days)
     evaluator = YearlyWeatherEvaluator(
-        topology,
-        catalog,
-        registry,
-        precipitation=precipitation,
-        frequency_ghz=frequency_ghz,
-        delta_k=delta_k,
-        cache_mb=cache_mb,
+        topology, catalog, registry, precipitation, frequency_ghz
     )
     binary = evaluator.binary_year(days, fade_margin_db=fade_margin_db)
     rows = [
@@ -200,7 +175,7 @@ def weather_stage_records(
             "stage": "weather",
             "series": "solver",
             "intervals": int(days.size),
-            **evaluator.solver_stats(),
+            **evaluator.solver.stats(),
         }
     )
     return rows

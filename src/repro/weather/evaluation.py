@@ -33,15 +33,18 @@ Four properties make the sampled-year loop scale:
   Storm tracks — where one or two links flap between consecutive days —
   ride the delta route, which is what makes daily-resolution
   (365-interval) years affordable at continental scale.  Cached
-  matrices and stretch rows live under an LRU byte budget
-  (``cache_mb``), so long runs cannot exhaust memory.
+  matrices and stretch rows live under an LRU byte budget, so long
+  runs cannot exhaust memory.
 
-With ``delta_k=0`` the evaluator reproduces the per-interval re-solve
-bit-identically (``tests/test_weather.py`` pins the binary year to it
-and the graded year to the scalar per-hop rule); the delta route is
-gated to <= 1e-9 against it by ``benchmarks/bench_storm_track.py``.
-Route selection is deterministic, so two identically configured
-evaluators fed the same query sequence return bitwise-identical arrays.
+The analyses and the weather stage build the default evaluator
+(``delta_k=2``, 256 MiB).  An evaluator built with ``delta_k=0``
+reproduces the per-interval re-solve bit-identically
+(``tests/test_weather.py`` pins the binary year to it and the graded
+year to the scalar per-hop rule); the delta route is checked to <= 1e-9
+against it by ``tests/test_weather.py`` and
+``benchmarks/bench_storm_track.py``.  Route selection is deterministic,
+so two identically configured evaluators fed the same query sequence
+return bitwise-identical arrays.
 """
 
 from __future__ import annotations
@@ -105,6 +108,19 @@ def strided_interval_days(sample_interval_days: int) -> np.ndarray:
             f"sample_interval_days must be in [1, {DAYS_PER_YEAR}], got {step}"
         )
     return np.arange(1, DAYS_PER_YEAR + 1, step, dtype=int)
+
+
+def select_days(n_intervals: int, seed: int, stride: int | None) -> np.ndarray:
+    """The days a yearly analysis evaluates.
+
+    The every-``stride``-th-day grid of :func:`strided_interval_days`
+    when ``stride`` is set (``n_intervals`` and ``seed`` are then
+    ignored), else ``n_intervals`` random days from
+    :func:`sample_interval_days`.
+    """
+    if stride is not None:
+        return strided_interval_days(stride)
+    return sample_interval_days(seed, n_intervals)
 
 
 @dataclass(frozen=True)
@@ -201,48 +217,6 @@ def link_hop_arrays(
     )
 
 
-def resolve_evaluator(
-    topology: Topology,
-    catalog: LinkCatalog,
-    registry: TowerRegistry,
-    precipitation: PrecipitationYear | None,
-    frequency_ghz: float | None,
-    evaluator: "YearlyWeatherEvaluator | None",
-) -> "YearlyWeatherEvaluator":
-    """Build — or validate — the evaluator behind an analysis call.
-
-    Without ``evaluator``, a fresh one is built (``frequency_ghz``
-    defaults to 11 GHz).  With one, its pinned context wins, and any
-    explicitly passed ``precipitation``/``frequency_ghz``/``topology``
-    that *contradicts* it is rejected instead of silently ignored —
-    otherwise results would be attributed to physics that never ran.
-    """
-    if evaluator is None:
-        return YearlyWeatherEvaluator(
-            topology,
-            catalog,
-            registry,
-            precipitation=precipitation,
-            frequency_ghz=11.0 if frequency_ghz is None else frequency_ghz,
-        )
-    if evaluator.topology is not topology:
-        raise ValueError("evaluator is pinned to a different topology")
-    if precipitation is not None and precipitation is not evaluator.precipitation:
-        raise ValueError(
-            "evaluator is pinned to a different precipitation year; "
-            "pass one or the other, not both"
-        )
-    if (
-        frequency_ghz is not None
-        and float(frequency_ghz) != evaluator.frequency_ghz
-    ):
-        raise ValueError(
-            f"evaluator is pinned to {evaluator.frequency_ghz} GHz, "
-            f"got frequency_ghz={frequency_ghz}"
-        )
-    return evaluator
-
-
 class YearlyWeatherEvaluator:
     """Vectorized, memoized engine behind every yearly weather analysis.
 
@@ -257,11 +231,8 @@ class YearlyWeatherEvaluator:
         delta_k: the failure-set solver's neighbor radius — a query
             within ``delta_k`` links (symmetric difference) of a
             previously solved set is derived compositionally instead of
-            fully solved.  ``0`` reproduces the PR 5 memo-only path
-            bit-identically.
-        restore_k: the solver's wider budget for cached *supersets* of
-            a query (restoration-only deltas); also sizes the padded
-            union solves.  See :class:`~repro.graph.FailureSetSolver`.
+            fully solved.  ``0`` reproduces the memo-only path (one
+            full solve per distinct set) bit-identically.
         cache_mb: LRU byte budget (MiB), applied separately to the
             solver's distance matrices and the per-set stretch rows.
     """
@@ -274,7 +245,6 @@ class YearlyWeatherEvaluator:
         precipitation: PrecipitationYear | None = None,
         frequency_ghz: float = 11.0,
         delta_k: int = 2,
-        restore_k: int = 12,
         cache_mb: float = 256.0,
     ) -> None:
         if cache_mb <= 0:
@@ -283,7 +253,6 @@ class YearlyWeatherEvaluator:
         self.precipitation = precipitation or PrecipitationYear()
         self.frequency_ghz = float(frequency_ghz)
         self.delta_k = int(delta_k)
-        self.restore_k = int(restore_k)
         self.cache_mb = float(cache_mb)
         self.hops = link_hop_arrays(topology, catalog, registry)
         design = topology.design
@@ -314,45 +283,10 @@ class YearlyWeatherEvaluator:
                 self.topology.graph_view(),
                 fail_weight=lambda a, b: float(fiber[a, b]),
                 delta_k=self.delta_k,
-                restore_k=self.restore_k,
                 cache_bytes=self.cache_mb * 2**20,
                 base_distances=self.topology.effective_distance_matrix(),
             )
         return self._solver
-
-    @property
-    def solve_count(self) -> int:
-        """Queries that required computation (full + delta routes).
-
-        Union solves — supersets computed to serve a query — piggyback
-        on their query's fallback and are not separate queries, so they
-        are not double-counted here.
-        """
-        solver = self._solver
-        if solver is None:
-            return 0
-        return (
-            solver.full_solves + solver.delta_solves - solver.union_solves
-        )
-
-    @property
-    def cache_hits(self) -> int:
-        """Failure-set lookups served from the memo."""
-        return 0 if self._solver is None else self._solver.memo_hits
-
-    def solver_stats(self) -> dict:
-        """The solver's route counters (zeros before the first query)."""
-        if self._solver is None:
-            return {
-                "full_solves": 0,
-                "delta_solves": 0,
-                "memo_hits": 0,
-                "union_solves": 0,
-                "cached_sets": 0,
-                "cache_bytes": 0,
-                "evictions": 0,
-            }
-        return self._solver.stats()
 
     # -- per-day rain over all hops ------------------------------------
 
@@ -413,14 +347,6 @@ class YearlyWeatherEvaluator:
             return frozenset()
         failed = np.unique(self.hops.link_index[mask])
         return frozenset(self.hops.links[i] for i in failed)
-
-    def failed_links_for_day(
-        self, rain_row: np.ndarray, fade_margin_db: float
-    ) -> frozenset:
-        """Links with a hop over the margin: one vectorized comparison."""
-        return self._links_from_hop_mask(
-            self.critical_rain(fade_margin_db).failed(rain_row)
-        )
 
     # -- memoized solves ------------------------------------------------
 

@@ -24,19 +24,7 @@ from ..core.topology import Topology
 from ..links.builder import LinkCatalog
 from ..towers.registry import TowerRegistry
 from .attenuation import path_attenuation_db
-from ..graph import FailureSetSolver
-from .evaluation import (  # noqa: F401  (re-exported: the public home moved)
-    YearlyStretchResult,
-    YearlyWeatherEvaluator,
-    link_hop_segments,
-    resolve_evaluator,
-    sample_interval_days,
-    strided_interval_days,
-)
-
-# The keyword argument ``sample_interval_days`` (the stride) shadows the
-# sampler of the same name inside the analysis functions below.
-from .evaluation import sample_interval_days as _random_interval_days
+from .evaluation import YearlyStretchResult, YearlyWeatherEvaluator, select_days
 from .precipitation import PrecipitationYear
 
 
@@ -71,26 +59,17 @@ def failed_links(
 
 
 def distances_with_failures(
-    topology: Topology,
-    failed: set[tuple[int, int]],
-    solver: FailureSetSolver | None = None,
+    topology: Topology, failed: set[tuple[int, int]]
 ) -> np.ndarray:
     """Effective distance matrix with the failed links removed.
 
     Each failed MW link reverts to the always-available direct fiber.
-    With a ``solver`` — a :class:`~repro.graph.FailureSetSolver` built
-    over this topology's view (e.g.
-    :attr:`~repro.weather.evaluation.YearlyWeatherEvaluator.solver`) —
-    the query routes through its memo / delta / full-solve selection,
-    sharing work with every other set the solver has seen.  Without
-    one, this is the single-shot reference path: a fresh
+    This is the single-shot reference path: a fresh
     :class:`~repro.graph.GraphView`, one :meth:`set_edge` per failed
     link, one exact full solve — the path the evaluator is gated
     against.  With no failures the topology's memoized distances are
     reused as-is.  The returned array is read-only.
     """
-    if solver is not None:
-        return solver.distances_for(frozenset(failed))
     design = topology.design
     if not failed:
         return topology.effective_distance_matrix()
@@ -109,8 +88,7 @@ def yearly_stretch_analysis(
     n_intervals: int = 365,
     fade_margin_db: float = 30.0,
     seed: int = 7,
-    frequency_ghz: float | None = None,
-    evaluator: YearlyWeatherEvaluator | None = None,
+    frequency_ghz: float = 11.0,
     sample_interval_days: int | None = None,
 ) -> YearlyStretchResult:
     """Reproduce Fig 7: stretch across all pairs over a sampled year.
@@ -121,25 +99,15 @@ def yearly_stretch_analysis(
     :func:`sample_interval_days`.
 
     Args:
-        frequency_ghz: MW carrier frequency for the rain-fade physics
-            (``None`` means the default 11 GHz, or — with an injected
-            ``evaluator`` — its pinned frequency).
-        evaluator: an existing
-            :class:`~repro.weather.evaluation.YearlyWeatherEvaluator`
-            to reuse (its storm fields and failure-set solver are
-            shared across calls).  Its pinned context wins; passing a
-            contradicting ``precipitation``/``frequency_ghz`` raises.
+        frequency_ghz: MW carrier frequency for the rain-fade physics.
         sample_interval_days: when set, replace the random day sample
             with the deterministic every-Nth-day grid of
             :func:`strided_interval_days` (``1`` = the full
             daily-resolution year); ``n_intervals`` and ``seed`` are
             then ignored.
     """
-    if sample_interval_days is not None:
-        days = strided_interval_days(sample_interval_days)
-    else:
-        days = _random_interval_days(seed, n_intervals)
-    evaluator = resolve_evaluator(
-        topology, catalog, registry, precipitation, frequency_ghz, evaluator
+    days = select_days(n_intervals, seed, sample_interval_days)
+    evaluator = YearlyWeatherEvaluator(
+        topology, catalog, registry, precipitation, frequency_ghz
     )
     return evaluator.binary_year(days, fade_margin_db=fade_margin_db)

@@ -97,11 +97,9 @@ class TestSpec:
             ("n_intervals", [2.5, True, 0]),
             ("seed", [1.5, "7", False]),
             ("sample_interval_days", [1.0, True, 0, 366]),
-            ("delta_k", [2.0, True, -1]),
+            ("frequency_ghz", [float("nan"), float("-inf"), 0.0, "11"]),
             ("graded", ["false", 1, None]),
             ("fade_margin_db", [float("nan"), float("inf"), 0, -3.0, "30", True]),
-            ("frequency_ghz", [float("nan"), float("-inf"), 0.0, "11"]),
-            ("cache_mb", [float("nan"), float("inf"), -1.0, False]),
         ],
     )
     def test_weather_spec_rejects_malformed_field(self, field, bad):
@@ -109,6 +107,15 @@ class TestSpec:
         for value in bad:
             with pytest.raises(ValueError, match=f"weather.{field} must be"):
                 ExperimentSpec.from_dict({"weather": {field: value}})
+
+    @pytest.mark.parametrize("field", ["delta_k", "cache_mb"])
+    def test_deleted_weather_knobs_rejected_as_unknown(self, field):
+        """The solver knobs are no spec fields: setting one fails at
+        parse time, and the message names it."""
+        with pytest.raises(
+            ValueError, match=rf"^unknown weather spec field\(s\): {field} "
+        ):
+            ExperimentSpec.from_dict({"weather": {field: 2}})
 
     @pytest.mark.parametrize(
         "path, bad",
@@ -128,6 +135,7 @@ class TestSpec:
             ("apps.capacity_gbps", [float("nan"), 0, -5.0, "100"]),
             ("apps.min_value_per_gb", [float("nan"), float("inf"), -1.0, "1"]),
             ("econ.cost_per_gb", [-1, 0, float("nan"), float("inf"), "0.81"]),
+            ("design.aggregate_gbps", [float("nan"), float("inf"), 0, -5.0, "100"]),
         ],
     )
     def test_spec_rejects_malformed_field(self, path, bad):
@@ -139,7 +147,7 @@ class TestSpec:
 
     def test_weather_spec_accepts_ints_for_float_fields(self):
         spec = ExperimentSpec.from_dict(
-            {"weather": {"fade_margin_db": 25, "frequency_ghz": 18, "cache_mb": 64}}
+            {"weather": {"fade_margin_db": 25, "frequency_ghz": 18}}
         )
         assert spec.weather.fade_margin_db == 25
 

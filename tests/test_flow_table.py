@@ -614,14 +614,6 @@ class TestExperimentIntegration:
             assert row["loss_rate"] == res.loss_rate
             assert row["max_link_utilization"] == res.max_link_utilization
 
-    def test_profile_rows_carry_timings(self, designed):
-        rows = run_load_curve(
-            designed, 50.0, (0.5,), engine="fluid", profile=True
-        )
-        assert {"setup_s", "fill_s", "freeze_s"} <= set(rows[0])
-        default_rows = run_load_curve(designed, 50.0, (0.5,), engine="fluid")
-        assert "setup_s" not in default_rows[0]
-
     def test_network_built_once_per_fluid_curve(self, designed, monkeypatch):
         builds = []
         real = FluidNetwork.from_specs.__func__
@@ -640,16 +632,17 @@ class TestExperimentIntegration:
                        duration_s=0.02)
         assert len(builds) == 1
 
-    def test_fluid_result_timings_surface(self, designed):
-        res = run_udp_experiment(designed, 50.0, 0.5, engine="fluid")
-        assert set(res.timings_s) == {"setup_s", "fill_s", "freeze_s"}
-        assert all(v >= 0.0 for v in res.timings_s.values())
-
 
 class TestSpecKnobs:
     def test_defaults(self):
-        spec = NetsimSpec()
-        assert spec.profile is False
+        # The defaults carry no timing knob: a spec that still sets the
+        # deleted ``profile`` field fails at parse time, by name.
+        with pytest.raises(
+            ValueError, match="unknown netsim spec field\\(s\\): profile"
+        ):
+            ExperimentSpec.from_dict(
+                {"netsim": {"engine": "fluid", "profile": True}}
+            )
 
     def test_unknown_workload_rejected(self):
         # Specs written for the removed knob fail loudly, never silently.
@@ -660,12 +653,8 @@ class TestSpecKnobs:
                 {"netsim": {"engine": "fluid", "workload": "table"}}
             )
 
-    def test_profile_must_be_bool(self):
-        with pytest.raises(ValueError, match="boolean"):
-            NetsimSpec(profile="yes")
-
     def test_round_trips_canonical_form(self):
-        spec = ExperimentSpec(netsim=NetsimSpec(engine="fluid", profile=True))
+        spec = ExperimentSpec(netsim=NetsimSpec(engine="fluid", transport="tcp"))
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert again == spec
 

@@ -101,3 +101,37 @@ class TestScenarioCaching:
         a = us_scenario(n_sites=20)
         b = us_scenario(n_sites=20)
         assert a is b
+
+
+class TestSiteCountBound:
+    """A site count beyond the US city list fails loudly, by name: it
+    was silently truncated, so two counts built one substrate twice."""
+
+    def test_spec_rejects_more_sites_than_cities(self):
+        from repro.exp import ScenarioSpec
+
+        for name in ("us", "city_dc"):
+            ScenarioSpec(name=name, sites=120)
+            with pytest.raises(
+                ValueError,
+                match=r"^scenario\.sites must be an integer in \[2, 120\], got 121$",
+            ):
+                ScenarioSpec(name=name, sites=121)
+
+    def test_dispatcher_rejects_more_sites_than_cities(self):
+        from repro.scenarios import get_scenario
+
+        with pytest.raises(ValueError, match=r"^scenario\.sites must be"):
+            get_scenario("us", sites=121)
+
+    def test_builders_name_their_own_parameter(self):
+        from repro.scenarios import city_dc_scenario
+
+        with pytest.raises(
+            ValueError, match=r"^n_sites must be in \[2, 120\], got 121$"
+        ):
+            us_scenario(n_sites=121)
+        with pytest.raises(
+            ValueError, match=r"^n_cities must be in \[2, 120\], got 150$"
+        ):
+            city_dc_scenario(n_cities=150)

@@ -483,11 +483,14 @@ class TestWeatherEvaluator:
         evaluator = YearlyWeatherEvaluator(topology, sc.catalog, sc.registry)
         days = sample_interval_days(3, 50)
         first = evaluator.binary_year(days)
-        solves = evaluator.solve_count
+        stats = evaluator.solver.stats()
+        # Queries that required computation; a union solve rides on its
+        # query's fallback and is not a query of its own.
+        solves = stats["full_solves"] + stats["delta_solves"] - stats["union_solves"]
         assert solves <= (first.links_failed_per_interval > 0).sum()
         # A repeated pass re-serves every interval from the cache ...
         second = evaluator.binary_year(days)
-        assert evaluator.solve_count == solves
+        assert evaluator.solver.stats() == stats
         # ... with bit-identical distance matrices (the same arrays).
         assert np.array_equal(first.p99, second.p99)
         assert np.array_equal(first.worst, second.worst)
@@ -555,37 +558,6 @@ class TestWeatherEvaluator:
             n_intervals=40, seed=3, frequency_ghz=15.0,
         ).links_failed_per_interval.sum()
         assert high_fail >= low_fail
-
-    def test_injected_evaluator_conflicts_rejected(
-        self, small_us_scenario, topology
-    ):
-        from repro.weather import (
-            YearlyWeatherEvaluator,
-            yearly_stretch_analysis,
-        )
-
-        sc = small_us_scenario
-        ev = YearlyWeatherEvaluator(
-            topology, sc.catalog, sc.registry, frequency_ghz=15.0
-        )
-        # The pinned context wins when the caller stays silent ...
-        result = yearly_stretch_analysis(
-            topology, sc.catalog, sc.registry,
-            n_intervals=5, seed=2, evaluator=ev,
-        )
-        assert result.links_failed_per_interval.shape == (5,)
-        # ... and contradicting it is an error, not a silent override.
-        with pytest.raises(ValueError, match="pinned to 15.0 GHz"):
-            yearly_stretch_analysis(
-                topology, sc.catalog, sc.registry,
-                n_intervals=5, seed=2, frequency_ghz=11.0, evaluator=ev,
-            )
-        with pytest.raises(ValueError, match="precipitation"):
-            graded_yearly_comparison(
-                topology, sc.catalog, sc.registry,
-                precipitation=PrecipitationYear(seed=99),
-                n_intervals=5, seed=2, evaluator=ev,
-            )
 
 
 class TestDailyResolution:
@@ -656,24 +628,25 @@ class TestDailyResolution:
     def test_memo_only_and_delta_stage_records_agree(
         self, small_us_scenario, topology
     ):
-        from repro.weather import weather_stage_records
+        """The stage's default (delta) evaluator agrees with the
+        memo-only one to 1e-9 on every per-pair series of the year."""
+        from repro.weather import YearlyWeatherEvaluator, strided_interval_days
 
         sc = small_us_scenario
-        delta = weather_stage_records(
-            topology, sc.catalog, sc.registry, sample_interval_days=7
+        days = strided_interval_days(7)
+        delta = YearlyWeatherEvaluator(
+            topology, sc.catalog, sc.registry, delta_k=2
         )
-        memo = weather_stage_records(
-            topology, sc.catalog, sc.registry,
-            sample_interval_days=7, delta_k=0,
+        memo = YearlyWeatherEvaluator(
+            topology, sc.catalog, sc.registry, delta_k=0
         )
-        for row_d, row_m in zip(delta[:-1], memo[:-1]):
-            assert row_d["series"] == row_m["series"]
+        got = delta.binary_year(days)
+        want = memo.binary_year(days)
+        for series in ("best", "p99", "worst", "fiber"):
             np.testing.assert_allclose(
-                [row_d["median"], row_d["p95"]],
-                [row_m["median"], row_m["p95"]],
-                rtol=1e-9,
+                getattr(got, series), getattr(want, series), rtol=1e-9
             )
-        assert memo[-1]["delta_solves"] == 0
+        assert memo.solver.stats()["delta_solves"] == 0
 
 
 class TestSharedStormRows:

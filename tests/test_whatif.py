@@ -12,6 +12,7 @@ from repro.graph import (
     GraphKernel,
     GraphView,
 )
+from repro.graph import whatif
 
 from test_graph_kernel import random_weights
 
@@ -202,12 +203,13 @@ class TestRouteSelection:
         with pytest.raises(RuntimeError, match="mutated"):
             solver.distances_for(frozenset())
 
-    def test_max_chain_forces_periodic_full_solves(self):
+    def test_max_chain_forces_periodic_full_solves(self, monkeypatch):
         # Sparse base: every removal restart is in budget, so the walk
-        # rides delta chains until max_chain alone forces the resets.
+        # rides delta chains until MAX_CHAIN alone forces the resets.
+        monkeypatch.setattr(whatif, "MAX_CHAIN", 4)
         w = random_weights(30, 0.12, 7)
         links = present_links(w)
-        solver = FailureSetSolver(GraphView(w), delta_k=2, max_chain=4)
+        solver = FailureSetSolver(GraphView(w), delta_k=2)
         # A long walk of fresh single-link additions builds delta
         # chains; once every reachable neighbor sits at the depth cap,
         # the walk must reset with a full solve.
