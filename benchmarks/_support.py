@@ -1,9 +1,18 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper and writes
-its rows/series to ``benchmarks/results/<experiment>.txt`` (and stdout),
-so the paper-vs-measured comparison in EXPERIMENTS.md can be refreshed
-by re-running ``pytest benchmarks/ --benchmark-only``.
+Every figure benchmark regenerates one table or figure of the paper and
+writes its rows/series to ``benchmarks/results/<experiment>.txt`` (and
+stdout).  No pytest configuration maps the ``bench_*`` files, so run
+them from ``benchmarks/`` with the patterns given explicitly::
+
+    PYTHONPATH=../src python -m pytest -o python_files='bench_fig*.py
+      bench_sec*.py bench_ablation_greedy.py bench_evolution_acquisition.py
+      bench_failure_reroute.py' -o python_functions='bench_*'
+
+(one shell line; the ``-o python_files`` value is one quoted string).
+The CI gates (``bench_hop_enumeration.py``, ``bench_flow_table.py``,
+``bench_storm_track.py``, ``bench_sweep_runner.py``,
+``bench_sweep_service.py``) are plain scripts: ``python bench_X.py``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""Setup shim for environments whose setuptools predates PEP 660.
-
-``pip install -e .`` on modern toolchains uses pyproject.toml directly;
-older offline environments fall back to this file.
+"""Package metadata for ``pip install -e .`` (the repository has no
+pyproject.toml); the tests and scripts also run without an install,
+with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup
