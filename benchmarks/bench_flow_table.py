@@ -2,10 +2,11 @@
 10^6 flows.
 
 The fluid solver takes one workload form, a struct-of-arrays
-``PathPool``/``FlowTable`` (collapsed into a ``CommodityTable``).  This
-benchmark times raw demand arrays to per-flow rates on a 10^6-flow
-continental workload (table build + problem setup + progressive fill)
-and gates the footprint: peak RSS after the build and solve stays under
+``PathPool``/``FlowTable`` whose pool rows become the solver's
+commodities.  This benchmark times raw demand arrays to per-flow rates
+on a 10^6-flow continental workload (table build + ``solve_fluid``:
+problem setup, progressive fill, latency and link-load accounting) and
+gates the footprint: peak RSS after the build and solve stays under
 2 GiB.  Each run appends its timing and peak RSS to the
 ``BENCH_netsim.json`` perf trajectory.
 """
@@ -15,7 +16,7 @@ import time
 
 import numpy as np
 
-from repro.netsim import FlowTable, PathPool, max_min_rates_table
+from repro.netsim import FlowTable, FluidNetwork, PathPool, solve_fluid
 
 from _support import report, write_bench_json
 
@@ -90,7 +91,7 @@ def million_flow_table(src, dst, demands, home):
 def table_path_end_to_end(src, dst, demands, home, capacities):
     """Raw arrays -> rates, never materializing per-flow objects."""
     table = million_flow_table(src, dst, demands, home)
-    return max_min_rates_table(capacities, table)
+    return solve_fluid(FluidNetwork(capacities), table).rates_bps
 
 
 def run_footprint_gate(timing_rounds: int = 3):

@@ -270,24 +270,25 @@ class NetsimSpec:
     transport: str = "udp"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.loads, (tuple, list)):
+        if not isinstance(self.loads, (tuple, list)) or not self.loads:
             raise ValueError(
-                f"loads must be a list of load fractions (got {self.loads!r})"
+                "netsim.loads must be a list of load fractions in (0, 1.5], "
+                f"got {self.loads!r}"
             )
+        for load in self.loads:
+            # A bool or a numeric string would otherwise convert silently.
+            if (
+                isinstance(load, bool)
+                or not isinstance(load, numbers.Real)
+                or not 0 < load <= 1.5
+            ):
+                raise ValueError(
+                    "netsim.loads must be a list of load fractions in "
+                    f"(0, 1.5], got entry {load!r}"
+                )
         object.__setattr__(self, "loads", tuple(float(x) for x in self.loads))
-        if not self.loads:
-            raise ValueError("need at least one load fraction")
-        if any(not 0 < load <= 1.5 for load in self.loads):
-            raise ValueError("load fractions must be in (0, 1.5]")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (choose from {', '.join(ENGINES)})"
-            )
-        if self.demand_model not in DEMAND_MODELS:
-            raise ValueError(
-                f"unknown demand model {self.demand_model!r} "
-                f"(choose from {', '.join(DEMAND_MODELS)})"
-            )
+        _check_choice("netsim.engine", self.engine, ENGINES)
+        _check_choice("netsim.demand_model", self.demand_model, DEMAND_MODELS)
         _check_real("netsim.duration_s", self.duration_s, *_POSITIVE)
         _check_int("netsim.seed", self.seed, 0)
         _check_choice("netsim.capacity_mode", self.capacity_mode, CAPACITY_MODES)
@@ -300,11 +301,7 @@ class NetsimSpec:
         _check_int("netsim.demand_seed", self.demand_seed, 0)
         if self.users_millions is not None:
             _check_real("netsim.users_millions", self.users_millions, *_POSITIVE)
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r} "
-                f"(choose from {', '.join(TRANSPORTS)})"
-            )
+        _check_choice("netsim.transport", self.transport, TRANSPORTS)
         if self.transport == "tcp" and self.engine != "fluid":
             raise ValueError(
                 "transport='tcp' is a fluid-engine macro-model; "

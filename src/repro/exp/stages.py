@@ -230,16 +230,17 @@ def _rows_passthrough(spec: ExperimentSpec, artifact) -> list[dict]:
 def _weather_payload(spec: ExperimentSpec) -> dict:
     w = spec.weather
     assert w is not None
+    # A stride fixes the days on its own (``select_days`` then ignores
+    # ``n_intervals`` and ``seed``), so neither may split the key.
+    strided = w.sample_interval_days is not None
     return {
-        "n_intervals": int(w.n_intervals),
+        "n_intervals": None if strided else int(w.n_intervals),
         "fade_margin_db": float(w.fade_margin_db),
-        "seed": int(w.seed),
+        "seed": None if strided else int(w.seed),
         "graded": bool(w.graded),
         "frequency_ghz": float(w.frequency_ghz),
         "sample_interval_days": (
-            None
-            if w.sample_interval_days is None
-            else int(w.sample_interval_days)
+            int(w.sample_interval_days) if strided else None
         ),
     }
 

@@ -60,6 +60,7 @@ identically configured solvers return bitwise-identical results.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -101,8 +102,16 @@ class ByteBudgetLRU:
         budget_bytes: float | None = None,
         size_of: Callable | None = None,
     ) -> None:
-        if budget_bytes is not None and budget_bytes < 0:
-            raise ValueError("budget_bytes must be >= 0 (or None)")
+        # A positive test, so NaN (which fails every comparison) is
+        # rejected too rather than evicting all but the newest entry.
+        if budget_bytes is not None and not (
+            isinstance(budget_bytes, numbers.Real)
+            and not isinstance(budget_bytes, bool)
+            and budget_bytes >= 0
+        ):
+            raise ValueError(
+                f"budget_bytes must be None or a number >= 0, got {budget_bytes!r}"
+            )
         self._budget = None if budget_bytes is None else float(budget_bytes)
         self._size_of = size_of or (lambda value: int(value.nbytes))
         self._data: dict = {}

@@ -14,16 +14,8 @@ from .experiments import (
     build_edge_specs,
     run_udp_experiment,
 )
-from .fluid import (
-    FluidFlow,
-    FluidNetwork,
-    FluidResult,
-    aggregate_capacities,
-    max_min_rates,
-    max_min_rates_table,
-    solve_fluid,
-)
-from .flowtable import CommodityTable, FlowTable, PathPool
+from .fluid import FluidNetwork, FluidResult, aggregate_capacities, solve_fluid
+from .flowtable import FlowTable, PathPool
 from .tcpmodel import MATHIS_C, mathis_rate_bps, solve_fluid_tcp
 from .flows import DEFAULT_UDP_PACKET_BYTES, UdpFlow
 from .links import DEFAULT_QUEUE_PACKETS, Link
@@ -45,10 +37,8 @@ __all__ = [
     "ENGINES",
     "MATHIS_C",
     "TRANSPORTS",
-    "CommodityTable",
     "Event",
     "FlowTable",
-    "FluidFlow",
     "FluidNetwork",
     "FluidResult",
     "PathPool",
@@ -57,8 +47,6 @@ __all__ = [
     "hybrid_routing_graph",
     "kept_flow_table",
     "mathis_rate_bps",
-    "max_min_rates",
-    "max_min_rates_table",
     "solve_fluid",
     "solve_fluid_tcp",
     "FailureRerouteResult",

@@ -27,7 +27,7 @@ from ..geo.coords import SPEED_OF_LIGHT_KM_S
 from ..traffic.matrices import user_demand_matrix
 from .engine import Simulator
 from .fluid import FluidNetwork, solve_fluid
-from .flows import DEFAULT_UDP_PACKET_BYTES, UdpFlow
+from .flows import UdpFlow
 from .flowtable import FlowTable, PathPool
 from .monitor import FlowMonitor
 from .network import EdgeSpec, Network
@@ -392,15 +392,11 @@ def _run_point(
             path_id=setup.path_ids[positive],
             demand_bps=demands[positive],
             flow_ids=np.flatnonzero(positive).astype(np.int64),
-        ).to_commodities()
+        )
         if transport == "tcp":
-            result = solve_fluid_tcp(
-                setup.network, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES
-            )
+            result = solve_fluid_tcp(setup.network, flows)
         else:
-            result = solve_fluid(
-                setup.network, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES
-            )
+            result = solve_fluid(setup.network, flows)
         return UdpExperimentResult(
             input_rate_fraction=input_rate_fraction,
             mean_delay_ms=result.mean_latency_s() * 1000.0,

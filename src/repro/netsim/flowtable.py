@@ -1,11 +1,7 @@
-"""Array-native flow workloads: struct-of-arrays tables for the fluid engine.
+"""Array-native flow workloads: the fluid engine's one workload form.
 
-The fluid solver itself has been vectorized since the commodity-
-aggregate rewrite, but its *inputs* were still per-flow Python objects:
-a million :class:`~repro.netsim.fluid.FluidFlow` instances cost more to
-build and validate than the progressive fill costs to solve.  This
-module keeps the workload in numpy arrays from demand generation to the
-solver:
+The workload stays in numpy arrays from demand generation to the
+solver, with no per-flow Python objects:
 
 * :class:`PathPool` — a pool of node paths as one flat node-index array
   plus an ``indptr`` (CSR-style), with the node-id -> name mapping.
@@ -14,14 +10,13 @@ solver:
   whole-array operations.
 * :class:`FlowTable` — per-flow ``path_id`` / ``demand_bps`` /
   ``flow_ids`` columns over a pool.  Construction validates the whole
-  table vectorized (positive demand, unique flow ids, used paths >= 2
-  nodes and edge-simple) with the same error messages as ``FluidFlow``.
-  :meth:`FlowTable.from_flows` converts a ``FluidFlow`` list once.
-* :class:`CommodityTable` — flows collapsed by path *value* into
-  commodities in first-seen flow order: the solver's problem rows.
+  table vectorized (positive finite demand, unique flow ids, used paths
+  >= 2 nodes and edge-simple).  Flows that share a pool row share a
+  path: the solver makes each used row one commodity (see
+  :mod:`repro.netsim.fluid`).
 
-``solve_fluid`` / ``solve_fluid_tcp`` take these tables (see
-:mod:`repro.netsim.fluid`); they are the engine's only workload form.
+``solve_fluid`` / ``solve_fluid_tcp`` take a :class:`FlowTable` and
+nothing else.
 """
 
 from __future__ import annotations
@@ -193,8 +188,8 @@ class PathPool:
     def padded_rows(self, path_ids: np.ndarray) -> np.ndarray:
         """Selected paths as a dense (k, max_len) matrix, -1 padded.
 
-        The fixed-width form lets callers compare paths by *value*
-        without per-row Python objects.
+        The fixed-width form lets :meth:`edge_simple_mask` compare each
+        path's edges column-wise without per-row Python objects.
         """
         path_ids = _as_int64(path_ids, "path_ids")
         starts = self.indptr[path_ids]
@@ -253,7 +248,12 @@ def _check_unique_ids(flow_ids: np.ndarray) -> None:
 def _check_used_paths(
     pool: PathPool, path_id: np.ndarray, flow_ids: np.ndarray
 ) -> None:
-    """Vectorized mirror of ``FluidFlow.__post_init__`` path checks."""
+    """Reject a used path outside the pool, shorter than two nodes, or
+    repeating a directed link (naming the first flow on it).
+
+    Allocation treats a path as a set of links, so a repeated link would
+    carry half the load the latency and utilization accounting charge it.
+    """
     if len(path_id) == 0:
         return
     if path_id.min() < 0 or path_id.max() >= pool.n_paths:
@@ -303,148 +303,12 @@ class FlowTable:
         _check_unique_ids(self.flow_ids)
         _check_used_paths(self.pool, self.path_id, self.flow_ids)
 
-    @classmethod
-    def from_flows(cls, flows) -> "FlowTable":
-        """A table from ``FluidFlow``-like objects (``flow_id``, ``path``,
-        ``offered_bps``), one pool row per distinct path value.
-
-        Pool rows appear in first-seen flow order, so the table's
-        commodities keep the order in which the flows first name a path.
-        """
-        row_of: dict[tuple[str, ...], int] = {}
-        path_id = [row_of.setdefault(f.path, len(row_of)) for f in flows]
-        return cls(
-            pool=PathPool.from_paths(row_of),
-            path_id=path_id,
-            demand_bps=[f.offered_bps for f in flows],
-            flow_ids=[f.flow_id for f in flows],
-        )
-
     @property
     def n_flows(self) -> int:
         return len(self.path_id)
 
-    @property
-    def src(self) -> np.ndarray:
-        """Source node id per flow."""
-        return self.pool.nodes[self.pool.indptr[self.path_id]]
-
-    @property
-    def dst(self) -> np.ndarray:
-        """Destination node id per flow."""
-        return self.pool.nodes[self.pool.indptr[self.path_id + 1] - 1]
-
-    def to_commodities(self) -> "CommodityTable":
-        """Collapse flows sharing a path *value* into commodities.
-
-        Commodity rows appear in first-seen flow order and two pool rows
-        with identical node sequences collapse into one commodity.
-        """
-        n = self.n_flows
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return CommodityTable(
-                pool=self.pool,
-                commodity_path=empty,
-                flow_commodity=empty,
-                demand_bps=self.demand_bps,
-                flow_ids=self.flow_ids,
-            )
-        used, inverse = _used_rows(self.path_id, self.pool.n_paths)
-        # Group used rows by value one column at a time: each step folds
-        # the next node into a dense group id, so codes stay below
-        # n_used * (n_names + 1) and 1-D uniques replace a row-wise one.
-        base = len(self.pool.node_names) + 1
-        group_of_used = np.zeros(len(used), dtype=np.int64)
-        for column in self.pool.padded_rows(used).T:
-            _, group_of_used = np.unique(
-                group_of_used * base + column + 1, return_inverse=True
-            )
-        group = group_of_used.reshape(-1)[inverse]
-        n_groups = int(group.max()) + 1
-        first = np.full(n_groups, n, dtype=np.int64)
-        np.minimum.at(first, group, np.arange(n, dtype=np.int64))
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(n_groups, dtype=np.int64)
-        rank[order] = np.arange(n_groups, dtype=np.int64)
-        return CommodityTable(
-            pool=self.pool,
-            commodity_path=self.path_id[first[order]],
-            flow_commodity=rank[group],
-            demand_bps=self.demand_bps,
-            flow_ids=self.flow_ids,
-        )
-
-
-@dataclass(frozen=True)
-class CommodityTable:
-    """Flows collapsed into path commodities, still in array form.
-
-    The direct input to the fluid solver: ``commodity_path``
-    holds one pool row per commodity in first-seen flow order, and each
-    flow points at its commodity.  Build one via
-    :meth:`FlowTable.to_commodities` (which also dedupes by path value).
-
-    Attributes:
-        pool: the shared path pool.
-        commodity_path: pool row per commodity.
-        flow_commodity: commodity index per flow.
-        demand_bps: offered rate per flow; must be positive.
-        flow_ids: caller-visible flow ids.
-    """
-
-    pool: PathPool
-    commodity_path: np.ndarray
-    flow_commodity: np.ndarray
-    demand_bps: np.ndarray
-    flow_ids: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "commodity_path", _as_int64(self.commodity_path, "commodity_path")
-        )
-        object.__setattr__(
-            self, "flow_commodity", _as_int64(self.flow_commodity, "flow_commodity")
-        )
-        object.__setattr__(
-            self, "demand_bps", _as_float(self.demand_bps, "demand_bps")
-        )
-        object.__setattr__(self, "flow_ids", _as_int64(self.flow_ids, "flow_ids"))
-        n = len(self.flow_commodity)
-        if len(self.demand_bps) != n or len(self.flow_ids) != n:
-            raise ValueError("flow columns must have equal length")
-        _check_demands(self.demand_bps)
-        if n and (
-            self.flow_commodity.min() < 0
-            or self.flow_commodity.max() >= len(self.commodity_path)
-        ):
-            raise ValueError("flow_commodity outside the commodity table")
-        _check_unique_ids(self.flow_ids)
-        _check_used_paths(
-            self.pool, self.commodity_path, self.first_flow_ids()
-        )
-
-    @property
-    def n_flows(self) -> int:
-        return len(self.flow_commodity)
-
-    @property
-    def n_commodities(self) -> int:
-        return len(self.commodity_path)
-
-    def first_flow_ids(self) -> np.ndarray:
-        """The id of the first flow of each commodity (for error text)."""
-        if self.n_flows == 0:
-            return np.empty(0, dtype=np.int64)
-        first = np.full(self.n_commodities, self.n_flows, dtype=np.int64)
-        np.minimum.at(
-            first, self.flow_commodity, np.arange(self.n_flows, dtype=np.int64)
-        )
-        first = np.minimum(first, self.n_flows - 1)  # unreferenced commodities
-        return self.flow_ids[first]
-
-    def with_demands(self, demand_bps: np.ndarray) -> "CommodityTable":
-        """The same commodity structure with new per-flow demands.
+    def with_demands(self, demand_bps: np.ndarray) -> "FlowTable":
+        """The same flows and paths with new per-flow demands.
 
         The TCP macro-model iterates offers against a fixed path set;
         this re-demand checks only the new demand column and shares
@@ -460,4 +324,4 @@ class CommodityTable:
         return table
 
 
-__all__ = ["PathPool", "FlowTable", "CommodityTable"]
+__all__ = ["PathPool", "FlowTable"]

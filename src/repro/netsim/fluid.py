@@ -1,4 +1,4 @@
-"""Fluid-approximation engine: max-min fair flow rates (fast path).
+"""Fluid-approximation engine: max-min fair flow rates.
 
 For sweeps where per-packet fidelity is unnecessary (Fig 11/13-scale
 load scans), solving the steady-state fluid allocation is orders of
@@ -8,49 +8,43 @@ fluids on their fixed paths; link bandwidth is shared max-min fairly
 ramp together until a link saturates or a flow hits its offered rate,
 the constrained flows freeze, and filling continues with the rest.
 
-Two implementations of the same allocation live here:
+:func:`solve_fluid` takes one network form, a :class:`FluidNetwork`,
+and one workload form, a :class:`~repro.netsim.flowtable.FlowTable`.
+Each pool row the table uses becomes one commodity, so flows sharing a
+row share one demand row of a scipy sparse path->link incidence, and
+every progressive-filling round is whole-array numpy work.  Because all
+unfrozen flows always sit at one *global* fill level, a flow's final
+rate is ``min(demand, theta_P)`` where ``theta_P`` is the fill level at
+which its path's first link saturated — so the solve only tracks
+per-commodity freeze levels plus a single globally demand-sorted flow
+array, and demand-limited flows freeze in bulk per round.  A round
+costs one matvec over the link-major incidence of the commodities still
+filling, plus work in proportion to what it changed (a recount after
+rounds that froze flows, the saturated links' incidence rows).  This is
+what makes million-flow workloads tractable (see
+``benchmarks/bench_flow_table.py``).
 
-* ``solve_fluid`` / ``max_min_rates_table`` — the commodity-aggregate
-  solver over a :class:`~repro.netsim.flowtable.FlowTable`: flows
-  sharing a path collapse into one demand row, path->link incidence is
-  a scipy sparse matrix, and every progressive-filling round is
-  whole-array numpy work.  Because all unfrozen flows always sit at one
-  *global* fill level, a flow's final rate is ``min(demand, theta_P)``
-  where ``theta_P`` is the fill level at which its path's first link
-  saturated — so the solve only tracks per-commodity freeze levels plus
-  a single globally demand-sorted flow array, and demand-limited flows
-  freeze in bulk per round.  A round costs one matvec over the
-  link-major incidence of the commodities still filling, plus work in
-  proportion to what it changed (a recount after rounds that froze
-  flows, the saturated links' incidence rows).  This is what makes
-  million-flow commodity aggregates tractable (see
-  ``benchmarks/bench_flow_table.py``).  A ``FluidFlow`` list is
-  accepted too; it converts to a table once, at the API edge, as an
-  edge-spec list converts to a :class:`FluidNetwork`.
-* ``max_min_rates`` — the scalar reference: explicit per-round Python
-  loops over a residual-capacity dict.  Exact and readable; O(rounds x
-  (flows + links)) interpreter work, so it is the oracle that tier-1
-  tests (``test_fluid_engine.py``, ``test_flow_table.py``,
-  ``test_netsim_kernel.py``) compare the solver against, not a scale
-  path.  ``tests/test_fluid_exactness.py`` keeps the earlier matvec
-  fill as a bitwise reference for this one.
+The tier-1 tests check the solver against a scalar progressive fill
+(``tests/fluid_reference.py``), and ``tests/test_fluid_exactness.py``
+keeps the earlier matvec fill as a bitwise reference for this one.
 
-The engine consumes the same :class:`~repro.netsim.network.EdgeSpec`
-capacities and node paths as the packet engine, so an experiment can
-switch between ``engine="packet"`` and ``engine="fluid"`` behind one
-API (see :func:`repro.netsim.experiments.run_udp_experiment`).
+The network is built from the same :class:`~repro.netsim.network.EdgeSpec`
+capacities as the packet engine's (:meth:`FluidNetwork.from_specs`), so
+an experiment can switch between ``engine="packet"`` and
+``engine="fluid"`` behind one API (see
+:func:`repro.netsim.experiments.run_udp_experiment`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from .flowtable import CommodityTable, FlowTable
+from .flows import DEFAULT_UDP_PACKET_BYTES
+from .flowtable import FlowTable, _used_rows
 from .network import EdgeSpec
 
 #: Rate slack treated as saturation (absolute, bits/second).
@@ -64,49 +58,6 @@ _EPS_REL = 1e-12
 #: Allocations may exceed capacity by at most this relative slack; more
 #: is a solver bug and fails loudly (never clamped away in reporting).
 CAPACITY_SLACK_REL = 1e-9
-
-
-@dataclass(frozen=True)
-class FluidFlow:
-    """One fluid demand.
-
-    Attributes:
-        flow_id: unique id.
-        path: node names from source to destination.  The path must be
-            edge-simple (no directed link twice): allocation treats a
-            path as a *set* of links, so a repeated edge would receive
-            half the load the latency/utilization accounting charges it.
-        offered_bps: the flow's offered (maximum) rate.
-    """
-
-    flow_id: int
-    path: tuple[str, ...]
-    offered_bps: float
-
-    def __post_init__(self) -> None:
-        if not self.offered_bps > 0:
-            raise ValueError("offered rate must be positive")
-        if not self.offered_bps < math.inf:
-            raise ValueError("offered rate must be finite")
-        if len(self.path) < 2:
-            raise ValueError("path needs at least two nodes")
-        if not _path_is_edge_simple(self.path):
-            raise ValueError(
-                f"flow {self.flow_id} path repeats a directed link; "
-                "fluid paths must be edge-simple"
-            )
-
-
-@lru_cache(maxsize=65536)
-def _path_is_edge_simple(path: tuple[str, ...]) -> bool:
-    """Whether a path repeats no directed link (cached by path value).
-
-    Workloads routinely hand the same path tuple to thousands of flows;
-    caching by value means the O(len) set-build runs once per distinct
-    path instead of once per flow.
-    """
-    edges = list(zip(path[:-1], path[1:]))
-    return len(set(edges)) == len(edges)
 
 
 @dataclass(frozen=True)
@@ -177,95 +128,6 @@ class FluidResult:
     def rates_by_flow(self) -> dict[int, float]:
         """The dict form of the rates (oracle checks, small workloads)."""
         return dict(zip(self.flow_ids.tolist(), self.rates_bps.tolist()))
-
-
-def _check_flows(
-    capacities_bps: dict[tuple[str, str], float],
-    flows: list[FluidFlow],
-) -> None:
-    # Flows sharing a path object share its validity; checking each
-    # distinct path once (by identity) keeps shared-path workloads from
-    # re-walking the same links per flow.
-    seen: set[int] = set()
-    for flow in flows:
-        path = flow.path
-        if id(path) in seen:
-            continue
-        seen.add(id(path))
-        for u, v in zip(path[:-1], path[1:]):
-            if (u, v) not in capacities_bps:
-                raise KeyError(f"flow {flow.flow_id} uses unknown link {u}->{v}")
-
-
-def max_min_rates(
-    capacities_bps: dict[tuple[str, str], float],
-    flows: list[FluidFlow],
-) -> dict[int, float]:
-    """Max-min fair rates via progressive filling (scalar reference).
-
-    Args:
-        capacities_bps: directed link capacities keyed by (u, v).
-        flows: the demands; a flow freezes early when its allocation
-            reaches ``offered_bps`` (demand-limited flows don't hog
-            their bottleneck share).
-
-    Each round freezes at least one flow (bottlenecked or satisfied),
-    so the loop runs at most ``len(flows)`` times over the link set.
-    Bottleneck detection is two-pass: the first pass finds the minimum
-    fair share over all loaded links, the realized step is the minimum
-    of that and the demand step, and only then are links within epsilon
-    of the realized step collected as bottlenecks — a link whose share
-    falls just *below* the demand step can never be filled past its
-    residual (the historical epsilon-asymmetric bug).
-    """
-    _check_flows(capacities_bps, flows)
-
-    alloc = {flow.flow_id: 0.0 for flow in flows}
-    remaining = {flow.flow_id: flow.offered_bps for flow in flows}
-    residual = dict(capacities_bps)
-    on_link: dict[tuple[str, str], set[int]] = {}
-    for flow in flows:
-        for u, v in zip(flow.path[:-1], flow.path[1:]):
-            on_link.setdefault((u, v), set()).add(flow.flow_id)
-    active = set(alloc)
-
-    while active:
-        # The largest uniform increment every active flow can take.
-        demand_step = min(remaining[fid] for fid in active)
-        # Pass 1: the minimum fair share over all loaded links.
-        min_share = float("inf")
-        for link, users in on_link.items():
-            if not users:
-                continue
-            share = residual[link] / len(users)
-            if share < min_share:
-                min_share = share
-        step = max(min(demand_step, min_share), 0.0)
-        # Pass 2: every link within epsilon of the realized step is a
-        # bottleneck (epsilon-symmetric: the step itself never exceeds
-        # any link's share, so no residual is driven below zero).
-        bottlenecks = [
-            link
-            for link, users in on_link.items()
-            if users and residual[link] / len(users) <= step + _EPS_BPS
-        ]
-        for fid in active:
-            alloc[fid] += step
-            remaining[fid] -= step
-        for link, users in on_link.items():
-            if users:
-                residual[link] -= step * len(users)
-
-        frozen = {fid for fid in active if remaining[fid] <= _EPS_BPS}
-        for link in bottlenecks:
-            frozen |= on_link[link]
-        if not frozen:  # numerical safety: freeze everything and stop
-            frozen = set(active)
-        for fid in frozen:
-            for link, users in on_link.items():
-                users.discard(fid)
-        active -= frozen
-    return alloc
 
 
 class FluidNetwork:
@@ -342,47 +204,58 @@ class FluidNetwork:
         return self._link_of[ids[u], ids[v]]
 
 
-def _as_network(network: FluidNetwork | list[EdgeSpec]) -> FluidNetwork:
-    """An edge-spec list as a :class:`FluidNetwork`, built at the API edge."""
-    if isinstance(network, FluidNetwork):
-        return network
-    return FluidNetwork.from_specs(network)
-
-
 class _CommodityProblem:
-    """Flows collapsed into path commodities over a network's links.
+    """A flow table's pool rows as commodities over a network's links.
 
-    Built once per solve from a :class:`CommodityTable`: each commodity
-    becomes one run of incidence entries (its flows' demands stay
-    individually visible to the filling loop via one globally
-    demand-sorted array).  ``links[indptr[c]:indptr[c + 1]]`` are
-    commodity ``c``'s links in traversal order, and ``link_incidence``
-    is the same membership link-major: a CSR matrix (n_links,
-    n_commodities) listing each link's commodities in ascending order.
+    Built once per solve from a :class:`FlowTable`: each pool row the
+    table uses becomes one commodity, numbered in first-seen flow order
+    (``commodity_path[c]`` is commodity ``c``'s row, ``flow_commodity``
+    maps each flow to its commodity), and becomes one run of incidence
+    entries (its flows' demands stay individually visible to the
+    filling loop via one globally demand-sorted array).
+    ``links[indptr[c]:indptr[c + 1]]`` are commodity ``c``'s links in
+    traversal order, and ``link_incidence`` is the same membership
+    link-major: a CSR matrix (n_links, n_commodities) listing each
+    link's commodities in ascending order.
 
-    Construction is all-array: path edges come from the pool in one
-    gather, the link lookup is one gather from the network's table, and
-    the link-major form is one stable sort of the entries.
+    Construction is all-array: the commodities come from an O(n) rank
+    of the used rows, path edges from the pool in one gather, the link
+    lookup is one gather from the network's table, and the link-major
+    form is one stable sort of the entries.
     """
 
-    def __init__(self, network: FluidNetwork, table: CommodityTable) -> None:
+    def __init__(self, network: FluidNetwork, table: FlowTable) -> None:
         self.capacities = network.capacities
         pool = table.pool
-        edge_u, edge_v, edge_indptr = pool.gather_edges(table.commodity_path)
+        n_flows = table.n_flows
+        # The used rows ranked by row id, renumbered by each row's first
+        # flow: commodities follow first-seen flow order.  The fill sums
+        # floats in commodity order, so the order is part of the pinned
+        # results (row-id order moves a shuffled table's rates in the
+        # last bits).
+        used, row_rank = _used_rows(table.path_id, pool.n_paths)
+        first_flow = np.full(len(used), n_flows, dtype=np.int64)
+        np.minimum.at(first_flow, row_rank, np.arange(n_flows, dtype=np.int64))
+        order = np.argsort(first_flow, kind="stable")
+        commodity_of_rank = np.empty(len(used), dtype=np.int64)
+        commodity_of_rank[order] = np.arange(len(used), dtype=np.int64)
+        first_flow = first_flow[order]
+        self.commodity_path = used[order]
+        self.flow_commodity = commodity_of_rank[row_rank]
+        edge_u, edge_v, edge_indptr = pool.gather_edges(self.commodity_path)
         links = network.link_index(pool.node_names, edge_u, edge_v)
         bad = links < 0
         if bad.any():
             # Report the first offense in (commodity, traversal) order.
             first = int(np.argmax(bad))
             commodity = int(np.searchsorted(edge_indptr, first, side="right")) - 1
-            fid = int(table.first_flow_ids()[commodity])
+            fid = int(table.flow_ids[first_flow[commodity]])
             u = pool.node_names[int(edge_u[first])]
             v = pool.node_names[int(edge_v[first])]
             raise KeyError(f"flow {fid} uses unknown link {u}->{v}")
         self.flow_ids = table.flow_ids
         self.demands = table.demand_bps
-        self.flow_commodity = table.flow_commodity
-        self.n_commodities = len(table.commodity_path)
+        self.n_commodities = len(used)
         self.links = links
         self.indptr = edge_indptr
         self.entry_commodity = np.repeat(
@@ -631,61 +504,21 @@ def _assert_capacity_invariant(
         )
 
 
-def _as_commodities(
-    flows: list[FluidFlow] | FlowTable | CommodityTable,
-) -> CommodityTable:
-    """Any accepted workload form as a :class:`CommodityTable`.
+def solve_fluid(network: FluidNetwork, flows: FlowTable) -> FluidResult:
+    """Allocate max-min rates to a flow table over a network.
 
-    A ``FluidFlow`` list converts here, once, at the API edge; from then
-    on the solve never touches per-flow objects.
+    Callers that solve many workloads over one network build the
+    :class:`FluidNetwork` once.  Flow ids must be unique.  The static
+    latency estimate charges one serialization of the packet engine's
+    uniform UDP packet (``DEFAULT_UDP_PACKET_BYTES``) per hop.
     """
-    if isinstance(flows, CommodityTable):
-        return flows
-    if not isinstance(flows, FlowTable):
-        flows = FlowTable.from_flows(flows)
-    return flows.to_commodities()
-
-
-def max_min_rates_table(
-    capacities_bps: dict[tuple[str, str], float],
-    table: list[FluidFlow] | FlowTable | CommodityTable,
-) -> np.ndarray:
-    """Max-min fair rates for a workload, as a per-flow array.
-
-    The solver behind :func:`solve_fluid` without its latency and
-    utilization accounting.  Entry ``i`` of the result belongs to the
-    ``i``-th flow of the workload.
-    """
-    network = FluidNetwork(capacities_bps)
-    table = _as_commodities(table)
-    if table.n_flows == 0:
-        return np.empty(0, dtype=float)
-    return _progressive_fill(_CommodityProblem(network, table))
-
-
-def solve_fluid(
-    network: FluidNetwork | list[EdgeSpec],
-    flows: list[FluidFlow] | FlowTable | CommodityTable,
-    packet_bytes: int = 500,
-) -> FluidResult:
-    """Allocate max-min rates over a network.
-
-    ``network`` is a :class:`FluidNetwork`, or an edge-spec list that
-    converts to one at the API edge; callers that solve many workloads
-    over one network build it once.  ``flows`` is a :class:`FlowTable` /
-    :class:`CommodityTable`, or a ``FluidFlow`` list that converts to
-    one at the API edge.  Flow ids must be unique.  ``packet_bytes``
-    only affects the static latency estimate (one serialization per
-    hop), mirroring the packet engine's uniform UDP size.
-    """
-    if not packet_bytes > 0:
-        raise ValueError(f"packet_bytes must be positive, got {packet_bytes!r}")
-    network = _as_network(network)
-    problem = _CommodityProblem(network, _as_commodities(flows))
+    problem = _CommodityProblem(network, flows)
     rates = _progressive_fill(problem)
     # Vectorized accounting: per-commodity latency and per-link load via
     # the same incidence the solver filled over.
-    per_link_latency = network.delays + packet_bytes * 8 / network.capacities
+    per_link_latency = (
+        network.delays + DEFAULT_UDP_PACKET_BYTES * 8 / network.capacities
+    )
     latencies = problem.path_costs(per_link_latency)[problem.flow_commodity]
     loads = problem.link_loads(rates)
     _assert_capacity_invariant(loads, network.capacities)

@@ -49,6 +49,8 @@ return bitwise-identical arrays.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,8 +249,13 @@ class YearlyWeatherEvaluator:
         delta_k: int = 2,
         cache_mb: float = 256.0,
     ) -> None:
-        if cache_mb <= 0:
-            raise ValueError("cache_mb must be positive")
+        if not (
+            isinstance(cache_mb, numbers.Real)
+            and not isinstance(cache_mb, bool)
+            and math.isfinite(cache_mb)
+            and cache_mb > 0
+        ):
+            raise ValueError(f"cache_mb must be a finite number > 0, got {cache_mb!r}")
         self.topology = topology
         self.precipitation = precipitation or PrecipitationYear()
         self.frequency_ghz = float(frequency_ghz)

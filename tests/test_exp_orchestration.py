@@ -136,6 +136,13 @@ class TestSpec:
             ("apps.min_value_per_gb", [float("nan"), float("inf"), -1.0, "1"]),
             ("econ.cost_per_gb", [-1, 0, float("nan"), float("inf"), "0.81"]),
             ("design.aggregate_gbps", [float("nan"), float("inf"), 0, -5.0, "100"]),
+            ("netsim.engine", ["quantum", None, 3]),
+            ("netsim.demand_model", ["gravity", None]),
+            ("netsim.transport", ["quic", None]),
+            (
+                "netsim.loads",
+                [[True], ["0.5"], ["abc"], [0], [1.6], [float("nan")], [], 0.5],
+            ),
         ],
     )
     def test_spec_rejects_malformed_field(self, path, bad):
@@ -254,6 +261,24 @@ class TestCacheKeys:
         moved = spec.with_value("netsim.loads", (0.5,))
         assert stage_key(spec, "design") == stage_key(moved, "design")
         assert stage_key(spec, "netsim") != stage_key(moved, "netsim")
+
+    def test_strided_weather_key_ignores_intervals_and_seed(self):
+        """A stride fixes the evaluated days, so specs that differ only in
+        the ignored ``n_intervals``/``seed`` share one weather key;
+        unstrided specs with different seeds still do not."""
+
+        def key(**fields):
+            return stage_key(tiny_spec(weather=WeatherSpec(**fields)), "weather")
+
+        strided = {
+            key(sample_interval_days=1, seed=1, n_intervals=120),
+            key(sample_interval_days=1, seed=2, n_intervals=120),
+            key(sample_interval_days=1, seed=1, n_intervals=30),
+        }
+        assert len(strided) == 1
+        assert key(sample_interval_days=2, seed=1) not in strided
+        assert key(seed=1) != key(seed=2)
+        assert key(n_intervals=120) != key(n_intervals=30)
 
     def test_solver_version_enters_design_key(self, monkeypatch):
         from repro.core import get_solver

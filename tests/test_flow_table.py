@@ -1,7 +1,7 @@
-"""Array-native flow tables: struct-of-arrays validation, the
-``FluidFlow`` list -> table conversion at the API edge, the solver
-against the scalar ``max_min_rates`` oracle (UDP and TCP), and the
-hoisted load-curve invariants."""
+"""Array-native flow tables: struct-of-arrays validation, pool rows as
+the solver's commodities, the solver against the scalar
+``max_min_rates`` oracle (UDP and TCP), and the hoisted load-curve
+invariants."""
 
 import dataclasses
 
@@ -12,12 +12,10 @@ from repro.exp.spec import ExperimentSpec, NetsimSpec
 from repro.netsim import (
     EdgeSpec,
     FlowTable,
-    FluidFlow,
+    FluidNetwork,
     PathPool,
     aggregate_capacities,
     build_edge_specs,
-    max_min_rates,
-    max_min_rates_table,
     run_load_curve,
     run_udp_experiment,
     solve_fluid,
@@ -25,9 +23,10 @@ from repro.netsim import (
 )
 from repro.netsim import experiments, flowtable
 from repro.netsim.experiments import kept_flow_table
-from repro.netsim.fluid import FluidNetwork, _CommodityProblem, _as_commodities
-from repro.netsim.flows import DEFAULT_UDP_PACKET_BYTES
+from repro.netsim.fluid import _CommodityProblem
 from repro.traffic import demand_pairs, user_demand_matrix, user_demand_pairs
+
+from fluid_reference import FluidFlow, flows_to_table, max_min_rates
 
 
 def table_flows(table):
@@ -177,6 +176,8 @@ class TestFlowTableValidation:
 
 
 class TestToCommodities:
+    """Pool rows become commodities inside ``_CommodityProblem``."""
+
     def test_first_seen_order_and_collapse(self):
         pool = PathPool.from_paths([("a", "b"), ("b", "c"), ("a", "b", "c")])
         table = FlowTable(
@@ -185,39 +186,11 @@ class TestToCommodities:
             demand_bps=np.ones(5),
             flow_ids=np.arange(5),
         )
-        ct = table.to_commodities()
-        # Commodities in first-seen flow order: path 2, then 0, then 1.
-        assert ct.commodity_path.tolist() == [2, 0, 1]
-        assert ct.flow_commodity.tolist() == [0, 1, 0, 2, 1]
-
-    def test_value_dedupe_matches_object_semantics(self):
-        # Two pool rows with identical node sequences collapse into ONE
-        # commodity: commodities are keyed by path value, not pool row.
-        pool = PathPool.from_paths([("a", "b", "c"), ("a", "b", "c"), ("a", "b")])
-        table = FlowTable(
-            pool,
-            path_id=np.array([0, 1, 2]),
-            demand_bps=np.ones(3),
-            flow_ids=np.arange(3),
-        )
-        ct = table.to_commodities()
-        assert ct.n_commodities == 2
-        assert ct.flow_commodity.tolist() == [0, 0, 1]
-
-    def test_problem_matches_object_problem_exactly(self):
-        # A FluidFlow list converted at the API edge builds the same
-        # problem as the table it was expanded from.
-        capacities, table, flows = random_table_workload(3)
-        network = FluidNetwork(capacities)
-        obj = _CommodityProblem(network, _as_commodities(flows))
-        tab = _CommodityProblem(network, table.to_commodities())
-        assert obj.n_commodities == tab.n_commodities
-        assert (obj.link_incidence != tab.link_incidence).nnz == 0
-        assert obj.links.tolist() == tab.links.tolist()
-        assert obj.indptr.tolist() == tab.indptr.tolist()
-        assert obj.demands.tolist() == tab.demands.tolist()
-        assert obj.flow_commodity.tolist() == tab.flow_commodity.tolist()
-        assert obj.flow_ids.tolist() == tab.flow_ids.tolist()
+        capacities = {("a", "b"): 1.0, ("b", "c"): 1.0}
+        problem = _CommodityProblem(FluidNetwork(capacities), table)
+        # Commodities in first-seen flow order: row 2, then 0, then 1.
+        assert problem.commodity_path.tolist() == [2, 0, 1]
+        assert problem.flow_commodity.tolist() == [0, 1, 0, 2, 1]
 
     def test_unknown_link_message_matches_object_path(self):
         pool = PathPool.from_paths([("a", "b"), ("a", "z", "b")])
@@ -226,7 +199,7 @@ class TestToCommodities:
             path_id=np.array([0, 1]),
             demand_bps=np.array([1.0, 1.0]),
             flow_ids=np.array([10, 11]),
-        ).to_commodities()
+        )
         capacities = {("a", "b"): 1.0, ("b", "a"): 1.0}
         with pytest.raises(KeyError) as table_err:
             _CommodityProblem(FluidNetwork(capacities), table)
@@ -252,13 +225,14 @@ class TestFromFlows:
             FluidFlow(8, ("a", "b"), 4.0),
             FluidFlow(9, ("a", "b", "c"), 5.0),
         ]
-        table = FlowTable.from_flows(flows)
+        table = flows_to_table(flows)
         assert table.flow_ids.tolist() == [5, 6, 7, 8, 9]
         assert table.demand_bps.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        ct = table.to_commodities()
-        paths = [ct.pool.path_names(int(p)) for p in ct.commodity_path]
+        capacities = {("a", "b"): 1.0, ("b", "c"): 1.0}
+        problem = _CommodityProblem(FluidNetwork(capacities), table)
+        paths = [table.pool.path_names(int(p)) for p in problem.commodity_path]
         assert paths == [("b", "c"), ("a", "b", "c"), ("a", "b")]
-        assert ct.flow_commodity.tolist() == [0, 1, 0, 2, 1]
+        assert problem.flow_commodity.tolist() == [0, 1, 0, 2, 1]
 
     def test_unknown_link_names_first_flow_and_link(self):
         # The first offending path in flow order wins; the message names
@@ -272,7 +246,7 @@ class TestFromFlows:
             FluidFlow(4, ("b", "a", "x", "y"), 1.0),
         ]
         with pytest.raises(KeyError) as err:
-            solve_fluid(specs, flows)
+            solve_fluid(FluidNetwork.from_specs(specs), flows_to_table(flows))
         assert err.value.args[0] == "flow 2 uses unknown link a->x"
         capacities, _delays = aggregate_capacities(specs)
         with pytest.raises(KeyError) as oracle_err:
@@ -280,8 +254,8 @@ class TestFromFlows:
         assert oracle_err.value.args == err.value.args
 
     def test_empty_list_solves(self):
-        specs = [EdgeSpec("a", "b", 1.0, 1e-3)]
-        res = solve_fluid(specs, [])
+        network = FluidNetwork.from_specs([EdgeSpec("a", "b", 1.0, 1e-3)])
+        res = solve_fluid(network, flows_to_table([]))
         assert res.n_flows == 0
         assert res.rates_by_flow() == {}
 
@@ -299,25 +273,18 @@ class TestDuplicateFlowIds:
                       np.array([7, 7]))
 
     def test_solve_fluid_rejects_repeated_flow_objects(self):
-        specs = [EdgeSpec("a", "b", 10.0, 1e-3)]
+        network = FluidNetwork.from_specs([EdgeSpec("a", "b", 10.0, 1e-3)])
         flows = [FluidFlow(7, ("a", "b"), 8.0), FluidFlow(7, ("a", "b"), 8.0)]
         with pytest.raises(
             ValueError, match="^flow_ids must be unique: flow 7 repeats$"
         ):
-            solve_fluid(specs, flows)
+            solve_fluid(network, flows_to_table(flows))
 
     def test_first_repeat_in_table_order_is_named(self):
         pool = PathPool.from_paths([("a", "b")])
         with pytest.raises(ValueError, match="flow 9 repeats"):
             FlowTable(pool, np.zeros(5, dtype=int), np.ones(5),
                       np.array([9, 4, 9, 4, 1]))
-
-    def test_commodity_table_rejects_repeated_id(self):
-        ct = FlowTable.from_flows(
-            [FluidFlow(1, ("a", "b"), 1.0), FluidFlow(2, ("a", "b"), 1.0)]
-        ).to_commodities()
-        with pytest.raises(ValueError, match="flow 1 repeats"):
-            dataclasses.replace(ct, flow_ids=np.array([1, 1]))
 
 
 def assert_results_identical(a, b):
@@ -341,34 +308,25 @@ def assert_matches_oracle(got, expected):
 class TestBitIdenticalRates:
     @pytest.mark.parametrize("seed", range(10))
     def test_vectorized_rates_bit_identical(self, seed):
-        # The table, its commodity form, and the FluidFlow list all give
-        # the same floats; the scalar oracle agrees to float noise.
+        # The scalar oracle agrees with the solver to float noise.
         capacities, table, flows = random_table_workload(seed)
-        rates = max_min_rates_table(capacities, table).tolist()
-        assert max_min_rates_table(
-            capacities, table.to_commodities()
-        ).tolist() == rates
-        assert max_min_rates_table(capacities, flows).tolist() == rates
+        rates = solve_fluid(FluidNetwork(capacities), table).rates_bps.tolist()
         got = dict(zip(table.flow_ids.tolist(), rates))
         assert_matches_oracle(got, max_min_rates(capacities, flows))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("solver", ["vectorized", "scalar"])
     def test_solve_fluid_bit_identical(self, seed, solver):
-        # The FluidFlow list converted at the API edge solves bit for
-        # bit like the table; the rates match the vectorized solver
-        # exactly and the scalar oracle to float noise.
+        # The network built from edge specs solves bit for bit like the
+        # one built from their directed capacity map; the scalar oracle
+        # agrees to float noise.
         capacities, table, flows = random_table_workload(100 + seed)
         specs = specs_from_capacities(capacities)
-        tab = solve_fluid(specs, table)
-        assert_results_identical(solve_fluid(specs, flows), tab)
+        tab = solve_fluid(FluidNetwork.from_specs(specs), table)
         directed, _delays = aggregate_capacities(specs)
         if solver == "vectorized":
-            expected = dict(zip(
-                table.flow_ids.tolist(),
-                max_min_rates_table(directed, table).tolist(),
-            ))
-            assert tab.rates_by_flow() == expected
+            expected = solve_fluid(FluidNetwork(directed), table)
+            assert tab.rates_by_flow() == expected.rates_by_flow()
         else:
             assert_matches_oracle(
                 tab.rates_by_flow(), max_min_rates(directed, flows)
@@ -378,12 +336,10 @@ class TestBitIdenticalRates:
     def test_solve_fluid_tcp_bit_identical(self, seed):
         # Symmetric capacities: spec expansion must reproduce the map.
         _nodes, capacities = symmetric_ring(seed)
-        rng = np.random.default_rng(1000 + seed)
         _cap2, table, flows = random_table_workload(seed)
-        del _cap2, rng
+        del _cap2
         specs = specs_from_capacities(capacities)
-        tab = solve_fluid_tcp(specs, table)
-        assert_results_identical(solve_fluid_tcp(specs, flows), tab)
+        tab = solve_fluid_tcp(FluidNetwork.from_specs(specs), table)
         # The converged TCP offers are max-min allocated like any offer.
         directed, _delays = aggregate_capacities(specs)
         offers = [
@@ -398,8 +354,7 @@ class TestBitIdenticalRates:
         """Adversarial: many flows on the same (src, dst) pair.
 
         Shared path rows, duplicated-value path rows, and a distinct
-        route for the same pair must all match the scalar oracle —
-        value-duplicates collapse, distinct routes don't.
+        route for the same pair must all match the scalar oracle.
         """
         nodes, capacities = symmetric_ring(42, n_nodes=6)
         specs = specs_from_capacities(capacities)
@@ -413,38 +368,34 @@ class TestBitIdenticalRates:
         path_id = np.array([0, 1, 2] * 4)
         demand = np.linspace(0.5, 6.0, 12)
         table = FlowTable(pool, path_id, demand, np.arange(12))
-        ct = table.to_commodities()
-        assert ct.n_commodities == 2  # rows 0 and 1 collapse by value
-        flows = table_flows(table)
-        tab = solve_fluid(specs, table)
-        assert_results_identical(solve_fluid(specs, flows), tab)
+        tab = solve_fluid(FluidNetwork.from_specs(specs), table)
         directed, _delays = aggregate_capacities(specs)
         assert_matches_oracle(
-            tab.rates_by_flow(), max_min_rates(directed, flows)
+            tab.rates_by_flow(), max_min_rates(directed, table_flows(table))
         )
 
     def test_empty_table_solves(self):
         pool = PathPool.from_paths([("a", "b")])
         empty = np.empty(0, dtype=np.int64)
         table = FlowTable(pool, empty, np.empty(0), empty)
-        specs = [EdgeSpec(a="a", b="b", rate_bps=1.0, delay_s=1e-3,
-                          queue_capacity=10)]
-        res = solve_fluid(specs, table)
+        network = FluidNetwork.from_specs(
+            [EdgeSpec(a="a", b="b", rate_bps=1.0, delay_s=1e-3, queue_capacity=10)]
+        )
+        res = solve_fluid(network, table)
         assert res.n_flows == 0
         assert res.loss_rate == 0.0
-        tcp = solve_fluid_tcp(specs, table)
+        tcp = solve_fluid_tcp(network, table)
         assert tcp.n_flows == 0
 
 
 class TestWithDemands:
     def test_with_demands_replaces_only_demands(self):
         _cap, table, _flows = random_table_workload(5)
-        ct = table.to_commodities()
-        new = ct.with_demands(np.full(ct.n_flows, 2.5))
-        assert new.demand_bps.tolist() == [2.5] * ct.n_flows
-        assert new.flow_commodity.tolist() == ct.flow_commodity.tolist()
+        new = table.with_demands(np.full(table.n_flows, 2.5))
+        assert new.demand_bps.tolist() == [2.5] * table.n_flows
+        assert new.path_id.tolist() == table.path_id.tolist()
         with pytest.raises(ValueError, match="positive"):
-            ct.with_demands(np.zeros(ct.n_flows))
+            table.with_demands(np.zeros(table.n_flows))
 
     @pytest.mark.parametrize(
         "make_demands, message",
@@ -459,12 +410,12 @@ class TestWithDemands:
         ids=["2d", "wrong-length", "zero", "negative", "nan", "inf"],
     )
     def test_with_demands_checks_the_new_column(self, make_demands, message):
-        ct = random_table_workload(5)[1].to_commodities()
+        table = random_table_workload(5)[1]
         with pytest.raises(ValueError, match=message):
-            ct.with_demands(make_demands(ct.n_flows))
+            table.with_demands(make_demands(table.n_flows))
 
     def test_with_demands_skips_path_checks_and_shares_columns(self, monkeypatch):
-        ct = random_table_workload(5)[1].to_commodities()
+        table = random_table_workload(5)[1]
         calls = []
         real = flowtable._check_used_paths
 
@@ -473,13 +424,12 @@ class TestWithDemands:
             return real(*args)
 
         monkeypatch.setattr(flowtable, "_check_used_paths", counting)
-        new = ct.with_demands(np.full(ct.n_flows, 2.5))
+        new = table.with_demands(np.full(table.n_flows, 2.5))
         assert calls == []
-        assert new.pool is ct.pool
-        assert new.commodity_path is ct.commodity_path
-        assert new.flow_commodity is ct.flow_commodity
-        assert new.flow_ids is ct.flow_ids
-        assert ct.demand_bps.tolist() != new.demand_bps.tolist()
+        assert new.pool is table.pool
+        assert new.path_id is table.path_id
+        assert new.flow_ids is table.flow_ids
+        assert table.demand_bps.tolist() != new.demand_bps.tolist()
 
 
 def kept_flow_shares(routes, traffic, node_names, min_flow_rate_fraction):
@@ -553,7 +503,7 @@ class TestExperimentIntegration:
                         aggregate_gbps=50.0):
         """The load point solved from a hand-built ``FluidFlow`` list:
         one flow per kept pair with a positive rate, numbered by its
-        position among the kept pairs."""
+        position among the kept pairs, converted by ``flows_to_table``."""
         specs = build_edge_specs(topology, 50.0, rate_scale=1e-4)
         names = {s.a for s in specs} | {s.b for s in specs}
         pool, path_ids, shares, mass = kept_flow_table(
@@ -568,7 +518,7 @@ class TestExperimentIntegration:
             if offered * h / mass > 0
         ]
         solve = solve_fluid_tcp if transport == "tcp" else solve_fluid
-        return solve(specs, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES)
+        return solve(FluidNetwork.from_specs(specs), flows_to_table(flows))
 
     @pytest.mark.parametrize("transport", ["udp", "tcp"])
     def test_table_workload_bit_identical_records(self, designed, transport):
@@ -693,8 +643,9 @@ class TestValidationDedup:
             EdgeSpec(a="b", b="c", rate_bps=50.0, delay_s=1e-3,
                      queue_capacity=10),
         ]
-        assert FlowTable.from_flows(flows).pool.n_paths == 1
-        res = solve_fluid(specs, flows)
+        table = flows_to_table(flows)
+        assert table.pool.n_paths == 1
+        res = solve_fluid(FluidNetwork.from_specs(specs), table)
         assert len(res.rates_by_flow()) == 200
 
     def test_unknown_link_still_detected(self):

@@ -19,13 +19,10 @@ from repro.exp.stages import STAGES, _netsim_payload
 from repro.netsim import (
     EdgeSpec,
     FlowTable,
-    FluidFlow,
     FluidNetwork,
     PathPool,
     aggregate_capacities,
     mathis_rate_bps,
-    max_min_rates,
-    max_min_rates_table,
     solve_fluid,
     solve_fluid_tcp,
 )
@@ -40,11 +37,18 @@ from repro.traffic import (
     user_demand_matrix,
 )
 
+from fluid_reference import FluidFlow, flows_to_table, max_min_rates
+
+
+def solve(specs, flows, solver=solve_fluid):
+    """``solver`` over an edge-spec list and a ``FluidFlow`` list."""
+    return solver(FluidNetwork.from_specs(specs), flows_to_table(flows))
+
 
 def max_min_rates_vectorized(capacities, flows):
     """The vectorized solver's rates as a dict, for a FluidFlow list."""
-    rates = max_min_rates_table(capacities, flows)
-    return dict(zip((f.flow_id for f in flows), rates.tolist()))
+    result = solve_fluid(FluidNetwork(capacities), flows_to_table(flows))
+    return result.rates_by_flow()
 
 
 def random_workload(rng, n_nodes=12, n_links=40, n_flows=60):
@@ -184,7 +188,7 @@ class TestAllocationBugRegressions:
         assert capacities[("A", "B")] == pytest.approx(4e6)
         assert capacities[("B", "A")] == pytest.approx(4e6)
         assert delays[("A", "B")] == pytest.approx(0.001)
-        result = solve_fluid(specs, [FluidFlow(1, ("A", "B"), 10e6)])
+        result = solve(specs, [FluidFlow(1, ("A", "B"), 10e6)])
         # The regression: with overwrite semantics this is 3e6.
         assert result.rates_by_flow()[1] == pytest.approx(4e6)
 
@@ -220,9 +224,9 @@ class TestAllocationBugRegressions:
 
     def test_utilization_is_true_ratio_not_clamped(self):
         specs = [EdgeSpec("A", "B", 1e6, 0.001)]
-        under = solve_fluid(specs, [FluidFlow(1, ("A", "B"), 4e5)])
+        under = solve(specs, [FluidFlow(1, ("A", "B"), 4e5)])
         assert under.max_link_utilization == pytest.approx(0.4)
-        over = solve_fluid(specs, [FluidFlow(1, ("A", "B"), 9e6)])
+        over = solve(specs, [FluidFlow(1, ("A", "B"), 9e6)])
         assert over.max_link_utilization == pytest.approx(1.0)
         assert over.loss_rate == pytest.approx(1 - 1e6 / 9e6)
 
@@ -236,8 +240,6 @@ class TestAllocationBugRegressions:
 class TestInputValidation:
     """Inputs the packet engine or the scalar ``max_min_rates`` reject or
     solve differently fail loudly, with a message naming the field."""
-
-    FLOWS = [FluidFlow(1, ("A", "B", "C"), 8e6), FluidFlow(2, ("A", "B"), 8e6)]
 
     @staticmethod
     def specs(**fields):
@@ -259,7 +261,7 @@ class TestInputValidation:
             FlowTable(pool, np.array([0, 0]), np.array([8e6, demand]),
                       np.array([0, 1]))
         table = FlowTable(pool, np.array([0, 0]), np.array([8e6, 8e6]),
-                          np.array([0, 1])).to_commodities()
+                          np.array([0, 1]))
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(table, demand_bps=np.array([8e6, demand]))
         with pytest.raises(ValueError, match=message):
@@ -281,9 +283,7 @@ class TestInputValidation:
         specs = self.specs(**{field: value})
         message = f"^edge B-C: {field} must be {rule}, got {value!r}$"
         with pytest.raises(ValueError, match=message):
-            solve_fluid(specs, self.FLOWS)
-        with pytest.raises(ValueError, match=message):
-            solve_fluid_tcp(specs, self.FLOWS)
+            aggregate_capacities(specs)
         with pytest.raises(ValueError, match=message):
             FluidNetwork.from_specs(specs)
 
@@ -291,29 +291,7 @@ class TestInputValidation:
     def test_capacity_map_rejected(self, capacity):
         capacities = {("A", "B"): 10e6, ("B", "C"): capacity}
         with pytest.raises(ValueError, match="^link B->C: capacity must be"):
-            max_min_rates_table(capacities, self.FLOWS)
-
-    @pytest.mark.parametrize("packet_bytes", [0, -500])
-    def test_packet_bytes_must_be_positive(self, packet_bytes):
-        message = "^packet_bytes must be positive"
-        with pytest.raises(ValueError, match=message):
-            solve_fluid(self.specs(), self.FLOWS, packet_bytes=packet_bytes)
-        with pytest.raises(ValueError, match=message):
-            solve_fluid_tcp(self.specs(), self.FLOWS, packet_bytes=packet_bytes)
-
-    def test_negative_iterations_rejected(self):
-        with pytest.raises(ValueError, match="^iterations must be non-negative"):
-            solve_fluid_tcp(self.specs(), self.FLOWS, iterations=-3)
-
-    def test_zero_mss_rejected(self):
-        with pytest.raises(ValueError, match="^mss_bytes must be positive"):
-            solve_fluid_tcp(self.specs(), self.FLOWS, mss_bytes=0)
-
-    def test_tcp_parameters_checked_for_an_empty_table(self):
-        with pytest.raises(ValueError, match="loss floor"):
-            solve_fluid_tcp(self.specs(), [], loss_floor=2.0)
-        with pytest.raises(ValueError, match="^iterations"):
-            solve_fluid_tcp(self.specs(), [], iterations=-1)
+            FluidNetwork(capacities)
 
 
 class TestTcpMacroModel:
@@ -332,20 +310,20 @@ class TestTcpMacroModel:
         # Huge capacity, huge app demand: the only cap is the Mathis
         # rate at the ambient loss floor.
         specs = [EdgeSpec("A", "B", 1e12, 0.01)]
-        result = solve_fluid_tcp(specs, [FluidFlow(1, ("A", "B"), 1e11)])
+        result = solve(specs, [FluidFlow(1, ("A", "B"), 1e11)], solve_fluid_tcp)
         rtt = 2 * result.latencies_s[0]
         expected = mathis_rate_bps(rtt, DEFAULT_LOSS_FLOOR)
         assert result.rates_by_flow()[1] == pytest.approx(expected, rel=1e-6)
 
     def test_application_limited_flow_keeps_its_demand(self):
         specs = [EdgeSpec("A", "B", 1e9, 0.01)]
-        result = solve_fluid_tcp(specs, [FluidFlow(1, ("A", "B"), 2e6)])
+        result = solve(specs, [FluidFlow(1, ("A", "B"), 2e6)], solve_fluid_tcp)
         assert result.rates_by_flow()[1] == pytest.approx(2e6, rel=1e-9)
 
     def test_congested_flows_fill_bottleneck_and_converge(self):
         specs = [EdgeSpec("A", "B", 10e6, 0.02)]
         flows = [FluidFlow(i, ("A", "B"), 1e9) for i in range(4)]
-        result = solve_fluid_tcp(specs, flows)
+        result = solve(specs, flows, solve_fluid_tcp)
         assert result.max_link_utilization == pytest.approx(1.0, abs=1e-6)
         # Fair split of the bottleneck across identical flows.
         rates = result.rates_by_flow()
@@ -428,7 +406,7 @@ class TestSpecAndStage:
             NetsimSpec(engine="packet", transport="tcp")
 
     def test_unknown_demand_model_rejected(self):
-        with pytest.raises(ValueError, match="demand model"):
+        with pytest.raises(ValueError, match="^netsim.demand_model must be"):
             NetsimSpec(demand_model="gravity")
         with pytest.raises(ValueError):
             NetsimSpec(demand_hour_utc=24.0)

@@ -38,15 +38,15 @@ from scipy import sparse
 from repro.netsim import (
     EdgeSpec,
     FlowTable,
-    FluidFlow,
     FluidNetwork,
     run_udp_experiment,
     solve_fluid,
 )
 from repro.netsim import fluid
 from repro.netsim.flows import DEFAULT_UDP_PACKET_BYTES
-from repro.netsim.fluid import _as_commodities, _CommodityProblem, _progressive_fill
+from repro.netsim.fluid import _CommodityProblem, _progressive_fill
 
+from fluid_reference import FluidFlow, flows_to_table
 from test_flow_table import random_table_workload, specs_from_capacities
 from test_fluid_engine import random_workload
 
@@ -153,9 +153,9 @@ def reference_link_loads(problem: _CommodityProblem, flow_rates: np.ndarray):
     return reference_incidence(problem).T @ commodity_rates
 
 
-def fill_equals_reference(network: FluidNetwork, flows) -> np.ndarray:
+def fill_equals_reference(network: FluidNetwork, flows: FlowTable) -> np.ndarray:
     """Fill one workload both ways; fail unless the rates are bitwise equal."""
-    problem = _CommodityProblem(network, _as_commodities(flows))
+    problem = _CommodityProblem(network, flows)
     got = _progressive_fill(problem)
     want = reference_fill(problem)
     assert got.tobytes() == want.tobytes()
@@ -168,9 +168,9 @@ class Recorder:
     def __init__(self) -> None:
         self.calls: list[tuple] = []
 
-    def __call__(self, network, flows, packet_bytes=500):
+    def __call__(self, network, flows):
         self.calls.append((network, flows))
-        return solve_fluid(network, flows, packet_bytes=packet_bytes)
+        return solve_fluid(network, flows)
 
     def install(self, monkeypatch) -> None:
         monkeypatch.setattr("repro.netsim.tcpmodel.solve_fluid", self)
@@ -185,7 +185,7 @@ class TestRandomWorkloads:
     @pytest.mark.parametrize("seed", range(16))
     def test_random_workload(self, seed):
         capacities, flows = random_workload(np.random.default_rng(seed))
-        fill_equals_reference(FluidNetwork(capacities), flows)
+        fill_equals_reference(FluidNetwork(capacities), flows_to_table(flows))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_table_workload(self, seed):
@@ -206,9 +206,9 @@ class TestRandomWorkloads:
             demand_bps=rng.choice([0.5, 1.25, 2.5, 40.0], size=table.n_flows),
             flow_ids=table.flow_ids,
         )
-        commodities = table.to_commodities()
-        assert commodities.n_commodities < table.n_flows // 4
-        fill_equals_reference(FluidNetwork(capacities), commodities)
+        network = FluidNetwork(capacities)
+        assert _CommodityProblem(network, table).n_commodities < table.n_flows // 4
+        fill_equals_reference(network, table)
 
     def test_compaction_branch(self, monkeypatch):
         drops: list[int] = []
@@ -234,7 +234,9 @@ class TestRandomWorkloads:
         monkeypatch.setattr(fluid, "_EPS_BPS", -1.0)
         monkeypatch.setattr(fluid, "_EPS_REL", 0.0)
         flows = [FluidFlow(1, ("A", "B"), 10.0), FluidFlow(2, ("A", "B"), 10.0)]
-        rates = fill_equals_reference(FluidNetwork({("A", "B"): 4.0}), flows)
+        rates = fill_equals_reference(
+            FluidNetwork({("A", "B"): 4.0}), flows_to_table(flows)
+        )
         assert rates.tolist() == [2.0, 2.0]
 
 
@@ -273,7 +275,7 @@ class TestAccounting:
     @pytest.mark.parametrize("seed", range(6))
     def test_path_costs_and_link_loads_equal_matvec_forms(self, seed):
         capacities, table, _flows = random_table_workload(200 + seed)
-        problem = _CommodityProblem(FluidNetwork(capacities), table.to_commodities())
+        problem = _CommodityProblem(FluidNetwork(capacities), table)
         per_link = np.random.default_rng(seed).uniform(1e-4, 3e-2, len(capacities))
         assert (
             problem.path_costs(per_link).tobytes()
@@ -292,8 +294,8 @@ class TestAccounting:
         for i, spec in enumerate(specs):
             specs[i] = EdgeSpec(spec.a, spec.b, spec.rate_bps, 1e-3 * (1 + i % 5))
         network = FluidNetwork.from_specs(specs)
-        result = solve_fluid(network, table, packet_bytes=DEFAULT_UDP_PACKET_BYTES)
-        problem = _CommodityProblem(network, table.to_commodities())
+        result = solve_fluid(network, table)
+        problem = _CommodityProblem(network, table)
         per_link = network.delays + DEFAULT_UDP_PACKET_BYTES * 8 / network.capacities
         latencies = reference_path_costs(problem, per_link)[problem.flow_commodity]
         assert result.latencies_s.tobytes() == latencies.tobytes()
@@ -334,14 +336,14 @@ def diurnal_problems(seed: int) -> list[tuple]:
     return recorder.calls
 
 
-def million_flow_problem() -> tuple[FluidNetwork, object]:
+def million_flow_problem() -> tuple[FluidNetwork, FlowTable]:
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import bench_flow_table as bench
 
     home, capacities = bench.million_flow_network()
     src, dst, demands = bench.build_raw_million_flow_demands()
     table = bench.million_flow_table(src, dst, demands, home)
-    return FluidNetwork(capacities), table.to_commodities()
+    return FluidNetwork(capacities), table
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -360,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     network, table = million_flow_problem()
     fill_equals_reference(network, table)
     print(
-        f"flow table: {table.n_flows} flows, {table.n_commodities} commodities "
+        f"flow table: {table.n_flows} flows, {table.pool.n_paths} commodities "
         "equal the reference"
     )
     return 0

@@ -7,16 +7,17 @@ import pytest
 from repro.netsim import (
     EdgeSpec,
     FlowMonitor,
-    FluidFlow,
+    FluidNetwork,
     Network,
     Packet,
     Simulator,
     TcpFlow,
     UdpFlow,
-    max_min_rates,
     run_udp_experiment,
     solve_fluid,
 )
+
+from fluid_reference import FluidFlow, flows_to_table, max_min_rates
 
 
 class TestEventCancellation:
@@ -174,7 +175,8 @@ class TestFluidEngine:
     def test_underloaded_flows_get_offered_rate(self):
         specs = [EdgeSpec("A", "B", 1e6, 0.001), EdgeSpec("B", "C", 1e6, 0.002)]
         result = solve_fluid(
-            specs, [FluidFlow(1, ("A", "B", "C"), 3e5)]
+            FluidNetwork.from_specs(specs),
+            flows_to_table([FluidFlow(1, ("A", "B", "C"), 3e5)]),
         )
         assert result.rates_by_flow()[1] == pytest.approx(3e5)
         assert result.loss_rate == 0.0
@@ -206,7 +208,9 @@ class TestFluidEngine:
         duration = 5.0
         sim.run(until=duration)
         packet_mean = mon.mean_flow_throughput_bps(duration)
-        fluid_mean = solve_fluid(specs, fluid_flows).mean_rate_bps
+        fluid_mean = solve_fluid(
+            FluidNetwork.from_specs(specs), flows_to_table(fluid_flows)
+        ).mean_rate_bps
         assert fluid_mean == pytest.approx(packet_mean, rel=0.10)
 
 
@@ -250,7 +254,8 @@ class TestEngineSelector:
         specs, flows = udp_workload(topology, 50.0, 1.3)
         packet_mean = run_packets(specs, flows, 1.0).mean_flow_throughput_bps(1.0)
         fluid = solve_fluid(
-            specs, [FluidFlow(fid, path, rate) for fid, path, rate in flows]
+            FluidNetwork.from_specs(specs),
+            flows_to_table([FluidFlow(fid, path, rate) for fid, path, rate in flows]),
         )
         assert fluid.mean_rate_bps == pytest.approx(packet_mean, rel=0.10)
 

@@ -446,6 +446,25 @@ class TestWeatherEvaluator:
         assert downshifts > 0 and failures > 0
         assert abs(capacity_loss - float(np.mean(losses))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "cache_mb",
+        [float("nan"), float("inf"), 0, -1.0, "256", True],
+        ids=["nan", "inf", "zero", "negative", "str", "bool"],
+    )
+    def test_cache_mb_must_be_a_finite_positive_number(
+        self, small_us_scenario, topology, cache_mb
+    ):
+        # NaN used to pass the `<= 0` check and act as a zero budget.
+        from repro.weather import YearlyWeatherEvaluator
+
+        sc = small_us_scenario
+        with pytest.raises(
+            ValueError, match="^cache_mb must be a finite number > 0, got "
+        ):
+            YearlyWeatherEvaluator(
+                topology, sc.catalog, sc.registry, cache_mb=cache_mb
+            )
+
     def test_default_delta_evaluator_matches_reference_to_1e9(
         self, small_us_scenario, topology
     ):

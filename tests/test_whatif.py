@@ -250,6 +250,25 @@ class TestByteBudget:
             lru.put(key, value.copy())
         assert "base" in lru
 
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), -1, "100", True], ids=["nan", "negative", "str", "bool"]
+    )
+    def test_budget_must_be_none_or_a_non_negative_number(self, budget):
+        # NaN used to pass the `< 0` check and act as a zero budget.
+        with pytest.raises(
+            ValueError, match="^budget_bytes must be None or a number >= 0, got "
+        ):
+            ByteBudgetLRU(budget)
+
+    def test_unbounded_zero_and_infinite_budgets_accepted(self):
+        for budget in (None, 0, 0.0, float("inf"), np.int64(5)):
+            ByteBudgetLRU(budget)
+
+    def test_solver_rejects_nan_cache_bytes(self):
+        view = GraphView(random_weights(8, 0.5, 1))
+        with pytest.raises(ValueError, match="^budget_bytes must be None or a number"):
+            FailureSetSolver(view, cache_bytes=float("nan"))
+
     def test_solver_evicts_but_stays_correct(self):
         w = random_weights(24, 0.3, 8)
         links = present_links(w)
