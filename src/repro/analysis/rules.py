@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,3 @@ def get_rule(name: str) -> Rule | ProjectRule:
 
 def all_rules() -> list[Rule | ProjectRule]:
     return [_RULES[name] for name in rule_names()]
-
-
-def iter_findings(items: Iterable[Finding]) -> list[Finding]:
-    return list(items)

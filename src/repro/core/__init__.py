@@ -37,7 +37,6 @@ from .design import (
     solve,
     solver_names,
     solver_version,
-    topology_from_links,
 )
 from .pipeline import (
     CachingLosChecker,
@@ -87,7 +86,6 @@ __all__ = [
     "solve",
     "solver_names",
     "solver_version",
-    "topology_from_links",
     "CachingLosChecker",
     "HopPipeline",
     "PipelineStats",

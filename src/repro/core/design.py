@@ -315,13 +315,3 @@ class EvolutionSolver:
             runtime_s=time.perf_counter() - start,
             details=tuple(steps),
         )
-
-
-def topology_from_links(
-    design_input: DesignInput, links: list[tuple[int, int]]
-) -> Topology:
-    """Convenience constructor for a topology from explicit link pairs."""
-    return Topology(
-        design=design_input,
-        mw_links=frozenset((min(a, b), max(a, b)) for a, b in links),
-    )

@@ -38,7 +38,6 @@ from operator import is_not
 import numpy as np
 
 from ..geo.coords import haversine_km
-from ..geo.spatial import GridIndex
 from ..geo.terrain import TerrainModel
 from ..towers.los import LosChecker, LosConfig
 from ..towers.registry import TowerRegistry
@@ -185,6 +184,12 @@ class CachingLosChecker(LosChecker):
             self._profiles.put_many(list(compress(keys, miss.tolist())), canonical)
         return out
 
+    def ground_keys(self, lats, lons) -> tuple[np.ndarray, np.ndarray]:
+        # The cache key: towers in one quantization cell share one ground
+        # lookup per feasible_arrays call, so the first-asked tower's
+        # elevation serves the cell, as if each endpoint were probed alone.
+        return self._quantize(lats), self._quantize(lons)
+
     def ground_elevation_m(self, lats, lons) -> np.ndarray:
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
@@ -263,18 +268,13 @@ class HopPipeline:
     def candidate_pairs(self, registry: TowerRegistry) -> tuple[np.ndarray, np.ndarray]:
         """Spatially pruned tower pairs within radio range, (a, b) with a < b.
 
-        Reuses the registry's own :class:`GridIndex` (queries at radii
-        other than the build radius remain exact), falling back to a
-        fresh index only when the registry has none.
+        The registry enumerates them on its own grid index and memoizes
+        them per max range (:meth:`TowerRegistry.pairs_within`), so
+        pipelines that differ only in usable height, clutter or profile
+        sampling enumerate a registry's pairs once per process.  The
+        arrays are read-only.
         """
-        max_range = self.checker.config.radio.max_range_km
-        if len(registry) == 0:
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        index = registry.spatial_index
-        if index is None:
-            lats, lons = registry.coordinates()
-            index = GridIndex(lats, lons, max_range)
-        return index.pairs_within(max_range)
+        return registry.pairs_within(self.checker.config.radio.max_range_km)
 
     def feasible_mask(
         self,
@@ -360,9 +360,13 @@ def shared_pipeline(
 
     Scenario builders use this so parameter sweeps (usable height
     fraction, radio range, clutter...) over the same geography reuse
-    every terrain profile already sampled: the cache stores terrain
+    every terrain profile and tower-base elevation already sampled.
+    The two caches live for the process, one pair per ``(terrain,
+    quantization step)`` key, compared by value; they store terrain
     heights only, which are config-independent, while each returned
     pipeline still applies its own :class:`LosConfig` to the verdicts.
+    Candidate pairs are memoized on the registry instead
+    (:meth:`HopPipeline.candidate_pairs`).
     """
     checker = CachingLosChecker(terrain, config, profile_capacity=profile_capacity)
     key = (terrain, checker._quant)

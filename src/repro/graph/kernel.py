@@ -155,7 +155,9 @@ class GraphKernel:
     read-only arrays shared across callers; copy before mutating.
     """
 
-    __slots__ = ("_weights", "_method", "_csr", "_dist", "_pred", "_density")
+    __slots__ = (
+        "_weights", "_method", "_csr", "_dist", "_pred", "_edges", "_density", "_paths",
+    )
 
     def __init__(self, weights: np.ndarray, method: str = "auto") -> None:
         if method not in ("auto", "dense", "sparse"):
@@ -170,7 +172,32 @@ class GraphKernel:
         self._csr: csr_matrix | None = None
         self._dist: np.ndarray | None = None
         self._pred: np.ndarray | None = None
+        self._edges: int | None = None
         self._density: float | None = None
+        # Whether distances() also fills the predecessor matrix, so that
+        # a later predecessors() call costs no second solve.
+        self._paths = True
+
+    @classmethod
+    def distances_only(cls, weights: np.ndarray, method: str) -> "GraphKernel":
+        """A kernel for one distances solve over a caller-owned matrix.
+
+        ``weights`` must be a float (n, n) array with a zero diagonal
+        that no one else writes to: the kernel takes it over without a
+        copy and makes it read-only.  ``method`` (``"dense"`` or
+        ``"sparse"``) is the caller's density decision, so nothing is
+        recounted, and :meth:`distances` fills no predecessor matrix.
+        """
+        if method not in ("dense", "sparse"):
+            raise ValueError("method must be 'dense' or 'sparse'")
+        kernel = cls.__new__(cls)
+        weights.setflags(write=False)
+        kernel._weights = weights
+        kernel._method = method
+        kernel._csr = kernel._dist = kernel._pred = None
+        kernel._edges = kernel._density = None
+        kernel._paths = False
+        return kernel
 
     @property
     def n(self) -> int:
@@ -182,9 +209,11 @@ class GraphKernel:
         return self._weights
 
     def edge_count(self) -> int:
-        """Number of undirected edges (finite off-diagonal pairs)."""
-        iu = np.triu_indices(self.n, k=1)
-        return int(np.isfinite(self._weights[iu]).sum())
+        """Number of undirected edges (finite off-diagonal pairs), counted once."""
+        if self._edges is None:
+            iu = np.triu_indices(self.n, k=1)
+            self._edges = int(np.isfinite(self._weights[iu]).sum())
+        return self._edges
 
     def density(self) -> float:
         """Fraction of site pairs with a direct edge (computed once)."""
@@ -218,9 +247,10 @@ class GraphKernel:
         if self._use_dense():
             # floyd_warshall itself, not shortest_path(method="FW"): the
             # wrapper validates the dense input once more, with the same
-            # result, before floyd_warshall validates it again.
+            # result, before floyd_warshall validates it again.  That
+            # validation copies the (read-only) weights it is given.
             return floyd_warshall(
-                np.array(self._weights),
+                self._weights,
                 directed=False,
                 return_predecessors=return_predecessors,
             )
@@ -231,12 +261,18 @@ class GraphKernel:
     def distances(self) -> np.ndarray:
         """All-pairs shortest distances (cached, read-only).
 
-        Solved together with the predecessor matrix (same cost in the
-        underlying solvers), so any order of ``distances()`` /
-        ``predecessors()`` calls pays exactly one full solve.
+        Solved together with the predecessor matrix, so any order of
+        ``distances()`` / ``predecessors()`` calls pays exactly one full
+        solve; a :meth:`distances_only` kernel solves distances alone.
+        Both solves give bitwise the same distances.
         """
         if self._dist is None:
-            self.predecessors()
+            if self._paths:
+                self.predecessors()
+            else:
+                dist = self._solve(return_predecessors=False)
+                dist.setflags(write=False)
+                self._dist = dist
         assert self._dist is not None
         return self._dist
 

@@ -44,15 +44,17 @@ def affected_sources(base: np.ndarray, changes) -> np.ndarray:
     failure-set solver's delta route
     (:class:`~repro.graph.whatif.FailureSetSolver`).
     """
-    n = base.shape[0]
-    affected = np.zeros(n, dtype=bool)
-    for a, b, old in changes:
-        da, db = base[:, a], base[:, b]
-        finite = np.isfinite(da) & np.isfinite(db)
-        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(da), np.abs(db)))
-        tight = (da + old <= db + tol) | (db + old <= da + tol)
-        affected |= finite & tight
-    return affected
+    changes = list(changes)
+    if not changes:
+        return np.zeros(base.shape[0], dtype=bool)
+    a, b, old = zip(*changes)
+    # All changed edges at once: column j of each (n, k) block is edge j.
+    da, db = base[:, list(a)], base[:, list(b)]
+    old = np.array(old, dtype=float)
+    finite = np.isfinite(da) & np.isfinite(db)
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(da), np.abs(db)))
+    tight = (da + old <= db + tol) | (db + old <= da + tol)
+    return (finite & tight).any(axis=1)
 
 
 class GraphView:
@@ -231,7 +233,14 @@ class GraphView:
         weights = self._weights.copy()
         for a, b, _, new in changes:
             weights[a, b] = weights[b, a] = new
-        kernel = GraphKernel(weights)
+        # The modified graph's full-solve method, as GraphKernel(weights)
+        # would pick it, from the base's edge count: only removals
+        # change the count (finite worsenings keep their edge).
+        base_kernel = self.kernel()
+        removed = sum(1 for *_, new in changes if new == np.inf)
+        pairs = self.n * (self.n - 1) // 2
+        dense = (base_kernel.edge_count() - removed) / pairs >= DENSE_DENSITY_THRESHOLD
+        kernel = GraphKernel.distances_only(weights, "dense" if dense else "sparse")
         # Branch on the *base* graph's density: if the base solve ran
         # dense FW, its cached rows cannot be merged bitwise with
         # per-source Dijkstra restarts — take the exact fallback (one
@@ -239,7 +248,7 @@ class GraphView:
         # the threshold keeps the modified graph below it too (edges
         # are only removed or worsened, never added), so the sparse
         # restart merges Dijkstra rows with Dijkstra rows.
-        if idx.size == self.n or self.kernel().density() >= DENSE_DENSITY_THRESHOLD:
+        if idx.size == self.n or base_kernel.density() >= DENSE_DENSITY_THRESHOLD:
             return kernel.distances()
         rows = kernel.distances_from(idx)
         out = np.array(base)

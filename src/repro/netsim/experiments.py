@@ -42,6 +42,7 @@ from ..exp.spec import (  # noqa: E402 - re-exported for callers
     ENGINES,
     TRANSPORTS,
 )
+from ..exp.spec import _check_choice, _check_real  # noqa: E402 - the spec's field checks
 
 
 @dataclass(frozen=True)
@@ -217,20 +218,17 @@ def _validate_experiment_params(
     demand_model: str,
     transport: str,
 ) -> None:
-    """The shared argument checks, in their historical order."""
-    if not 0 < input_rate_fraction <= 1.5:
-        raise ValueError("input rate fraction out of range")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
-    if demand_model not in DEMAND_MODELS:
-        raise ValueError(
-            f"unknown demand model {demand_model!r} "
-            f"(choose from {DEMAND_MODELS})"
-        )
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r} (choose from {TRANSPORTS})"
-        )
+    """The shared argument checks, in their historical order.
+
+    Each message names its parameter, as the spec's checks do; a bool
+    or a string load is rejected, never converted.
+    """
+    _check_real(
+        "input_rate_fraction", input_rate_fraction, "in (0, 1.5]", lambda v: 0 < v <= 1.5
+    )
+    _check_choice("engine", engine, ENGINES)
+    _check_choice("demand_model", demand_model, DEMAND_MODELS)
+    _check_choice("transport", transport, TRANSPORTS)
     if transport == "tcp" and engine != "fluid":
         raise ValueError(
             "transport='tcp' is a fluid-engine macro-model; the packet "
@@ -465,7 +463,7 @@ def run_load_curve(
     for load in loads:
         # Every load point is validated before it runs; the first one
         # also hoists the invariants.
-        _validate_experiment_params(float(load), engine, demand_model, transport)
+        _validate_experiment_params(load, engine, demand_model, transport)
         if setup is None:
             setup = _prepare_experiment(
                 topology,

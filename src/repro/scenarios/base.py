@@ -9,6 +9,7 @@ synthesis, LOS hop enumeration, Step-1 shortest paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from ..core.topology import DesignInput
 from ..datasets.sites import Site
 from ..fiber.conduits import FiberNetwork, build_conduit_network
 from ..geo.coords import pairwise_distance_matrix
-from ..geo.fresnel import RadioProfile
 from ..geo.terrain import TerrainModel
 from ..links.builder import LinkCatalog, build_link_catalog
 from ..towers.hops import HopGraph
@@ -81,6 +81,19 @@ class Scenario:
         )
 
 
+@lru_cache(maxsize=4)
+def _tower_registry(
+    sites: tuple[Site, ...], terrain: TerrainModel, config: SynthesisConfig
+) -> TowerRegistry:
+    """The culled tower registry, memoized per process by value.
+
+    A tower field depends on the sites, the terrain (which thins it) and
+    the synthesis config, never on line-of-sight parameters, so a sweep
+    over radio range or usable height synthesizes and culls it once.
+    """
+    return TowerRegistry(cull_towers(synthesize_towers(list(sites), terrain, config)))
+
+
 def build_scenario(
     name: str,
     sites: list[Site],
@@ -92,6 +105,17 @@ def build_scenario(
     pipeline: HopPipeline | None = None,
 ) -> Scenario:
     """Run the full substrate pipeline for a site list.
+
+    The line-of-sight-independent half is reused per process.  The
+    culled :class:`TowerRegistry` comes from a memo of the last four
+    tower fields, keyed by value on ``(sites, terrain,
+    synthesis_config)`` (``None`` meaning the default
+    :class:`SynthesisConfig`), so scenarios that differ only in
+    ``los_config``, fiber or ``name`` share one registry object.  The
+    registry memoizes its candidate pairs per radio range, and the
+    default pipeline shares terrain profiles and tower-base elevations
+    per terrain model (:func:`~repro.core.pipeline.shared_pipeline`).
+    Hop graph, link catalog and fiber are built fresh for every call.
 
     Args:
         name: scenario label.
@@ -109,8 +133,9 @@ def build_scenario(
             sweeps skip re-sampling the elevation field.
     """
     los_config = los_config or LosConfig()
-    towers = synthesize_towers(sites, terrain, synthesis_config)
-    registry = TowerRegistry(cull_towers(towers))
+    registry = _tower_registry(
+        tuple(sites), terrain, synthesis_config or SynthesisConfig()
+    )
     if pipeline is None:
         pipeline = shared_pipeline(terrain, los_config)
     hop_graph = pipeline.enumerate_hops(registry)
@@ -137,11 +162,6 @@ def build_scenario(
         geodesic_km=geodesic,
         fiber_km=fiber_km,
     )
-
-
-def radio_profile_with_range(max_range_km: float) -> RadioProfile:
-    """A default radio profile with a custom maximum hop range (§6.5)."""
-    return RadioProfile(max_range_km=max_range_km)
 
 
 # The scenario name/seed metadata and validation rules live in the

@@ -30,6 +30,16 @@ def us_scenario(
 ) -> Scenario:
     """Build (and cache) the US scenario.
 
+    Three layers of per-process reuse sit under this call.  The whole
+    scenario is cached on every argument (the last eight).  Below that,
+    :func:`~repro.scenarios.base.build_scenario` memoizes the culled
+    tower registry on ``(sites, terrain, SynthesisConfig(seed))``, and
+    the registry memoizes its candidate pairs per ``max_range_km``, so
+    a §6.5 sweep over range and usable height synthesizes the towers
+    once and enumerates pairs once per range.  The default pipeline
+    shares US terrain profiles and tower-base elevations across every
+    sweep point.
+
     Args:
         n_sites: number of population centers, in [2, 120]; smaller
             values give the city subsets used in the scalability

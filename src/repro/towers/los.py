@@ -159,6 +159,15 @@ class LosChecker:
         """Terrain heights at tower bases, (n,)."""
         return np.atleast_1d(self.terrain.elevation_m(lats, lons))
 
+    def ground_keys(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-tower-base ``(y, x)`` keys: equal keys share one ground lookup.
+
+        :meth:`feasible_arrays` looks each distinct key up once per
+        call.  Here the key is the exact coordinate pair; a caching
+        subclass keys by its cache key instead.
+        """
+        return lats, lons
+
     def batch_feasible(self, towers_a: list[Tower], towers_b: list[Tower]) -> np.ndarray:
         """Feasibility mask for aligned lists of tower pairs.
 
@@ -198,6 +207,11 @@ class LosChecker:
         sample count, and (optionally) bounds each vectorized batch at
         ``chunk_size`` pairs so memory stays flat on huge candidate
         sets.  The candidate-hop pipeline calls this directly.
+
+        Tower-base elevations are looked up once per distinct
+        :meth:`ground_keys` key, in one :meth:`ground_elevation_m` call
+        ordered as the chunk loop first reaches each key (a chunk's
+        a-ends, then its b-ends), and gathered per pair.
         """
         cfg = self.config
         dist = np.atleast_1d(haversine_km(lat_a, lon_a, lat_b, lon_b))
@@ -207,26 +221,52 @@ class LosChecker:
         if not in_range.any():
             return result
         samples = self.sample_count(dist)
+        chunks: list[tuple[int, np.ndarray]] = []
         for m in np.unique(samples[in_range]):
             idx = np.where(in_range & (samples == m))[0]
             step = len(idx) if chunk_size is None else chunk_size
-            for start in range(0, len(idx), step):
-                sl = idx[start : start + step]
-                result[sl] = self._feasible_at_samples(
-                    lat_a[sl], lon_a[sl], h_a[sl],
-                    lat_b[sl], lon_b[sl], h_b[sl],
-                    dist[sl], int(m),
-                )
+            chunks.extend((int(m), idx[start : start + step]) for start in range(0, len(idx), step))
+        ground = self._chunk_grounds(lat_a, lon_a, lat_b, lon_b, [sl for _, sl in chunks])
+        start = 0
+        for m, sl in chunks:
+            mid, stop = start + len(sl), start + 2 * len(sl)
+            result[sl] = self._feasible_at_samples(
+                lat_a[sl], lon_a[sl], h_a[sl], ground[start:mid],
+                lat_b[sl], lon_b[sl], h_b[sl], ground[mid:stop],
+                dist[sl], m,
+            )
+            start = stop
         return result
+
+    def _chunk_grounds(self, lat_a, lon_a, lat_b, lon_b, chunks: list[np.ndarray]) -> np.ndarray:
+        """Tower-base elevations of every chunk's a-ends, then its b-ends.
+
+        One :meth:`ground_elevation_m` call over the distinct
+        :meth:`ground_keys`, in the order this layout first reaches
+        them, gathered back per end.
+        """
+        end_lat = np.concatenate([v[sl] for sl in chunks for v in (lat_a, lat_b)])
+        end_lon = np.concatenate([v[sl] for sl in chunks for v in (lon_a, lon_b)])
+        # A (y, x) key pair as one complex scalar: np.unique compares both parts.
+        keys = np.empty(len(end_lat), dtype=complex)
+        keys.real, keys.imag = self.ground_keys(end_lat, end_lon)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        asked = first[order]  # each key's first end, in ask order
+        per_key = np.empty(len(first))
+        per_key[order] = self.ground_elevation_m(end_lat[asked], end_lon[asked])
+        return per_key[inverse]
 
     def _feasible_at_samples(
         self,
         lat_a: np.ndarray,
         lon_a: np.ndarray,
         h_a: np.ndarray,
+        ground_a: np.ndarray,
         lat_b: np.ndarray,
         lon_b: np.ndarray,
         h_b: np.ndarray,
+        ground_b: np.ndarray,
         d: np.ndarray,
         m: int,
     ) -> np.ndarray:
@@ -236,8 +276,6 @@ class LosChecker:
         terrain_m = self.profile_terrain_m(lat_a, lon_a, lat_b, lon_b, m)
 
         # Antenna altitudes at both ends.
-        ground_a = self.ground_elevation_m(lat_a, lon_a)
-        ground_b = self.ground_elevation_m(lat_b, lon_b)
         alt_a = ground_a + h_a * cfg.usable_height_fraction
         alt_b = ground_b + h_b * cfg.usable_height_fraction
 

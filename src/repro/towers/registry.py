@@ -61,7 +61,11 @@ class Tower:
 
 
 class TowerRegistry:
-    """An indexed collection of towers with the paper's culling rules."""
+    """An indexed collection of towers with the paper's culling rules.
+
+    Pair enumerations are memoized per range (:meth:`pairs_within`).
+    The memo is derived data: pickles and deep copies leave it out.
+    """
 
     def __init__(self, towers: list[Tower], index_cell_deg: float = 0.5):
         if index_cell_deg <= 0:
@@ -73,11 +77,38 @@ class TowerRegistry:
             lats = np.array([t.lat for t in self._towers])
             lons = np.array([t.lon for t in self._towers])
             self._index = GridIndex(lats, lons, radius_km=index_cell_deg * KM_PER_DEG_LAT)
+        self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    @property
-    def spatial_index(self) -> GridIndex | None:
-        """The registry's grid index (None when empty)."""
-        return self._index
+    def __getstate__(self) -> dict:
+        # The pair memo is derived data: keep it out of pickles (the
+        # artifact store serializes scenarios) and deep copies.
+        state = dict(self.__dict__)
+        state.pop("_pairs", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._pairs = {}
+
+    def pairs_within(self, max_range_km: float) -> tuple[np.ndarray, np.ndarray]:
+        """Tower pairs within ``max_range_km``, as (a, b) arrays with a < b.
+
+        Enumerated once per range on the registry's grid index (queries
+        at radii other than the build radius remain exact) and memoized,
+        so hop enumerations that share a radio range share the pairs.
+        The arrays are read-only.
+        """
+        key = float(max_range_km)
+        pairs = self._pairs.get(key)
+        if pairs is None:
+            if self._index is None:
+                pairs = (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+            else:
+                pairs = self._index.pairs_within(key)
+            for arr in pairs:
+                arr.setflags(write=False)
+            self._pairs[key] = pairs
+        return pairs
 
     def __len__(self) -> int:
         return len(self._towers)

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import shortest_path
 from repro.core import budget_evolution, greedy_sequence, mw_shares, shares_from_state
 from repro.core.topology import Topology, mean_stretch_from_distances
 from repro.graph import (
+    DENSE_DENSITY_THRESHOLD,
     GraphKernel,
     GraphView,
     closure_with_edges,
@@ -27,6 +28,7 @@ from repro.graph import (
     edge_delta_with_carry,
     graph_kernel_version,
 )
+from repro.graph.view import affected_sources
 
 from conftest import make_toy_design
 
@@ -195,6 +197,27 @@ class TestGraphKernel:
             want = shortest_path(dense, method="FW", directed=False, return_predecessors=True)
             assert np.array_equal(dist, want[0]) and np.array_equal(pred, want[1])
         assert np.isinf(removed).any() and np.isinf(zero).any()
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    @pytest.mark.parametrize("density", [0.15, 1.0])
+    def test_distances_equal_predecessor_solve_bitwise(self, method, density):
+        """distances() alone, on a shared or a distances-only kernel,
+        equals the distances of the solve that fills predecessors."""
+        w = random_weights(40, density, 17)
+        w[3, 9] = w[9, 3] = np.inf
+        want = GraphKernel(w, method=method).predecessors()[0]
+        assert GraphKernel(w, method=method).distances().tobytes() == want.tobytes()
+        owned = np.array(w)
+        kernel = GraphKernel.distances_only(owned, method)
+        got = kernel.distances()
+        assert got.tobytes() == want.tobytes()
+        # The matrix is taken over, not copied, and stays intact.
+        assert kernel.weights is owned and not owned.flags.writeable
+        assert np.array_equal(owned, w)
+
+    def test_distances_only_rejects_auto(self):
+        with pytest.raises(ValueError):
+            GraphKernel.distances_only(np.zeros((3, 3)), "auto")
 
     def test_density_computed_once(self, monkeypatch):
         kernel = GraphKernel(random_weights(12, 0.5, 1))
@@ -491,8 +514,61 @@ class TestNoDenseFwOutsideKernel:
         assert result.findings == []
 
 
+def reference_affected_sources(base: np.ndarray, changes) -> np.ndarray:
+    """The affected-source test one changed edge at a time."""
+    affected = np.zeros(base.shape[0], dtype=bool)
+    for a, b, old in changes:
+        da, db = base[:, a], base[:, b]
+        finite = np.isfinite(da) & np.isfinite(db)
+        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(da), np.abs(db)))
+        tight = (da + old <= db + tol) | (db + old <= da + tol)
+        affected |= finite & tight
+    return affected
+
+
 class TestBatchRemoval:
     """GraphView.distances_with_edges_removed: the what-if batch query."""
+
+    @pytest.mark.parametrize("density", [0.12, 1.0])
+    def test_affected_sources_match_per_edge_reference(self, density):
+        w = random_weights(40, density, 21)
+        w[5, 7] = w[7, 5] = np.inf  # an absent edge in the complete graph too
+        base = GraphKernel(w).distances()
+        rng = np.random.default_rng(22)
+        iu = np.triu_indices(40, k=1)
+        for _ in range(60):
+            k = int(rng.integers(0, 13))
+            pick = rng.choice(len(iu[0]), size=k, replace=False)
+            changes = [(int(iu[0][i]), int(iu[1][i]), float(w[iu[0][i], iu[1][i]])) for i in pick]
+            got = affected_sources(base, changes)
+            assert got.dtype == bool and got.shape == (40,)
+            assert np.array_equal(got, reference_affected_sources(base, changes))
+
+    def test_full_solve_method_follows_the_modified_edge_count(self):
+        """Removals that take a dense base below the density threshold
+        solve the modified graph as GraphKernel(modified) would."""
+        n = 20
+        w = random_weights(n, 0.3, 23)
+        kernel = GraphKernel(w)
+        assert kernel.density() >= DENSE_DENSITY_THRESHOLD
+        iu = np.triu_indices(n, k=1)
+        present = [(int(a), int(b)) for a, b in zip(*iu) if np.isfinite(w[a, b]) and b != a + 1]
+        pairs = n * (n - 1) // 2
+        drop = kernel.edge_count() - int(DENSE_DENSITY_THRESHOLD * pairs) + 1
+        removed = present[:drop]
+        worsened = [(a, b, float(w[a, b]) * 2.0) for a, b in present[drop : drop + 3]]
+        modified = w.copy()
+        for a, b in removed:
+            modified[a, b] = modified[b, a] = np.inf
+        for a, b, nw in worsened:
+            modified[a, b] = modified[b, a] = nw
+        want = GraphKernel(modified)
+        assert want.density() < DENSE_DENSITY_THRESHOLD
+        got = GraphView(w).distances_with_edges_removed(removed + worsened)
+        assert got.tobytes() == want.distances().tobytes()
+        # The two methods differ in the last bits here, so the choice shows.
+        dense = GraphKernel(modified, method="dense").distances()
+        assert dense.tobytes() != got.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sparse_matches_full_solve(self, seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve_heuristic
-from repro.netsim import build_edge_specs, run_udp_experiment
+from repro.netsim import build_edge_specs, run_load_curve, run_udp_experiment
 from repro.traffic import mixed_matrix, perturbed_population_matrix
 
 
@@ -91,6 +91,37 @@ class TestUdpExperiments:
         _, topo = designed_20
         with pytest.raises(ValueError):
             run_udp_experiment(topo, 50.0, 0.0)
+
+
+def _bad_input(name: str, value, expected: str):
+    return pytest.param(name, value, f"^{name} must be {expected}, got {value!r}$", id=f"{name}={value!r}")
+
+
+class TestParameterValidation:
+    """Library input fails loudly, naming the parameter, through either
+    entry point; a bool or a numeric string is never converted."""
+
+    CASES = [
+        _bad_input("input_rate_fraction", True, r"a finite number in \(0, 1\.5\]"),
+        _bad_input("input_rate_fraction", "0.5", r"a finite number in \(0, 1\.5\]"),
+        _bad_input("engine", "x", "one of packet, fluid"),
+        _bad_input("demand_model", "x", "one of design, users"),
+        _bad_input("transport", "x", "one of udp, tcp"),
+    ]
+
+    @pytest.mark.parametrize("name, value, message", CASES)
+    def test_run_udp_experiment(self, designed_20, name, value, message):
+        _, topo = designed_20
+        kwargs = {"input_rate_fraction": 0.5, name: value}
+        with pytest.raises(ValueError, match=message):
+            run_udp_experiment(topo, 50.0, **kwargs)
+
+    @pytest.mark.parametrize("name, value, message", CASES)
+    def test_run_load_curve(self, designed_20, name, value, message):
+        _, topo = designed_20
+        kwargs = {"loads": [value]} if name == "input_rate_fraction" else {"loads": [0.5], name: value}
+        with pytest.raises(ValueError, match=message):
+            run_load_curve(topo, 50.0, **kwargs)
 
 
 class TestDeterminism:

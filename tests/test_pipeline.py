@@ -1,5 +1,7 @@
 """The candidate-hop pipeline: spatial index, cached LoS, solver registry."""
 
+import copy
+import pickle
 from collections import OrderedDict
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.core.pipeline import (
     shared_pipeline,
 )
 from repro.geo.coords import GeoPoint, haversine_km
+from repro.geo.fresnel import RadioProfile
 from repro.geo.spatial import GridIndex, brute_force_pairs_within
 from repro.geo.terrain import flat_terrain, us_terrain
 from repro.towers.hops import build_hop_graph, candidate_pairs
@@ -359,6 +362,145 @@ class TestCachingKeyingOracle:
         e = np.zeros(0)
         assert checker.profile_terrain_m(e, e, e, e, 9).shape == (0, 9)
         assert checker.ground_elevation_m(e, e).shape == (0,)
+
+
+class TestPairMemo:
+    """Candidate pairs are memoized per range on the registry."""
+
+    def test_memoized_read_only_and_exact(self):
+        reg = TowerRegistry(random_towers(150, seed=21, spread=0.3))
+        a, b = reg.pairs_within(80.0)
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+        # The same arrays serve every later ask at that range, the
+        # pipeline's included.
+        again = reg.pairs_within(80)
+        assert again[0] is a and again[1] is b
+        pipeline = HopPipeline.from_terrain(
+            us_terrain(), LosConfig(radio=RadioProfile(max_range_km=80.0))
+        )
+        assert pipeline.candidate_pairs(reg)[0] is a
+        lats, lons = reg.coordinates()
+        for max_range in (80.0, 40.0):
+            got = reg.pairs_within(max_range)
+            assert pair_set(*got) == pair_set(*brute_force_pairs_within(lats, lons, max_range))
+        assert sorted(reg._pairs) == [40.0, 80.0]
+
+    def test_pickles_and_copies_carry_no_memo(self):
+        towers = random_towers(60, seed=22, spread=0.2)
+        reg = TowerRegistry(towers)
+        fresh = pickle.dumps(TowerRegistry(towers))
+        a, b = reg.pairs_within(100.0)
+        assert pickle.dumps(reg) == fresh
+        for clone in (pickle.loads(fresh), copy.deepcopy(reg)):
+            assert clone._pairs == {}
+            ca, cb = clone.pairs_within(100.0)
+            assert ca.tobytes() == a.tobytes() and cb.tobytes() == b.tobytes()
+
+    def test_empty_registry(self):
+        a, b = TowerRegistry([]).pairs_within(100.0)
+        assert len(a) == len(b) == 0
+
+
+class _RecordingChecker(CachingLosChecker):
+    """Records each ground_elevation_m call as its list of cache keys."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ground_calls: list[list[tuple[int, int]]] = []
+
+    def ground_elevation_m(self, lats, lons):
+        ys, xs = self.ground_keys(np.atleast_1d(lats), np.atleast_1d(lons))
+        self.ground_calls.append(list(zip(ys.tolist(), xs.tolist())))
+        return super().ground_elevation_m(lats, lons)
+
+
+class _ChunkLoopReference(_RecordingChecker):
+    """Oracle: the group/chunk loop probing the ground cache per pair,
+    one endpoint at a time (a chunk's a-ends, then its b-ends)."""
+
+    def feasible_arrays(self, lat_a, lon_a, h_a, lat_b, lon_b, h_b, chunk_size=None):
+        dist = np.atleast_1d(haversine_km(lat_a, lon_a, lat_b, lon_b))
+        in_range = (dist <= self.config.radio.max_range_km) & (dist > 1e-6)
+        result = np.zeros(len(dist), dtype=bool)
+        samples = self.sample_count(dist)
+        for m in np.unique(samples[in_range]):
+            idx = np.flatnonzero(in_range & (samples == m))
+            step = len(idx) if chunk_size is None else chunk_size
+            for start in range(0, len(idx), step):
+                sl = idx[start : start + step]
+                ground_a = [self.ground_elevation_m(lat_a[i], lon_a[i])[0] for i in sl]
+                ground_b = [self.ground_elevation_m(lat_b[i], lon_b[i])[0] for i in sl]
+                result[sl] = self._feasible_at_samples(
+                    lat_a[sl], lon_a[sl], h_a[sl], np.array(ground_a),
+                    lat_b[sl], lon_b[sl], h_b[sl], np.array(ground_b),
+                    dist[sl], int(m),
+                )
+        return result
+
+
+class TestGroundLookups:
+    """feasible_arrays looks each tower base up once per call."""
+
+    def test_twin_towers_in_one_cell_match_per_endpoint_reference(self):
+        q = DEFAULT_QUANT_DEG
+        towers = random_towers(40, seed=31, spread=0.1)
+        first = towers[0]
+        # A second tower about 3 m away, inside the first one's
+        # quantization cell: the two share one ground-cache key.
+        twin = Tower(tower_id=40, lat=first.lat + 0.3 * q, lon=first.lon - 0.2 * q, height_m=150.0)
+        codes = np.rint(np.array([[first.lat, first.lon], [twin.lat, twin.lon]]) / q)
+        assert (codes[0] == codes[1]).all()
+        terrain = us_terrain()
+        exact = terrain.elevation_m(np.array([first.lat, twin.lat]), np.array([first.lon, twin.lon]))
+        assert exact[0] != exact[1]
+        reg = TowerRegistry(towers + [twin])
+        cand_a, cand_b = reg.pairs_within(100.0)
+        lats, lons = reg.coordinates()
+        heights = np.array([t.height_m for t in reg])
+        args = (
+            lats[cand_a], lons[cand_a], heights[cand_a],
+            lats[cand_b], lons[cand_b], heights[cand_b],
+        )
+        checker = _RecordingChecker(terrain, LosConfig())
+        ref = _ChunkLoopReference(terrain, LosConfig())
+        # One base cached before the first call: a hit at call start.
+        for c in (checker, ref):
+            c.ground_elevation_m(lats[5:6], lons[5:6])
+        for chunk_size in (7, None, 3):
+            checker.ground_calls.clear()
+            ref.ground_calls.clear()
+            got = checker.feasible_arrays(*args, chunk_size=chunk_size)
+            want = ref.feasible_arrays(*args, chunk_size=chunk_size)
+            assert got.tobytes() == want.tobytes()
+            for new, old in ((checker._grounds, ref._grounds), (checker._profiles, ref._profiles)):
+                assert new._data.keys() == old._data.keys()
+                for key, value in old._data.items():
+                    assert np.asarray(new._data[key]).tobytes() == np.asarray(value).tobytes()
+            # One lookup per call: each key once, in the loop's first-ask order.
+            asked = [key for call in ref.ground_calls for key in call]
+            assert checker.ground_calls == [list(dict.fromkeys(asked))]
+        # 41 towers, 40 cache keys.
+        assert len(checker._grounds) == len(reg) - 1
+
+    def test_plain_checker_looks_each_base_up_once(self):
+        towers = random_towers(50, seed=32, spread=0.15)
+        reg = TowerRegistry(towers)
+        calls = []
+
+        class Counting(LosChecker):
+            def ground_elevation_m(self, lats, lons):
+                calls.append(len(lats))
+                return super().ground_elevation_m(lats, lons)
+
+        checker = Counting(us_terrain(), LosConfig())
+        pipeline = HopPipeline(checker, chunk_size=11)
+        cand_a, cand_b = pipeline.candidate_pairs(reg)
+        mask = pipeline.feasible_mask(reg, cand_a, cand_b)
+        assert len(calls) == 1 and calls[0] == len(np.union1d(cand_a, cand_b))
+        for i, j, verdict in zip(cand_a, cand_b, mask):
+            assert bool(verdict) == checker.hop_feasible(towers[i], towers[j])
 
 
 class TestSolverRegistry:
