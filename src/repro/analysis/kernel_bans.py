@@ -44,7 +44,7 @@ class DenseFwBanRule(Rule):
             col=node.col_offset,
             message=(
                 f"{what}: dense Floyd-Warshall is banned outside "
-                "src/repro/graph/ — use GraphKernel/GraphView (the "
+                "src/repro/graph/ — use GraphKernel (the "
                 "kernel picks dense FW itself when the graph warrants "
                 "it, under KERNEL_VERSION)"
             ),

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from ..datasets.sites import Site
-from ..graph import GraphKernel, GraphView
+from ..graph import GraphKernel
 
 
 @dataclass(frozen=True)
@@ -156,15 +156,6 @@ class Topology:
         return self._memo(
             "kernel", lambda: GraphKernel(self.hybrid_weight_matrix())
         )
-
-    def graph_view(self) -> GraphView:
-        """A fresh, caller-owned mutable view of the hybrid graph.
-
-        Each call returns an independent :class:`~repro.graph.GraphView`
-        (mutations never leak between consumers); the memoized kernel
-        and distance matrix stay untouched.
-        """
-        return GraphView(self.hybrid_weight_matrix(), tag="hybrid")
 
     def effective_distance_matrix(self) -> np.ndarray:
         """Latency-equivalent distances over fiber + built MW links.

@@ -1,22 +1,21 @@
-"""The shared, incremental distance/routing engine (see ``kernel.py``).
+"""The shared distance/routing engine (see ``kernel.py``).
 
 Public surface:
 
 * :class:`GraphKernel` — immutable all-pairs / per-source solver over
   one weight matrix (dense FW or batched sparse Dijkstra, chosen by
-  density; the only module allowed to run dense Floyd-Warshall).
-* :class:`GraphView` — versioned mutable handle: O(n^2) delta updates
-  on edge improvement, exact fallback on removal, batch what-if
-  removals (``distances_with_edges_removed``: affected-source Dijkstra
-  restart, view untouched), networkx export for the netsim routing
-  layer.
-* :func:`edge_delta_distances` / :func:`edge_delta_with_carry` /
-  :func:`closure_with_edges` — the vectorized single-edge insertion
-  rule the design heuristics and the evolution backend share.
+  density; the only module allowed to run dense Floyd-Warshall).  It is
+  the one graph handle: ``Topology.graph_kernel()`` memoizes the hybrid
+  graph's, and no layer edits a graph in place.
+* :func:`edge_delta_distances` / :func:`edge_delta_with_carry` — the
+  vectorized single-edge insertion rule the design heuristics and the
+  evolution backend share.
 * :class:`FailureSetSolver` / :class:`ByteBudgetLRU` — the delta-reuse
   router over failure-set query streams (``whatif.py``): memo hit,
   compositional delta from the nearest cached neighbor set, or full
-  solve, under an LRU byte budget.  The weather evaluator rides on it.
+  solve (``whatif.distances_with_edges_removed``: affected-source
+  Dijkstra restart, the kernel untouched), under an LRU byte budget.
+  The weather evaluator rides on it.
 * :func:`graph_kernel_version` — cache-key ingredient for the
   experiment orchestration layer.
 """
@@ -25,12 +24,10 @@ from .kernel import (
     DENSE_DENSITY_THRESHOLD,
     KERNEL_VERSION,
     GraphKernel,
-    closure_with_edges,
     edge_delta_distances,
     edge_delta_with_carry,
     graph_kernel_version,
 )
-from .view import GraphView
 from .whatif import DEFAULT_CACHE_BYTES, ByteBudgetLRU, FailureSetSolver
 
 __all__ = [
@@ -40,8 +37,6 @@ __all__ = [
     "ByteBudgetLRU",
     "FailureSetSolver",
     "GraphKernel",
-    "GraphView",
-    "closure_with_edges",
     "edge_delta_distances",
     "edge_delta_with_carry",
     "graph_kernel_version",

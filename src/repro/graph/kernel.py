@@ -32,9 +32,10 @@ kernel with three complementary query paths:
   which is what lets the evolution backend score every budget prefix
   without ever reconstructing routes.
 
-The mutable, versioned handle over a kernel is
-:class:`~repro.graph.view.GraphView`; see that module for edge
-mutation semantics (delta on improvement, exact fallback on removal).
+A kernel is immutable, so it is the one graph handle: a what-if over
+it (a failure set, a removed link) never edits it but solves a
+modified copy of its weights (:mod:`repro.graph.whatif`), and
+``Topology.graph_kernel()`` memoizes the hybrid graph's kernel.
 """
 
 from __future__ import annotations
@@ -121,22 +122,6 @@ def edge_delta_with_carry(
     rerouted = np.where(via_a <= via_b, carry_via_a, carry_via_b)
     new_carry = np.where(improved, rerouted, carry)
     return new_dist, new_carry
-
-
-def closure_with_edges(
-    closure: np.ndarray, edges
-) -> np.ndarray:
-    """Distances after inserting ``edges`` into an already-solved closure.
-
-    ``closure`` must be an exact all-pairs distance matrix (e.g. the
-    fiber metric closure); ``edges`` is an iterable of ``(a, b, w)``.
-    Each insertion is one O(n^2) delta — no full solve anywhere.
-    """
-    dist = np.array(closure, dtype=float)
-    np.fill_diagonal(dist, 0.0)
-    for a, b, w in edges:
-        dist = edge_delta_distances(dist, a, b, w)
-    return dist
 
 
 class GraphKernel:

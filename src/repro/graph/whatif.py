@@ -1,31 +1,40 @@
-"""Delta-reuse failure-set solver for storm-track what-if queries.
+"""Failure-set what-ifs over one fixed graph, and their delta-reuse solver.
 
-:class:`FailureSetSolver` answers a *stream* of failure-set distance
-queries against one frozen base :class:`~repro.graph.view.GraphView`.
-The weather layer's storm tracks produce long chains of near-identical
-sets — one or two links flapping in and out between days — and whole-set
-memoization (PR 5) still pays one full all-pairs solve per *distinct*
-set.  The solver instead picks the cheapest route per query:
+A failure set is a read-only question about one design: with these
+links down (removed, or worsened to a fallback weight), what are the
+all-pairs distances?  The base graph is an immutable
+:class:`~repro.graph.kernel.GraphKernel` (``Topology.graph_kernel()``
+for the hybrid fiber/MW graph), never edited.  Two layers answer it:
 
-* **memo hit** — the exact set was solved before: return the cached
-  matrix (bit-identical, zero work).
-* **delta solve** — a previously solved *neighbor* set differs from the
-  query by at most ``delta_k`` links (symmetric difference).  Links
-  failed in the neighbor but healthy in the query are *restored* by the
-  kernel's exact O(n^2) single-edge insertion rule
-  (:func:`~repro.graph.kernel.edge_delta_distances` — a weight decrease
-  is an edge insertion in parallel with the worse edge); links failed
-  in the query but healthy in the neighbor are *removed* by the
-  affected-source machinery behind
-  :meth:`~repro.graph.view.GraphView.distances_with_edges_removed`:
-  only sources with a tight shortest path through a removed link are
-  restarted (batched Dijkstra on the query graph) and merged into the
-  neighbor's matrix.  A cached *superset* of the query needs only
-  restorations — no restart at all — so supersets are accepted up to
-  the larger :data:`RESTORE_K` budget and preferred over any neighbor
-  that needs removals.
-* **full solve** — no cached neighbor is close enough: fall back to the
-  view's batch what-if query, exactly as before.
+* :func:`distances_with_edges_removed` — one what-if, solved exactly:
+  only the sources with a tight shortest path through a changed edge
+  (:func:`affected_sources`) can change, so none affected returns the
+  base matrix itself, a sparse base restarts batched Dijkstra from just
+  those sources, and a dense base pays one full solve.
+* :class:`FailureSetSolver` — a *stream* of such queries.  The weather
+  layer's storm tracks produce long chains of near-identical sets — one
+  or two links flapping in and out between days — and whole-set
+  memoization still pays one full all-pairs solve per *distinct* set.
+  The solver instead picks the cheapest route per query:
+
+  * **memo hit** — the exact set was solved before: return the cached
+    matrix (bit-identical, zero work).
+  * **delta solve** — a previously solved *neighbor* set differs from
+    the query by at most ``delta_k`` links (symmetric difference).
+    Links failed in the neighbor but healthy in the query are
+    *restored* by the kernel's exact O(n^2) single-edge insertion rule
+    (:func:`~repro.graph.kernel.edge_delta_distances` — a weight
+    decrease is an edge insertion in parallel with the worse edge);
+    links failed in the query but healthy in the neighbor are *removed*
+    by the affected-source machinery: only sources with a tight
+    shortest path through a removed link are restarted (batched
+    Dijkstra on the query graph) and merged into the neighbor's matrix.
+    A cached *superset* of the query needs only restorations — no
+    restart at all — so supersets are accepted up to the larger
+    :data:`RESTORE_K` budget and preferred over any neighbor that needs
+    removals.
+  * **full solve** — no cached neighbor is close enough:
+    :func:`distances_with_edges_removed` against the pinned base.
 
 Removal restarts are *cost-gated*: per-source Dijkstra only beats the
 full solve while few sources are affected (on dense bases the full
@@ -43,17 +52,17 @@ restoration-only deltas — a sweeping storm pays one full solve per
 Nearest-neighbor lookup is O(|set|) via a per-link inverted index over
 the cached sets.  Cached matrices live under an LRU byte budget
 (:class:`ByteBudgetLRU`) so long daily-resolution runs cannot exhaust
-memory; the healthy-base matrix is pinned.  Route counters
-(``full_solves`` / ``delta_solves`` / ``memo_hits``, plus cache bytes
-and evictions) surface in the weather stage records through
-:meth:`FailureSetSolver.stats`.
+memory; the healthy base — the kernel's own memoized distances — is
+pinned.  Route counters (``full_solves`` / ``delta_solves`` /
+``memo_hits``, plus cache bytes and evictions) surface in the weather
+stage records through :meth:`FailureSetSolver.stats`.
 
 Accuracy contract: delta-derived matrices match the full solve to
 <= 1e-9 relative.  The restoration rule is exact and removals restart
 affected rows from scratch, so the only divergence from a full solve is
 float association error, bounded by capping delta-chain depth
-(:data:`MAX_CHAIN`); a removal-only delta taken directly from the base of a
-*sparse* view is bit-identical to the full solve (same machinery).
+(:data:`MAX_CHAIN`); a removal-only delta taken directly from a
+*sparse* base is bit-identical to the full solve (same machinery).
 Route selection is deterministic, so identical query sequences through
 identically configured solvers return bitwise-identical results.
 """
@@ -68,7 +77,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .kernel import DENSE_DENSITY_THRESHOLD, GraphKernel
-from .view import GraphView, affected_sources
 
 #: Default LRU budget for cached distance matrices (bytes).
 DEFAULT_CACHE_BYTES = 256 * 2**20
@@ -81,6 +89,91 @@ RESTORE_K = 12
 #: Maximum delta-chain depth: a query whose every candidate neighbor
 #: sits this deep is fully solved, bounding float drift.
 MAX_CHAIN = 64
+
+
+def affected_sources(base: np.ndarray, changes) -> np.ndarray:
+    """Sources whose distance rows can change when edges are worsened.
+
+    ``base`` is an exact all-pairs matrix of the *pre-change* graph and
+    ``changes`` an iterable of ``(a, b, old_weight)`` for the edges
+    about to be worsened or removed.  Source ``s`` is affected only if
+    some changed edge is tight on a shortest path from ``s``
+    (``d[s,a] + w == d[s,b]`` in either orientation).  The comparison
+    carries a 1e-9 relative guard band, so float association error can
+    only cause over-recomputation, never a stale row.
+
+    Shared by :func:`distances_with_edges_removed` and the failure-set
+    solver's delta route.
+    """
+    changes = list(changes)
+    if not changes:
+        return np.zeros(base.shape[0], dtype=bool)
+    a, b, old = zip(*changes)
+    # All changed edges at once: column j of each (n, k) block is edge j.
+    da, db = base[:, list(a)], base[:, list(b)]
+    old = np.array(old, dtype=float)
+    finite = np.isfinite(da) & np.isfinite(db)
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(da), np.abs(db)))
+    tight = (da + old <= db + tol) | (db + old <= da + tol)
+    return (finite & tight).any(axis=1)
+
+
+def distances_with_edges_removed(
+    kernel: GraphKernel, base: np.ndarray, changes
+) -> np.ndarray:
+    """All-pairs distances of ``kernel``'s graph with edges worsened.
+
+    Args:
+        kernel: the unchanged base graph.
+        base: ``kernel.distances()``, passed in so that a caller holding
+            it reads no memoized solve again.
+        changes: a sequence of ``(a, b, new_weight)``, one per
+            undirected edge, each an edge of ``kernel``'s graph whose
+            ``new_weight`` (``inf`` removes it) is strictly above its
+            weight — the canonical form
+            :meth:`FailureSetSolver.canonical_key` resolves.
+
+    Only the sources whose rows can change are recomputed
+    (:func:`affected_sources`).  When none is, ``base`` itself is
+    returned.  On a sparse base, batched Dijkstra restarted from just
+    the affected sources recomputes exactly those rows (bit-identical
+    to the full sparse solve, whose rows are independent per source).
+    A dense base — whose solve is Floyd-Warshall, which cannot restart
+    per source — takes one full solve of the modified weights, with the
+    method ``GraphKernel(modified)`` would pick, so the result is
+    bit-identical to ``GraphKernel(modified).distances()``.  Returns a
+    read-only array.
+    """
+    weights = kernel.weights
+    idx = np.flatnonzero(
+        affected_sources(base, [(a, b, weights[a, b]) for a, b, _ in changes])
+    )
+    if idx.size == 0:
+        return base
+    modified = np.array(weights)
+    for a, b, new in changes:
+        modified[a, b] = modified[b, a] = new
+    # The modified graph's full-solve method, as GraphKernel(modified)
+    # would pick it, from the base's edge count: only removals change
+    # the count (finite worsenings keep their edge).
+    removed = sum(1 for *_, new in changes if new == np.inf)
+    n = kernel.n
+    pairs = n * (n - 1) // 2
+    dense = (kernel.edge_count() - removed) / pairs >= DENSE_DENSITY_THRESHOLD
+    solver = GraphKernel.distances_only(modified, "dense" if dense else "sparse")
+    # Branch on the *base* graph's density: if the base solve ran dense
+    # FW, its rows cannot be merged bitwise with per-source Dijkstra
+    # restarts — take one full solve.  A base below the threshold keeps
+    # the modified graph below it too (edges are only removed or
+    # worsened, never added), so the sparse restart merges Dijkstra
+    # rows with Dijkstra rows.
+    if idx.size == n or kernel.density() >= DENSE_DENSITY_THRESHOLD:
+        return solver.distances()
+    rows = solver.distances_from(idx)
+    out = np.array(base)
+    out[idx, :] = rows
+    out.setflags(write=False)
+    return out
 
 
 class ByteBudgetLRU:
@@ -199,9 +292,8 @@ class FailureSetSolver:
     """Memo / delta / full-solve router over failure-set queries.
 
     Args:
-        view: the frozen base graph (healthy weights).  Mutating it
-            after construction invalidates the solver — queries then
-            raise.
+        kernel: the base graph (healthy weights); its memoized
+            ``distances()`` are pinned as the healthy entry.
         fail_weight: ``(a, b) -> weight`` of a *failed* link (its
             fallback path, e.g. direct fiber); ``None`` means failure
             removes the link outright (``inf``).  A failed weight below
@@ -213,24 +305,20 @@ class FailureSetSolver:
             ``max(RESTORE_K, delta_k)``.
         cache_bytes: LRU byte budget for cached matrices (``None`` =
             unbounded; default 256 MiB).  The healthy base is pinned.
-        base_distances: optional exact all-pairs matrix of ``view``'s
-            weights to seed the healthy entry without a solve.
     """
 
     def __init__(
         self,
-        view: GraphView,
+        kernel: GraphKernel,
         fail_weight: Callable | None = None,
         *,
         delta_k: int = 2,
         cache_bytes: float | None = DEFAULT_CACHE_BYTES,
-        base_distances: np.ndarray | None = None,
     ) -> None:
         if delta_k < 0:
             raise ValueError("delta_k must be >= 0")
-        self._view = view
+        self._kernel = kernel
         self._fail_weight = fail_weight
-        self._base_version = view.version
         self._delta_k = int(delta_k)
         self._restore_k = max(RESTORE_K, int(delta_k))
         # Per-source Dijkstra restarts stop paying off once too many
@@ -239,10 +327,10 @@ class FailureSetSolver:
         # the full solve too, so any strict subset of sources wins;
         # dense bases full-solve with C Floyd-Warshall, whose measured
         # break-even sits near n / 6 restarted sources.
-        if view.kernel().density() >= DENSE_DENSITY_THRESHOLD:
-            self._restart_budget = max(1, view.n // 6)
+        if kernel.density() >= DENSE_DENSITY_THRESHOLD:
+            self._restart_budget = max(1, kernel.n // 6)
         else:
-            self._restart_budget = max(1, view.n - 1)
+            self._restart_budget = max(1, kernel.n - 1)
         # Per-link healthy/failed weights, resolved once per link; links
         # whose failure changes nothing (absent, or equal weight) are
         # dropped from every query key.
@@ -277,17 +365,9 @@ class FailureSetSolver:
             cache_bytes,
             size_of=lambda entry: int(entry.dist.nbytes),
         )
-        base = (
-            np.asarray(base_distances, dtype=float)
-            if base_distances is not None
-            else view.distances()
-        )
-        if base.shape != (view.n, view.n):
-            raise ValueError(
-                f"base_distances shape {base.shape} does not match n={view.n}"
-            )
+        self._base = kernel.distances()
         self._cache.pin(frozenset())
-        self._remember(frozenset(), base, depth=0)
+        self._remember(frozenset(), self._base, depth=0)
 
     # -- public surface -------------------------------------------------
 
@@ -314,7 +394,8 @@ class FailureSetSolver:
         first sight; a failed weight *below* the healthy weight raises —
         failures may only worsen a link.
         """
-        n = self._view.n
+        weights = self._kernel.weights
+        n = weights.shape[0]
         links = []
         for link in failed:
             a, b = link
@@ -327,7 +408,7 @@ class FailureSetSolver:
             if key in self._noop:
                 continue
             if key not in self._healthy:
-                healthy = self._view.weight(a, b)
+                healthy = float(weights[a, b])
                 fail = (
                     np.inf
                     if self._fail_weight is None
@@ -353,11 +434,6 @@ class FailureSetSolver:
         the nearest cached neighbor, or full solve, and caches the
         result under the LRU byte budget.
         """
-        if self._view.version != self._base_version:
-            raise RuntimeError(
-                "base GraphView mutated under the FailureSetSolver; "
-                "build a new solver for the new graph state"
-            )
         key = self.canonical_key(failed)
         self._touch_recent(key)
         entry = self._cache.get(key)
@@ -488,8 +564,8 @@ class FailureSetSolver:
     # -- the three routes ------------------------------------------------
 
     def _full_solve(self, key: frozenset) -> np.ndarray:
-        edges = [(a, b, self._fail[(a, b)]) for a, b in sorted(key)]
-        return self._view.distances_with_edges_removed(edges)
+        changes = [(a, b, self._fail[(a, b)]) for a, b in sorted(key)]
+        return distances_with_edges_removed(self._kernel, self._base, changes)
 
     def _delta_from(
         self, nkey: frozenset, key: frozenset
@@ -554,7 +630,7 @@ class FailureSetSolver:
             )
         # inf failures change the sparsity pattern: build the query
         # graph's kernel from scratch.
-        weights = self._view.weights_copy()
+        weights = np.array(self._kernel.weights)
         for a, b in sorted(key):
             weights[a, b] = weights[b, a] = self._fail[(a, b)]
         return GraphKernel(weights).distances_from(idx)
@@ -570,7 +646,7 @@ class FailureSetSolver:
         the Dijkstra rows are bit-identical to the kernel's.
         """
         if self._csr_base is None:
-            w = self._view.weights_copy()
+            w = self._kernel.weights
             n = w.shape[0]
             finite = np.isfinite(w)
             np.fill_diagonal(finite, False)

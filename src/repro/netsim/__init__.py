@@ -16,7 +16,7 @@ from .experiments import (
 )
 from .fluid import FluidNetwork, FluidResult, aggregate_capacities, solve_fluid
 from .flowtable import FlowTable, PathPool
-from .tcpmodel import MATHIS_C, mathis_rate_bps, solve_fluid_tcp
+from .tcpmodel import MATHIS_C, solve_fluid_tcp
 from .flows import DEFAULT_UDP_PACKET_BYTES, UdpFlow
 from .links import DEFAULT_QUEUE_PACKETS, Link
 from .monitor import FlowMonitor, FlowStats, QueueSampler
@@ -46,7 +46,6 @@ __all__ = [
     "aggregate_capacities",
     "hybrid_routing_graph",
     "kept_flow_table",
-    "mathis_rate_bps",
     "solve_fluid",
     "solve_fluid_tcp",
     "FailureRerouteResult",

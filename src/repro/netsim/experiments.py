@@ -497,12 +497,27 @@ def run_load_curve(
 def hybrid_routing_graph(topology: Topology) -> nx.Graph:
     """The site-level hybrid graph the experiments route over.
 
-    A thin export of :meth:`Topology.graph_view` — weights come from
-    the same :meth:`Topology.hybrid_weight_matrix` behind the design
-    objective, so routing here and the design-side routed paths share
-    one hybrid model (and one graph kernel).
+    Nodes are ``range(n)``; every finite pair of
+    :meth:`Topology.hybrid_weight_matrix` — the weights behind the
+    design objective and its graph kernel — becomes an edge whose
+    ``latency`` attribute holds its length, so routing here and the
+    design-side routed paths share one hybrid model.  Edges are added
+    in upper-triangle order, so equal topologies give identical graphs.
     """
-    return topology.graph_view().to_networkx(weight="latency")
+    weights = topology.hybrid_weight_matrix()
+    n = weights.shape[0]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    s_idx, t_idx = np.triu_indices(n, k=1)
+    finite = np.isfinite(weights[s_idx, t_idx])
+    graph.add_weighted_edges_from(
+        (
+            (int(s), int(t), float(weights[s, t]))
+            for s, t in zip(s_idx[finite], t_idx[finite])
+        ),
+        weight="latency",
+    )
+    return graph
 
 
 def run_failure_reroute_experiment(
@@ -525,7 +540,7 @@ def run_failure_reroute_experiment(
     packets black-hole between ``fail_at_s`` and the reroute, then flow
     loss returns to its pre-failure level on the recomputed paths.
 
-    Rerouting removes the failed link from the hybrid site graph
+    Rerouting hides the failed link in the hybrid site graph
     (:func:`hybrid_routing_graph`) and recomputes a latency-shortest
     path for each commodity whose route crossed it; every other
     commodity keeps its route.
@@ -562,8 +577,7 @@ def run_failure_reroute_experiment(
     # Post-failure routes must avoid the failed *site pair* entirely: in
     # the simulated network the MW link and the (hypothetical) direct
     # fiber between the same pair share one edge, and that edge is down.
-    graph = hybrid_routing_graph(topology)
-    graph.remove_edge(*failed_link)
+    graph = nx.restricted_view(hybrid_routing_graph(topology), [], [failed_link])
     new_routes: dict[tuple[int, int], list[int]] = {}
     for (s, t), _node_path, _h in kept:
         if not crosses_failed(routes[(s, t)]):

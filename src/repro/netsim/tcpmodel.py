@@ -51,25 +51,6 @@ DAMPING = 0.5
 TOLERANCE = 1e-6
 
 
-def mathis_rate_bps(
-    rtt_s: float,
-    loss_rate: float,
-    mss_bytes: int = DEFAULT_MSS_BYTES,
-) -> float:
-    """Mathis model throughput (bits/second) for one long-lived flow.
-
-    Args:
-        rtt_s: round-trip time, seconds (must be positive).
-        loss_rate: packet loss probability in (0, 1].
-        mss_bytes: maximum segment size.
-    """
-    if rtt_s <= 0:
-        raise ValueError("RTT must be positive")
-    if not 0 < loss_rate <= 1:
-        raise ValueError("loss rate must be in (0, 1]")
-    return MATHIS_C * mss_bytes * 8 / (rtt_s * math.sqrt(loss_rate))
-
-
 def solve_fluid_tcp(network: FluidNetwork, flows: FlowTable) -> FluidResult:
     """Fluid allocation under the Mathis TCP macro-model.
 

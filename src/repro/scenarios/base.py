@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core.pipeline import HopPipeline, shared_pipeline
+from ..core.pipeline import shared_pipeline
 from ..core.topology import DesignInput
 from ..datasets.sites import Site
 from ..fiber.conduits import FiberNetwork, build_conduit_network
@@ -102,7 +102,6 @@ def build_scenario(
     synthesis_config: SynthesisConfig | None = None,
     fiber_seed: int = 17,
     flat_fiber_stretch: float | None = None,
-    pipeline: HopPipeline | None = None,
 ) -> Scenario:
     """Run the full substrate pipeline for a site list.
 
@@ -112,10 +111,11 @@ def build_scenario(
     synthesis_config)`` (``None`` meaning the default
     :class:`SynthesisConfig`), so scenarios that differ only in
     ``los_config``, fiber or ``name`` share one registry object.  The
-    registry memoizes its candidate pairs per radio range, and the
-    default pipeline shares terrain profiles and tower-base elevations
-    per terrain model (:func:`~repro.core.pipeline.shared_pipeline`).
-    Hop graph, link catalog and fiber are built fresh for every call.
+    registry memoizes its candidate pairs per radio range, and the hop
+    pipeline shares terrain profiles and tower-base elevations per
+    terrain model (:func:`~repro.core.pipeline.shared_pipeline`), so
+    parameter sweeps skip re-sampling the elevation field.  Hop graph,
+    link catalog and fiber are built fresh for every call.
 
     Args:
         name: scenario label.
@@ -127,18 +127,12 @@ def build_scenario(
         flat_fiber_stretch: if given, skip the conduit network and set
             o_ij = flat_fiber_stretch x geodesic (the paper's Europe
             assumption of ~1.9x latency inflation).
-        pipeline: candidate-hop pipeline to enumerate with; defaults to
-            a caching pipeline whose terrain profiles are shared across
-            all scenarios over the same terrain model, so parameter
-            sweeps skip re-sampling the elevation field.
     """
     los_config = los_config or LosConfig()
     registry = _tower_registry(
         tuple(sites), terrain, synthesis_config or SynthesisConfig()
     )
-    if pipeline is None:
-        pipeline = shared_pipeline(terrain, los_config)
-    hop_graph = pipeline.enumerate_hops(registry)
+    hop_graph = shared_pipeline(terrain, los_config).enumerate_hops(registry)
     catalog = build_link_catalog(sites, registry, hop_graph)
     lats = [s.lat for s in sites]
     lons = [s.lon for s in sites]

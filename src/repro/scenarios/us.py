@@ -8,16 +8,12 @@ scale and is reused across experiments.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from ..datasets.us_cities import us_population_centers
 from ..geo.fresnel import RadioProfile
 from ..geo.terrain import us_terrain
 from ..towers.los import LosConfig
 from .base import Scenario, build_scenario
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.pipeline import HopPipeline
 
 
 @lru_cache(maxsize=8)
@@ -26,7 +22,6 @@ def us_scenario(
     max_range_km: float = 100.0,
     usable_height_fraction: float = 1.0,
     seed: int = 42,
-    pipeline: "HopPipeline | None" = None,
 ) -> Scenario:
     """Build (and cache) the US scenario.
 
@@ -36,9 +31,9 @@ def us_scenario(
     tower registry on ``(sites, terrain, SynthesisConfig(seed))``, and
     the registry memoizes its candidate pairs per ``max_range_km``, so
     a §6.5 sweep over range and usable height synthesizes the towers
-    once and enumerates pairs once per range.  The default pipeline
-    shares US terrain profiles and tower-base elevations across every
-    sweep point.
+    once and enumerates pairs once per range.  The hop pipeline
+    (:func:`~repro.core.pipeline.shared_pipeline`) shares US terrain
+    profiles and tower-base elevations across every sweep point.
 
     Args:
         n_sites: number of population centers, in [2, 120]; smaller
@@ -48,8 +43,6 @@ def us_scenario(
         usable_height_fraction: antenna mounting height restriction
             (§6.5 varies 0.45-1.0).
         seed: tower-synthesis seed.
-        pipeline: hop-enumeration pipeline override; the default shares
-            US terrain profiles across every sweep point.
     """
     centers = us_population_centers()
     if not 2 <= n_sites <= len(centers):
@@ -70,5 +63,4 @@ def us_scenario(
         terrain=terrain,
         los_config=los,
         synthesis_config=SynthesisConfig(seed=seed),
-        pipeline=pipeline,
     )

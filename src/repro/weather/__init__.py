@@ -12,7 +12,6 @@ from .attenuation import (
 )
 from .degradation import (
     GradedComparison,
-    graded_capacity_fraction,
     graded_yearly_comparison,
     weather_stage_records,
 )
@@ -25,11 +24,7 @@ from .evaluation import (
     sample_interval_days,
     strided_interval_days,
 )
-from .failures import (
-    distances_with_failures,
-    failed_links,
-    yearly_stretch_analysis,
-)
+from .failures import yearly_stretch_analysis
 from .loss_traces import (
     MINUTES_PER_TRADING_DAY,
     PAPER_TRACE_MINUTES,
@@ -47,7 +42,6 @@ from .precipitation import (
 
 __all__ = [
     "GradedComparison",
-    "graded_capacity_fraction",
     "graded_yearly_comparison",
     "weather_stage_records",
     "CriticalRainRates",
@@ -64,8 +58,6 @@ __all__ = [
     "link_hop_arrays",
     "sample_interval_days",
     "strided_interval_days",
-    "distances_with_failures",
-    "failed_links",
     "link_hop_segments",
     "yearly_stretch_analysis",
     "DAYS_PER_YEAR",

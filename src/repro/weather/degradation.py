@@ -30,25 +30,6 @@ from .evaluation import YearlyWeatherEvaluator, select_days
 from .precipitation import PrecipitationYear
 
 
-def graded_capacity_fraction(
-    attenuation_db: float, soft_margin_db: float = 18.0, hard_margin_db: float = 40.0
-) -> float:
-    """Remaining capacity fraction under rain fade.
-
-    At or below the soft margin the link runs at full rate; above the
-    hard margin it is down; in between, every 3 dB costs one modulation
-    step, halving throughput (256-QAM downshifting).
-    """
-    if soft_margin_db <= 0 or hard_margin_db <= soft_margin_db:
-        raise ValueError("need 0 < soft margin < hard margin")
-    if attenuation_db <= soft_margin_db:
-        return 1.0
-    if attenuation_db >= hard_margin_db:
-        return 0.0
-    steps = (attenuation_db - soft_margin_db) / 3.0
-    return float(0.5**steps)
-
-
 @dataclass(frozen=True)
 class GradedComparison:
     """Binary vs graded failure models over the same sampled year.

@@ -29,7 +29,11 @@ Four properties make the sampled-year loop scale:
   derived compositionally (exact edge-insertion restorations plus an
   affected-source Dijkstra restart for the removals), and only
   genuinely new neighborhoods pay a full
-  :meth:`~repro.graph.GraphView.distances_with_edges_removed` solve.
+  :func:`~repro.graph.whatif.distances_with_edges_removed` solve.  The
+  solver holds the topology's own memoized
+  :meth:`~repro.core.topology.Topology.graph_kernel` and pins its
+  distances as the healthy base, so the base is solved once per
+  topology, not once per evaluator.
   Storm tracks — where one or two links flap between consecutive days —
   ride the delta route, which is what makes daily-resolution
   (365-interval) years affordable at continental scale.  Cached
@@ -40,9 +44,11 @@ The analyses and the weather stage build the default evaluator
 (``delta_k=2``, 256 MiB).  An evaluator built with ``delta_k=0``
 reproduces the per-interval re-solve bit-identically
 (``tests/test_weather.py`` pins the binary year to it and the graded
-year to the scalar per-hop rule); the delta route is checked to <= 1e-9
-against it by ``tests/test_weather.py`` and
-``benchmarks/bench_storm_track.py``.  Route selection is deterministic,
+year to the scalar per-hop rule of ``tests/weather_reference.py``, and
+its script form checks every failure set of a flagship year); the
+delta route is checked to <= 1e-9 against it by
+``tests/test_weather.py`` and ``benchmarks/bench_storm_track.py``.
+Route selection is deterministic,
 so two identically configured evaluators fed the same query sequence
 return bitwise-identical arrays.
 """
@@ -281,17 +287,16 @@ class YearlyWeatherEvaluator:
 
         A failed MW link reverts to its always-available direct fiber,
         so the solver's failed weight for link ``(a, b)`` is
-        ``fiber_km[a, b]``.  The healthy entry is seeded from the
-        topology's memoized distances without a solve.
+        ``fiber_km[a, b]``.  The solver runs on the topology's memoized
+        kernel, whose distances are the healthy entry (no second solve).
         """
         if self._solver is None:
             fiber = self._fiber_km
             self._solver = FailureSetSolver(
-                self.topology.graph_view(),
+                self.topology.graph_kernel(),
                 fail_weight=lambda a, b: float(fiber[a, b]),
                 delta_k=self.delta_k,
                 cache_bytes=self.cache_mb * 2**20,
-                base_distances=self.topology.effective_distance_matrix(),
             )
         return self._solver
 

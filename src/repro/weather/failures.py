@@ -11,73 +11,19 @@ The yearly analysis reproduces Fig 7's CDFs: per city pair, the best
 year, and the fiber-only baseline.  The heavy lifting — vectorized
 failure detection against precomputed critical rain rates, one storm
 field per day, one solve per *distinct* failure set — lives in the
-shared :class:`~repro.weather.evaluation.YearlyWeatherEvaluator`;
-:func:`failed_links` and :func:`distances_with_failures` below are the
-single-interval reference path it is gated against.
+shared :class:`~repro.weather.evaluation.YearlyWeatherEvaluator`; the
+single-interval reference path it is gated against (the per-hop scalar
+failure rule and one full solve per failure set) lives with the tests,
+in ``tests/weather_reference.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.topology import Topology
 from ..links.builder import LinkCatalog
 from ..towers.registry import TowerRegistry
-from .attenuation import path_attenuation_db
 from .evaluation import YearlyStretchResult, YearlyWeatherEvaluator, select_days
 from .precipitation import PrecipitationYear
-
-
-def failed_links(
-    segments: dict[tuple[int, int], list[tuple[float, float, float]]],
-    precipitation: PrecipitationYear,
-    day_of_year: int,
-    fade_margin_db: float = 30.0,
-    frequency_ghz: float = 11.0,
-) -> set[tuple[int, int]]:
-    """Links with at least one hop exceeding the fade margin today."""
-    failed: set[tuple[int, int]] = set()
-    # Vectorize the rain query across all hops of all links at once.
-    all_links = list(segments)
-    lats, lons, lens, owner = [], [], [], []
-    for idx, link in enumerate(all_links):
-        for lat, lon, hop_km in segments[link]:
-            lats.append(lat)
-            lons.append(lon)
-            lens.append(hop_km)
-            owner.append(idx)
-    if not lats:
-        return failed
-    rain = precipitation.rain_rate_mm_h(day_of_year, np.array(lats), np.array(lons))
-    for r, hop_km, idx in zip(rain, lens, owner):
-        link = all_links[idx]
-        if link in failed:
-            continue
-        if path_attenuation_db(hop_km, float(r), frequency_ghz) > fade_margin_db:
-            failed.add(link)
-    return failed
-
-
-def distances_with_failures(
-    topology: Topology, failed: set[tuple[int, int]]
-) -> np.ndarray:
-    """Effective distance matrix with the failed links removed.
-
-    Each failed MW link reverts to the always-available direct fiber.
-    This is the single-shot reference path: a fresh
-    :class:`~repro.graph.GraphView`, one :meth:`set_edge` per failed
-    link, one exact full solve — the path the evaluator is gated
-    against.  With no failures the topology's memoized distances are
-    reused as-is.  The returned array is read-only.
-    """
-    design = topology.design
-    if not failed:
-        return topology.effective_distance_matrix()
-    view = topology.graph_view()
-    for a, b in topology.mw_links:
-        if (a, b) in failed:
-            view.set_edge(a, b, design.fiber_km[a, b])
-    return view.distances()
 
 
 def yearly_stretch_analysis(

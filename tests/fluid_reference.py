@@ -7,7 +7,8 @@ against :func:`max_min_rates`, the scalar progressive fill: explicit
 per-round Python loops over a residual-capacity dict, exact and
 readable, O(rounds x (flows + links)) interpreter work.
 :func:`flows_to_table` converts a ``FluidFlow`` list into the table the
-solver takes.
+solver takes.  :func:`mathis_rate_bps` is the scalar Mathis law that
+``solve_fluid_tcp`` evaluates inline over all flows.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.netsim import FlowTable, PathPool
+from repro.netsim import MATHIS_C, FlowTable, PathPool
 from repro.netsim.fluid import _EPS_BPS
+from repro.netsim.tcp import DEFAULT_MSS_BYTES
 
 
 @dataclass(frozen=True)
@@ -167,3 +169,22 @@ def flows_to_table(flows) -> FlowTable:
         demand_bps=[f.offered_bps for f in flows],
         flow_ids=[f.flow_id for f in flows],
     )
+
+
+def mathis_rate_bps(
+    rtt_s: float,
+    loss_rate: float,
+    mss_bytes: int = DEFAULT_MSS_BYTES,
+) -> float:
+    """Mathis model throughput (bits/second) for one long-lived flow.
+
+    Args:
+        rtt_s: round-trip time, seconds (must be positive).
+        loss_rate: packet loss probability in (0, 1].
+        mss_bytes: maximum segment size.
+    """
+    if rtt_s <= 0:
+        raise ValueError("RTT must be positive")
+    if not 0 < loss_rate <= 1:
+        raise ValueError("loss rate must be in (0, 1]")
+    return MATHIS_C * mss_bytes * 8 / (rtt_s * math.sqrt(loss_rate))

@@ -17,7 +17,9 @@ from repro.core import (
     mw_shares,
     solve_heuristic,
 )
-from repro.weather import graded_capacity_fraction, graded_yearly_comparison
+from repro.weather import graded_yearly_comparison
+
+from weather_reference import graded_capacity_fraction
 
 
 class TestMwShares:

@@ -22,7 +22,6 @@ from repro.netsim import (
     FluidNetwork,
     PathPool,
     aggregate_capacities,
-    mathis_rate_bps,
     solve_fluid,
     solve_fluid_tcp,
 )
@@ -37,7 +36,7 @@ from repro.traffic import (
     user_demand_matrix,
 )
 
-from fluid_reference import FluidFlow, flows_to_table, max_min_rates
+from fluid_reference import FluidFlow, flows_to_table, mathis_rate_bps, max_min_rates
 
 
 def solve(specs, flows, solver=solve_fluid):

@@ -1,11 +1,11 @@
 """Tests for the shared graph kernel (repro.graph) and its consumers.
 
 Covers the kernel's solver equivalences (CSR Dijkstra vs dense FW),
-the incremental single-edge delta rule (against full recomputes, with
-add/remove round-trips), the versioned GraphView, Topology memoization,
-the networkx export the netsim experiments route over, the
-delta-evaluated budget evolution, and the repo-wide ban on dense Floyd-Warshall call sites outside
-``src/repro/graph/``.
+the incremental single-edge delta rule (against full recomputes),
+Topology memoization, the networkx graph the netsim experiments route
+over, the delta-evaluated budget evolution, the batch removal what-if
+(``whatif.distances_with_edges_removed``), and the repo-wide ban on
+dense Floyd-Warshall call sites outside ``src/repro/graph/``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from repro.core.topology import Topology, mean_stretch_from_distances
 from repro.graph import (
     DENSE_DENSITY_THRESHOLD,
     GraphKernel,
-    GraphView,
-    closure_with_edges,
     edge_delta_distances,
     edge_delta_with_carry,
     graph_kernel_version,
 )
-from repro.graph.view import affected_sources
+from repro.graph.whatif import affected_sources, distances_with_edges_removed
 
 from conftest import make_toy_design
 
@@ -108,20 +106,6 @@ class TestDeltaRule:
         d2, c2 = edge_delta_with_carry(new_dist, new_carry, 1, 2, 1.0)
         assert d2[0, 1] == 5.0              # 0 -[4]- 2 -[1]- 1
         assert c2[0, 1] == 5.0
-
-    def test_closure_with_edges_matches_kernel(self):
-        w = random_weights(22, 1.0, 11)
-        closure = GraphKernel(w).distances()
-        edges = [(0, 21, float(closure[0, 21]) * 0.3),
-                 (5, 15, float(closure[5, 15]) * 0.5),
-                 (2, 19, float(closure[2, 19]) * 0.4)]
-        incremental = closure_with_edges(closure, edges)
-        w2 = w.copy()
-        for a, b, ew in edges:
-            w2[a, b] = w2[b, a] = min(w2[a, b], ew)
-        np.testing.assert_allclose(
-            incremental, GraphKernel(w2).distances(), rtol=1e-9, atol=1e-9
-        )
 
 
 class TestGraphKernel:
@@ -235,74 +219,6 @@ class TestGraphKernel:
         assert graph_kernel_version() == "1"
 
 
-class TestGraphView:
-    def test_version_and_signature(self):
-        view = GraphView(random_weights(10, 0.5, 1), tag="t")
-        sig0 = view.signature
-        assert sig0[0] == "t" and sig0[1] == 0
-        view.set_edge(0, 9, 0.5)
-        assert view.version == 1
-        assert view.signature != sig0
-        # Setting the identical weight is a no-op.
-        view.set_edge(0, 9, 0.5)
-        assert view.version == 1
-
-    def test_improvement_delta_matches_full_solve(self):
-        w = random_weights(20, 0.6, 21)
-        view = GraphView(w)
-        view.distances()  # prime the cache so set_edge delta-updates it
-        view.set_edge(2, 17, 0.1)
-        w2 = w.copy()
-        w2[2, 17] = w2[17, 2] = 0.1
-        np.testing.assert_allclose(
-            view.distances(), GraphKernel(w2).distances(), rtol=1e-9, atol=1e-9
-        )
-
-    def test_add_remove_round_trip(self):
-        w = random_weights(15, 0.5, 33)
-        baseline = GraphKernel(w).distances()
-        view = GraphView(w)
-        view.distances()
-        view.set_edge(0, 14, 0.01)
-        assert view.distances()[0, 14] == pytest.approx(0.01)
-        view.remove_edge(0, 14)
-        # Exact fallback: identical weights, identical solver, so the
-        # round-trip restores the original distances bit-for-bit.
-        assert np.array_equal(view.distances(), baseline)
-
-    def test_worsening_invalidates(self):
-        w = random_weights(12, 1.0, 8)
-        view = GraphView(w)
-        d_before = view.distances()[3, 7]
-        view.set_edge(3, 7, float(w[3, 7]) * 10.0)
-        assert view.distances()[3, 7] <= float(w[3, 7]) * 10.0
-        w2 = w.copy()
-        w2[3, 7] = w2[7, 3] = w[3, 7] * 10.0
-        np.testing.assert_allclose(
-            view.distances(), GraphKernel(w2).distances(), rtol=1e-9
-        )
-        assert view.distances()[3, 7] >= d_before - 1e-12
-
-    def test_to_networkx_matches_weights(self):
-        w = random_weights(8, 0.5, 2)
-        graph = GraphView(w).to_networkx(weight="latency")
-        assert set(graph.nodes) == set(range(8))
-        iu = np.triu_indices(8, k=1)
-        finite = np.isfinite(w[iu])
-        assert graph.number_of_edges() == int(finite.sum())
-        for u, v, data in graph.edges(data=True):
-            assert data["latency"] == pytest.approx(float(w[u, v]))
-
-    def test_validation(self):
-        view = GraphView(random_weights(5, 1.0, 0))
-        with pytest.raises(ValueError):
-            view.set_edge(0, 0, 1.0)
-        with pytest.raises(ValueError):
-            view.set_edge(0, 7, 1.0)
-        with pytest.raises(ValueError):
-            view.set_edge(0, 1, -2.0)
-
-
 class TestTopologyMemoization:
     def test_distance_matrix_memoized(self, toy_design_8):
         topo = Topology(design=toy_design_8, mw_links=frozenset({(0, 1)}))
@@ -315,14 +231,18 @@ class TestTopologyMemoization:
 
     def test_kernel_shared_view_fresh(self, toy_design_8):
         topo = Topology(design=toy_design_8, mw_links=frozenset({(0, 1)}))
-        assert topo.graph_kernel() is topo.graph_kernel()
-        view_a = topo.graph_view()
-        view_b = topo.graph_view()
-        assert view_a is not view_b
-        # Mutating a caller-owned view never leaks into the topology.
-        before = topo.effective_distance_matrix().copy()
-        view_a.set_edge(0, 7, 1e-6)
-        np.testing.assert_array_equal(topo.effective_distance_matrix(), before)
+        kernel = topo.graph_kernel()
+        assert kernel is topo.graph_kernel()
+        base = topo.effective_distance_matrix()
+        weights = kernel.weights.copy()
+        # A what-if over the shared kernel answers with a fresh matrix
+        # and never leaks into the topology.
+        worse = float(weights[0, 1]) * 50.0
+        fresh = distances_with_edges_removed(kernel, base, [(0, 1, worse)])
+        assert fresh is not base and fresh[0, 1] > base[0, 1]
+        assert topo.effective_distance_matrix() is base
+        assert kernel.distances() is base
+        np.testing.assert_array_equal(kernel.weights, weights)
 
     def test_pickle_drops_cache(self, toy_design_8):
         topo = Topology(design=toy_design_8, mw_links=frozenset({(0, 1)}))
@@ -386,6 +306,26 @@ class TestGraphViewConsumers:
             assert graph[0][1]["latency"] == pytest.approx(
                 float(design.mw_km[0, 1])
             )
+
+    def test_routing_graph_nodes_and_edges_match_weights(self):
+        """Every node, one edge per finite weight (absent pairs stay
+        absent), each at its exact weight, in upper-triangle order."""
+        from repro.netsim.experiments import hybrid_routing_graph
+
+        design = TestRoutedPathsDisconnected()._disconnected_design()
+        topo = Topology(design=design, mw_links=frozenset({(0, 1), (3, 4)}))
+        w = topo.hybrid_weight_matrix()
+        graph = hybrid_routing_graph(topo)
+        assert list(graph.nodes) == list(range(6))
+        iu = np.triu_indices(6, k=1)
+        finite = np.isfinite(w[iu])
+        assert not finite.all()
+        assert graph.number_of_edges() == int(finite.sum())
+        want = [
+            (int(u), int(v), float(w[u, v]))
+            for u, v in zip(iu[0][finite], iu[1][finite])
+        ]
+        assert list(graph.edges(data="latency")) == want
 
     def test_single_solve_any_call_order(self, toy_design_8):
         # mean_stretch + mw_shares + routed_paths chains cost one full
@@ -526,8 +466,22 @@ def reference_affected_sources(base: np.ndarray, changes) -> np.ndarray:
     return affected
 
 
+def modified_weights(w: np.ndarray, changes) -> np.ndarray:
+    """``w`` with each ``(a, b, new_weight)`` of ``changes`` applied."""
+    out = w.copy()
+    for a, b, new in changes:
+        out[a, b] = out[b, a] = new
+    return out
+
+
+def removal_what_if(w: np.ndarray, changes) -> np.ndarray:
+    """The what-if over a fresh kernel of ``w``, against its distances."""
+    kernel = GraphKernel(w)
+    return distances_with_edges_removed(kernel, kernel.distances(), changes)
+
+
 class TestBatchRemoval:
-    """GraphView.distances_with_edges_removed: the what-if batch query."""
+    """whatif.distances_with_edges_removed: the what-if batch query."""
 
     @pytest.mark.parametrize("density", [0.12, 1.0])
     def test_affected_sources_match_per_edge_reference(self, density):
@@ -555,25 +509,20 @@ class TestBatchRemoval:
         present = [(int(a), int(b)) for a, b in zip(*iu) if np.isfinite(w[a, b]) and b != a + 1]
         pairs = n * (n - 1) // 2
         drop = kernel.edge_count() - int(DENSE_DENSITY_THRESHOLD * pairs) + 1
-        removed = present[:drop]
+        removed = [(a, b, np.inf) for a, b in present[:drop]]
         worsened = [(a, b, float(w[a, b]) * 2.0) for a, b in present[drop : drop + 3]]
-        modified = w.copy()
-        for a, b in removed:
-            modified[a, b] = modified[b, a] = np.inf
-        for a, b, nw in worsened:
-            modified[a, b] = modified[b, a] = nw
-        want = GraphKernel(modified)
+        want = GraphKernel(modified_weights(w, removed + worsened))
         assert want.density() < DENSE_DENSITY_THRESHOLD
-        got = GraphView(w).distances_with_edges_removed(removed + worsened)
+        got = removal_what_if(w, removed + worsened)
         assert got.tobytes() == want.distances().tobytes()
         # The two methods differ in the last bits here, so the choice shows.
-        dense = GraphKernel(modified, method="dense").distances()
+        dense = GraphKernel(want.weights, method="dense").distances()
         assert dense.tobytes() != got.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sparse_matches_full_solve(self, seed):
         w = random_weights(30, 0.12, seed)
-        view = GraphView(w)
+        assert GraphKernel(w).density() < DENSE_DENSITY_THRESHOLD
         rng = np.random.default_rng(seed + 50)
         iu = np.triu_indices(30, k=1)
         present = [
@@ -581,100 +530,59 @@ class TestBatchRemoval:
             for a, b in zip(*iu)
             if np.isfinite(w[a, b])
         ]
-        removed = [present[i] for i in rng.choice(len(present), 4, replace=False)]
-        result = view.distances_with_edges_removed(removed)
-        modified = w.copy()
-        for a, b in removed:
-            modified[a, b] = modified[b, a] = np.inf
-        expected = GraphKernel(modified).distances()
+        removed = [
+            (*present[i], np.inf) for i in rng.choice(len(present), 4, replace=False)
+        ]
+        result = removal_what_if(w, removed)
+        expected = GraphKernel(modified_weights(w, removed)).distances()
         assert np.array_equal(result, expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_dense_matches_exact_fallback(self, seed):
         w = random_weights(20, 0.9, seed)
-        view = GraphView(w)
-        removed = [(0, 1), (2, 5, float(w[2, 5]) * 3.0)]
-        result = view.distances_with_edges_removed(removed)
-        clone = GraphView(w)
-        clone.set_edge(0, 1, np.inf)
-        clone.set_edge(2, 5, float(w[2, 5]) * 3.0)
-        assert np.array_equal(result, clone.distances())
+        changes = [(0, 1, np.inf), (2, 5, float(w[2, 5]) * 3.0)]
+        result = removal_what_if(w, changes)
+        expected = GraphKernel(modified_weights(w, changes)).distances()
+        assert np.array_equal(result, expected)
 
     def test_worsening_triples_match_set_edge(self):
+        """Finite worsenings keep their edge: bitwise the full solve."""
         w = random_weights(25, 0.15, 7)
-        view = GraphView(w)
         worse = [(0, 1, float(w[0, 1]) * 2.0), (3, 4, float(w[3, 4]) + 10.0)]
-        result = view.distances_with_edges_removed(worse)
-        modified = w.copy()
-        for a, b, nw in worse:
-            modified[a, b] = modified[b, a] = nw
-        assert np.allclose(result, GraphKernel(modified).distances(), rtol=1e-12)
-
-    def test_duplicate_entries_deduplicated(self):
-        """Regression: a duplicated (a, b) must not be processed twice.
-
-        Both duplicates read the same ``old`` weight, so applying both
-        would double-process the edge; with conflicting weights the
-        result depended on entry order.  Duplicates — in either
-        orientation — now merge, the strongest worsening winning.
-        """
-        w = random_weights(20, 0.15, 9)
-        view = GraphView(w)
-        worse = float(w[0, 1]) * 2.0
-        worst = float(w[0, 1]) * 5.0
-        for batch in (
-            [(0, 1, worse), (0, 1, worse)],          # exact duplicate
-            [(0, 1, worse), (1, 0, worse)],          # mirrored duplicate
-            [(0, 1, worse), (0, 1, worst)],          # conflict, either order
-            [(0, 1, worst), (1, 0, worse)],
-        ):
-            result = view.distances_with_edges_removed(batch)
-            strongest = max(new for _, _, new in batch)
-            expected = view.distances_with_edges_removed([(0, 1, strongest)])
-            assert np.array_equal(result, expected)
+        result = removal_what_if(w, worse)
+        expected = GraphKernel(modified_weights(w, worse)).distances()
+        assert np.array_equal(result, expected)
 
     def test_view_not_mutated(self):
+        """The what-if solves a copy: the kernel's weights and memoized
+        distances are untouched."""
         w = random_weights(15, 0.3, 3)
-        view = GraphView(w)
-        base = view.distances()
-        version = view.version
-        view.distances_with_edges_removed([(0, 1), (1, 2)])
-        assert view.version == version
-        assert view.weight(0, 1) == w[0, 1]
-        assert view.distances() is base
+        kernel = GraphKernel(w)
+        base = kernel.distances()
+        weights = kernel.weights.copy()
+        distances_with_edges_removed(kernel, base, [(0, 1, np.inf), (1, 2, np.inf)])
+        assert np.array_equal(kernel.weights, weights)
+        assert kernel.distances() is base
 
     def test_noop_edges_return_base(self):
-        w = random_weights(15, 0.3, 4)
-        # Pick an absent pair: removing it is a no-op.
-        iu = np.triu_indices(15, k=1)
-        absent = next(
-            (int(a), int(b)) for a, b in zip(*iu) if not np.isfinite(w[a, b])
-        )
-        view = GraphView(w)
-        base = view.distances()
-        same_weight = (0, 1, float(w[0, 1]))
-        assert view.distances_with_edges_removed([absent, same_weight]) is base
-        assert view.distances_with_edges_removed([]) is base
-
-    def test_improvement_rejected(self):
-        w = random_weights(15, 0.3, 5)
-        view = GraphView(w)
-        with pytest.raises(ValueError, match="improves"):
-            view.distances_with_edges_removed([(0, 1, float(w[0, 1]) / 2.0)])
-
-    def test_invalid_edge_rejected(self):
-        view = GraphView(random_weights(10, 0.3, 6))
-        with pytest.raises(ValueError):
-            view.distances_with_edges_removed([(0, 99)])
-        with pytest.raises(ValueError):
-            view.distances_with_edges_removed([(3, 3)])
+        """No affected source: the base matrix itself, no solve."""
+        for density in (0.3, 1.0):
+            w = random_weights(15, density, 4)
+            # Lengthen one edge until a detour beats it: worsening or
+            # removing it then changes no shortest path.
+            w[0, 2] = w[2, 0] = float(w[0, 1] + w[1, 2]) * 2.0
+            kernel = GraphKernel(w)
+            base = kernel.distances()
+            assert w[0, 2] > base[0, 2] * 1.5
+            for changes in ([], [(0, 2, np.inf)], [(0, 2, float(w[0, 2]) * 2.0)]):
+                assert distances_with_edges_removed(kernel, base, changes) is base
 
     def test_result_read_only(self):
-        w = random_weights(20, 0.15, 8)
-        view = GraphView(w)
-        result = view.distances_with_edges_removed([(0, 1)])
-        with pytest.raises(ValueError):
-            result[0, 0] = 1.0
+        """Both the sparse restart and the dense solve answer read-only."""
+        for density in (0.15, 1.0):
+            result = removal_what_if(random_weights(20, density, 8), [(0, 1, np.inf)])
+            with pytest.raises(ValueError):
+                result[0, 0] = 1.0
 
     def test_dense_base_sparse_modified_uses_exact_fallback(self):
         """Removals that cross the density threshold stay bit-exact.
@@ -685,11 +593,9 @@ class TestBatchRemoval:
         restarts would drift by ulps — the branch must follow the base
         solve.
         """
-        from repro.graph import DENSE_DENSITY_THRESHOLD
-
         w = random_weights(20, 0.27, 11)
-        view = GraphView(w)
-        assert view.kernel().density() >= DENSE_DENSITY_THRESHOLD
+        kernel = GraphKernel(w)
+        assert kernel.density() >= DENSE_DENSITY_THRESHOLD
         iu = np.triu_indices(20, k=1)
         present = [
             (int(a), int(b))
@@ -697,13 +603,9 @@ class TestBatchRemoval:
             if np.isfinite(w[a, b]) and a + 1 != b  # keep the chain
         ]
         n_pairs = len(iu[0])
-        excess = view.kernel().edge_count() - int(
-            DENSE_DENSITY_THRESHOLD * n_pairs
-        )
-        removed = present[: excess + 2]
-        result = view.distances_with_edges_removed(removed)
-        clone = GraphView(w)
-        for a, b in removed:
-            clone.set_edge(a, b, np.inf)
-        assert clone.kernel().density() < DENSE_DENSITY_THRESHOLD
-        assert np.array_equal(result, clone.distances())
+        excess = kernel.edge_count() - int(DENSE_DENSITY_THRESHOLD * n_pairs)
+        removed = [(a, b, np.inf) for a, b in present[: excess + 2]]
+        result = distances_with_edges_removed(kernel, kernel.distances(), removed)
+        want = GraphKernel(modified_weights(w, removed))
+        assert want.density() < DENSE_DENSITY_THRESHOLD
+        assert np.array_equal(result, want.distances())

@@ -1,4 +1,14 @@
-"""Tests for attenuation physics, storm fields, failures, loss traces."""
+"""Tests for attenuation physics, storm fields, failures, loss traces.
+
+Run as a script (``python tests/test_weather.py --seed 7``), it checks
+every failure set of the heaviest ``weather-year`` point (18 GHz, 20 dB
+binary margin, graded, daily) on the flagship US design against the
+full-solve reference: the memo-only solver bitwise, the default delta
+solver to 1e-9.
+"""
+
+import argparse
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +25,12 @@ from repro.weather import (
     rain_coefficients,
     specific_attenuation_db_per_km,
     synthesize_hft_trace,
+)
+
+from weather_reference import (
+    distances_with_failures,
+    failed_links,
+    graded_capacity_fraction,
 )
 
 
@@ -361,8 +377,6 @@ class TestWeatherEvaluator:
             link_hop_segments,
             sample_interval_days,
         )
-        from repro.weather.failures import distances_with_failures, failed_links
-
         sc = small_us_scenario
         precipitation = PrecipitationYear()
         days = sample_interval_days(3, 40)
@@ -393,12 +407,7 @@ class TestWeatherEvaluator:
         """The graded pass equals the per-link scalar rule: one storm
         field per link and day, one attenuation per hop, and a link's
         capacity is its weakest hop's."""
-        from repro.weather import (
-            YearlyWeatherEvaluator,
-            graded_capacity_fraction,
-            link_hop_segments,
-        )
-        from repro.weather.failures import distances_with_failures
+        from repro.weather import YearlyWeatherEvaluator, link_hop_segments
 
         sc = small_us_scenario
         precipitation = PrecipitationYear()
@@ -446,6 +455,45 @@ class TestWeatherEvaluator:
         assert downshifts > 0 and failures > 0
         assert abs(capacity_loss - float(np.mean(losses))) <= 1e-12
 
+    def test_one_failure_set_costs_two_full_solves(
+        self, small_us_scenario, topology, monkeypatch
+    ):
+        """A memo-only evaluator over a fresh topology that answers one
+        non-empty failure set solves twice: the topology's base (with
+        predecessors, shared with every other reader) and the query
+        (distances only).  No second solve of the healthy base."""
+        from repro.core.topology import Topology
+        from repro.graph import GraphKernel
+        from repro.weather import YearlyWeatherEvaluator
+
+        sc = small_us_scenario
+        weights = topology.hybrid_weight_matrix()
+        dist = topology.effective_distance_matrix()
+        # A built link on its own shortest path: failing it to fiber
+        # changes some row, so the query needs a solve.
+        link = next(
+            (a, b) for a, b in sorted(topology.mw_links)
+            if weights[a, b] == dist[a, b] < topology.design.fiber_km[a, b]
+        )
+        solves: list[bool] = []
+        original = GraphKernel._solve
+
+        def counting(self, return_predecessors):
+            solves.append(return_predecessors)
+            return original(self, return_predecessors)
+
+        monkeypatch.setattr(GraphKernel, "_solve", counting)
+        fresh = Topology(design=topology.design, mw_links=topology.mw_links)
+        evaluator = YearlyWeatherEvaluator(
+            fresh, sc.catalog, sc.registry, delta_k=0
+        )
+        got = evaluator.distances_for(frozenset([link]))
+        assert solves == [True, False]
+        assert evaluator.solver.stats()["full_solves"] == 1
+        assert evaluator.distances_for(frozenset()) is fresh.effective_distance_matrix()
+        monkeypatch.undo()
+        assert got.tobytes() == distances_with_failures(fresh, {link}).tobytes()
+
     @pytest.mark.parametrize(
         "cache_mb",
         [float("nan"), float("inf"), 0, -1.0, "256", True],
@@ -474,8 +522,6 @@ class TestWeatherEvaluator:
             link_hop_segments,
             sample_interval_days,
         )
-        from repro.weather.failures import distances_with_failures, failed_links
-
         sc = small_us_scenario
         precipitation = PrecipitationYear()
         days = sample_interval_days(3, 40)
@@ -843,3 +889,66 @@ class TestSharedStormRows:
         assert len(built) == 4
         assert forward == backward == isolated
         assert forward[20.0] != forward[30.0]
+
+
+# ---------------------------------------------------------------------------
+# Flagship-scale check
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Check every failure set of the 18 GHz, 20 dB daily weather year "
+        "on the 120-city US design against the full-solve reference."
+    )
+    parser.add_argument("--seed", type=int, default=7, help="scenario seed (default 7)")
+    args = parser.parse_args(argv)
+
+    from repro.core import design_network
+    from repro.scenarios import us_scenario
+    from repro.weather import (
+        US_CLIMATE,
+        YearlyWeatherEvaluator,
+        path_attenuation_db_many,
+        strided_interval_days,
+    )
+
+    sc = us_scenario(seed=args.seed)
+    # The flagship design: 3,000 towers, greedy without ILP refinement.
+    topology = design_network(
+        sc.design_input(), 3000.0, solver="heuristic", ilp_refinement=False
+    ).topology
+    frequency_ghz, binary_margin_db, hard_margin_db = 18.0, 20.0, 40.0
+
+    def evaluator(delta_k: int) -> YearlyWeatherEvaluator:
+        return YearlyWeatherEvaluator(
+            topology, sc.catalog, sc.registry, PrecipitationYear(US_CLIMATE),
+            frequency_ghz, delta_k=delta_k,
+        )
+
+    memo, delta = evaluator(0), evaluator(2)
+    # The year's queries in the weather stage's order: the binary pass,
+    # then the graded pass (links drop at the hard margin).
+    rain = memo.rain_for_days(strided_interval_days(1))
+    critical = memo.critical_rain(binary_margin_db)
+    attenuation = path_attenuation_db_many(memo.hops.hop_km, rain, frequency_ghz)
+    masks = [critical.failed(row) for row in rain] + list(attenuation >= hard_margin_db)
+    seen: set[frozenset] = set()
+    for mask in masks:
+        failed = memo._links_from_hop_mask(mask)
+        got_memo, got_delta = memo.distances_for(failed), delta.distances_for(failed)
+        if failed in seen:
+            continue
+        seen.add(failed)
+        want = distances_with_failures(topology, set(failed))
+        assert got_memo.tobytes() == want.tobytes(), f"memo-only differs on {sorted(failed)}"
+        np.testing.assert_allclose(got_delta, want, rtol=1e-9, atol=1e-9)
+    print(
+        f"{len(seen)} distinct failure sets over {len(masks)} queries: memo-only "
+        f"bitwise, delta within 1e-9 ({len(topology.mw_links)} links, "
+        f"delta routes {delta.solver.stats()})"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

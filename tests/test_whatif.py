@@ -6,12 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.graph import (
-    ByteBudgetLRU,
-    FailureSetSolver,
-    GraphKernel,
-    GraphView,
-)
+from repro.graph import ByteBudgetLRU, FailureSetSolver, GraphKernel
 from repro.graph import whatif
 
 from test_graph_kernel import random_weights
@@ -54,8 +49,7 @@ class TestRouteParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_flap_sequence(self, density, seed):
         w = random_weights(28, density, seed)
-        view = GraphView(w)
-        solver = FailureSetSolver(view, fail_weight=None, delta_k=2)
+        solver = FailureSetSolver(GraphKernel(w), fail_weight=None, delta_k=2)
         links = present_links(w)
         for query in flap_sequence(links, seed + 100, steps=40):
             got = solver.distances_for(query)
@@ -74,8 +68,7 @@ class TestRouteParity:
         """Fiber-revert style failures (finite worsened weight)."""
         w = random_weights(24, 0.3, seed)
         fail = lambda a, b: 500.0  # noqa: E731 — worse than any distance
-        view = GraphView(w)
-        solver = FailureSetSolver(view, fail_weight=fail, delta_k=2)
+        solver = FailureSetSolver(GraphKernel(w), fail_weight=fail, delta_k=2)
         links = present_links(w)
         for query in flap_sequence(links, seed + 7, steps=30):
             got = solver.distances_for(query)
@@ -90,8 +83,8 @@ class TestRouteParity:
         w = random_weights(30, 0.12, 5)
         links = present_links(w)
         query = frozenset(links[:2])
-        delta = FailureSetSolver(GraphView(w), delta_k=2)
-        full = FailureSetSolver(GraphView(w), delta_k=0)
+        delta = FailureSetSolver(GraphKernel(w), delta_k=2)
+        full = FailureSetSolver(GraphKernel(w), delta_k=0)
         got = delta.distances_for(query)
         want = full.distances_for(query)
         assert delta.stats()["delta_solves"] == 1
@@ -103,8 +96,8 @@ class TestRouteParity:
         w = random_weights(25, 0.4, 6)
         links = present_links(w)
         queries = flap_sequence(links, 11, steps=25)
-        a = FailureSetSolver(GraphView(w), delta_k=2)
-        b = FailureSetSolver(GraphView(w), delta_k=2)
+        a = FailureSetSolver(GraphKernel(w), delta_k=2)
+        b = FailureSetSolver(GraphKernel(w), delta_k=2)
         for query in queries:
             assert np.array_equal(
                 a.distances_for(query), b.distances_for(query)
@@ -115,7 +108,7 @@ class TestRouteParity:
 class TestRouteSelection:
     def test_memo_hits_return_same_array(self):
         w = random_weights(20, 0.3, 0)
-        solver = FailureSetSolver(GraphView(w), delta_k=2)
+        solver = FailureSetSolver(GraphKernel(w), delta_k=2)
         query = frozenset(present_links(w)[:1])
         first = solver.distances_for(query)
         assert solver.distances_for(query) is first
@@ -123,9 +116,9 @@ class TestRouteSelection:
 
     def test_empty_set_is_the_pinned_base(self):
         w = random_weights(20, 0.3, 1)
-        view = GraphView(w)
-        solver = FailureSetSolver(view, delta_k=2)
-        assert solver.distances_for(frozenset()) is view.distances()
+        kernel = GraphKernel(w)
+        solver = FailureSetSolver(kernel, delta_k=2)
+        assert solver.distances_for(frozenset()) is kernel.distances()
         assert solver.stats()["memo_hits"] == 1
         assert solver.stats()["full_solves"] == 0
 
@@ -141,7 +134,7 @@ class TestRouteSelection:
         w = random_weights(26, 0.12, 2)
         links = present_links(w)
         x, y, z, a, b, c, d = links[:7]
-        solver = FailureSetSolver(GraphView(w), delta_k=2)
+        solver = FailureSetSolver(GraphKernel(w), delta_k=2)
         solver.distances_for(frozenset([x]))
         solver.distances_for(frozenset([a, b, c, d]))
         stats = solver.stats()
@@ -155,7 +148,7 @@ class TestRouteSelection:
         # And the delta really came from {x}: a solver that never saw
         # {x} has no neighbor within delta_k for the same query and
         # must pay another full solve (a padded union fallback).
-        other = FailureSetSolver(GraphView(w), delta_k=2)
+        other = FailureSetSolver(GraphKernel(w), delta_k=2)
         other.distances_for(frozenset([a, b, c, d]))
         other.distances_for(frozenset([x, y, z]))
         assert other.stats()["full_solves"] == 2
@@ -164,7 +157,7 @@ class TestRouteSelection:
     def test_delta_k_zero_is_memo_only(self):
         w = random_weights(22, 0.3, 3)
         links = present_links(w)
-        solver = FailureSetSolver(GraphView(w), delta_k=0)
+        solver = FailureSetSolver(GraphKernel(w), delta_k=0)
         for query in flap_sequence(links, 5, steps=15):
             solver.distances_for(query)
         stats = solver.stats()
@@ -179,7 +172,7 @@ class TestRouteSelection:
         absent = next(
             (int(s), int(t)) for s, t in zip(*iu) if not np.isfinite(w[s, t])
         )
-        solver = FailureSetSolver(GraphView(w), delta_k=2)
+        solver = FailureSetSolver(GraphKernel(w), delta_k=2)
         first = solver.distances_for(frozenset([(a, b)]))
         assert solver.distances_for(frozenset([(b, a)])) is first
         assert solver.distances_for(frozenset([(a, b), absent])) is first
@@ -189,19 +182,18 @@ class TestRouteSelection:
         w = random_weights(20, 0.3, 5)
         (a, b), *_ = present_links(w)
         solver = FailureSetSolver(
-            GraphView(w), fail_weight=lambda s, t: 0.0
+            GraphKernel(w), fail_weight=lambda s, t: 0.0
         )
         with pytest.raises(ValueError, match="improves"):
             solver.distances_for(frozenset([(a, b)]))
 
-    def test_mutated_view_rejected(self):
-        w = random_weights(20, 0.3, 6)
-        (a, b), *_ = present_links(w)
-        view = GraphView(w)
-        solver = FailureSetSolver(view, delta_k=2)
-        view.set_edge(a, b, float(w[a, b]) * 2.0)
-        with pytest.raises(RuntimeError, match="mutated"):
-            solver.distances_for(frozenset())
+    def test_invalid_link_rejected(self):
+        """An out-of-range link or a self-loop is named in the error."""
+        solver = FailureSetSolver(GraphKernel(random_weights(10, 0.3, 6)))
+        for a, b in ((0, 99), (-1, 3), (3, 3)):
+            with pytest.raises(ValueError, match=rf"^invalid link \({a}, {b}\) for 10 nodes$"):
+                solver.distances_for(frozenset([(0, 1), (a, b)]))
+        assert solver.stats()["full_solves"] == 0
 
     def test_max_chain_forces_periodic_full_solves(self, monkeypatch):
         # Sparse base: every removal restart is in budget, so the walk
@@ -209,7 +201,7 @@ class TestRouteSelection:
         monkeypatch.setattr(whatif, "MAX_CHAIN", 4)
         w = random_weights(30, 0.12, 7)
         links = present_links(w)
-        solver = FailureSetSolver(GraphView(w), delta_k=2)
+        solver = FailureSetSolver(GraphKernel(w), delta_k=2)
         # A long walk of fresh single-link additions builds delta
         # chains; once every reachable neighbor sits at the depth cap,
         # the walk must reset with a full solve.
@@ -265,19 +257,18 @@ class TestByteBudget:
             ByteBudgetLRU(budget)
 
     def test_solver_rejects_nan_cache_bytes(self):
-        view = GraphView(random_weights(8, 0.5, 1))
+        kernel = GraphKernel(random_weights(8, 0.5, 1))
         with pytest.raises(ValueError, match="^budget_bytes must be None or a number"):
-            FailureSetSolver(view, cache_bytes=float("nan"))
+            FailureSetSolver(kernel, cache_bytes=float("nan"))
 
     def test_solver_evicts_but_stays_correct(self):
         w = random_weights(24, 0.3, 8)
         links = present_links(w)
         n = w.shape[0]
         matrix_bytes = n * n * 8
-        view = GraphView(w)
         # Room for the pinned base plus ~3 query matrices.
         solver = FailureSetSolver(
-            view, delta_k=2, cache_bytes=4 * matrix_bytes
+            GraphKernel(w), delta_k=2, cache_bytes=4 * matrix_bytes
         )
         queries = flap_sequence(links, 13, steps=30)
         for query in queries:
@@ -300,7 +291,7 @@ class TestByteBudget:
         not at the next full garbage collection."""
         w = random_weights(24, 0.3, 8)
         solver = FailureSetSolver(
-            GraphView(w), delta_k=2, cache_bytes=4 * w.size * 8
+            GraphKernel(w), delta_k=2, cache_bytes=4 * w.size * 8
         )
         for query in flap_sequence(present_links(w), 13, steps=30):
             solver.distances_for(query)
