@@ -25,8 +25,8 @@ def interdc_scenario(seed: int = 44) -> Scenario:
     """The six-data-center scenario.
 
     Shares the US terrain-profile cache with the city scenarios: DC
-    tower fields over the same terrain reuse any profiles
-    already sampled there.
+    tower fields over the same terrain reuse any profiles already
+    sampled there.
     """
     sites = google_us_datacenters()
     return build_scenario(
