@@ -38,13 +38,7 @@ from .design import (
     solver_names,
     solver_version,
 )
-from .pipeline import (
-    CachingLosChecker,
-    HopPipeline,
-    PipelineStats,
-    enumerate_hops,
-    shared_pipeline,
-)
+from .pipeline import CachingLosChecker, HopPipeline, shared_pipeline
 from .heuristic import GreedyStep, HeuristicResult, greedy_sequence, solve_heuristic
 from .ilp import IlpResult, prune_useless_links, solve_ilp, useful_arcs_for_commodity
 from .lp_rounding import LpRoundingResult, solve_lp_rounding
@@ -88,8 +82,6 @@ __all__ = [
     "solver_version",
     "CachingLosChecker",
     "HopPipeline",
-    "PipelineStats",
-    "enumerate_hops",
     "shared_pipeline",
     "GreedyStep",
     "HeuristicResult",

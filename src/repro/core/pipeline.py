@@ -23,15 +23,14 @@ each part is only done when (and once) it must be:
    the cache's OrderedDict, leaving the same contents, recency order
    and counters as keying one row at a time.
 
-:func:`enumerate_hops` is the front door;
-:meth:`HopPipeline.enumerate_hops` gives reuse of the caches across
-calls.
+:func:`shared_pipeline` is the front door: its pipelines share the
+terrain caches per terrain model.  ``HopPipeline(checker)`` builds one
+over caller-owned caches.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import is_not
 
@@ -42,15 +41,13 @@ from ..geo.terrain import TerrainModel
 from ..towers.los import LosChecker, LosConfig
 from ..towers.registry import TowerRegistry
 
-#: Default LoS chunk size (pairs per vectorized batch).
-DEFAULT_CHUNK_SIZE = 4096
-
-#: Default LRU capacity: cached terrain profiles (one row per hop).
-DEFAULT_PROFILE_CAPACITY = 200_000
+#: LRU capacity: cached terrain profiles (one row per hop).  The
+#: tower-base cache holds four times as many elevations.
+PROFILE_CAPACITY = 200_000
 
 #: Endpoint quantization for cache keys, degrees (~11 m).  Two
 #: endpoints closer than this share cached terrain.
-DEFAULT_QUANT_DEG = 1e-4
+QUANT_DEG = 1e-4
 
 
 def _consume(iterator) -> None:
@@ -67,8 +64,6 @@ class _LruCache:
     """
 
     def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
         self.hits = 0
@@ -119,29 +114,21 @@ class CachingLosChecker(LosChecker):
     The cache stores terrain heights, never feasibility, so every
     radio/height/clutter parameter still applies fresh.  Verdicts match
     the plain checker's up to the endpoint quantization: towers closer
-    than ``quant_deg`` (~11 m at the default) share cached terrain, so
-    a marginal hop between near-coincident towers can resolve from the
+    than :data:`QUANT_DEG` (~11 m) share cached terrain, so a marginal
+    hop between near-coincident towers can resolve from the
     first-sampled tower's profile.  Real tower fields keep distinct
     towers far apart relative to this tolerance.
     """
 
-    def __init__(
-        self,
-        terrain: TerrainModel,
-        config: LosConfig | None = None,
-        profile_capacity: int = DEFAULT_PROFILE_CAPACITY,
-        quant_deg: float = DEFAULT_QUANT_DEG,
-    ):
+    def __init__(self, terrain: TerrainModel, config: LosConfig | None = None):
         super().__init__(terrain, config)
-        if quant_deg <= 0:
-            raise ValueError("quantization step must be positive")
-        self._quant = quant_deg
-        self._profiles = _LruCache(profile_capacity)
-        self._grounds = _LruCache(max(4 * profile_capacity, 1))
+        self._profiles = _LruCache(PROFILE_CAPACITY)
+        self._grounds = _LruCache(4 * PROFILE_CAPACITY)
 
-    def _quantize(self, degrees: np.ndarray) -> np.ndarray:
-        """Integer cache codes: ``int(round(x / quant))`` per element."""
-        return np.rint(degrees / self._quant).astype(np.int64)
+    @staticmethod
+    def _quantize(degrees: np.ndarray) -> np.ndarray:
+        """Integer cache codes: ``int(round(x / QUANT_DEG))`` per element."""
+        return np.rint(degrees / QUANT_DEG).astype(np.int64)
 
     def cache_stats(self) -> dict[str, int]:
         """Profile/ground cache sizes and hit/miss counters."""
@@ -206,30 +193,6 @@ class CachingLosChecker(LosChecker):
         return out
 
 
-@dataclass
-class PipelineStats:
-    """Work accounting for one (or more) enumeration runs.
-
-    Attributes:
-        n_towers: towers in the last enumerated registry.
-        all_pairs: the O(n^2) pair count the index avoided scanning.
-        candidate_pairs: pairs surviving spatial pruning.
-        feasible_hops: pairs surviving the LoS check.
-    """
-
-    n_towers: int = 0
-    all_pairs: int = 0
-    candidate_pairs: int = 0
-    feasible_hops: int = 0
-
-    @property
-    def pruned_fraction(self) -> float:
-        """Fraction of all pairs discarded before any terrain work."""
-        if self.all_pairs == 0:
-            return 0.0
-        return 1.0 - self.candidate_pairs / self.all_pairs
-
-
 class HopPipeline:
     """Reusable spatial-pruning + cached-LoS hop enumerator.
 
@@ -239,31 +202,11 @@ class HopPipeline:
     tower field is mostly cache hits.
 
     Args:
-        checker: the LoS checker to drive.  Use :meth:`from_terrain`
-            to get a caching one.
-        chunk_size: candidate pairs per vectorized LoS batch.
+        checker: the LoS checker to drive.
     """
 
-    def __init__(self, checker: LosChecker, chunk_size: int = DEFAULT_CHUNK_SIZE):
-        if chunk_size <= 0:
-            raise ValueError("chunk size must be positive")
+    def __init__(self, checker: LosChecker):
         self.checker = checker
-        self.chunk_size = chunk_size
-        self.stats = PipelineStats()
-
-    @classmethod
-    def from_terrain(
-        cls,
-        terrain: TerrainModel,
-        config: LosConfig | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        profile_capacity: int = DEFAULT_PROFILE_CAPACITY,
-    ) -> "HopPipeline":
-        """A pipeline with a fresh caching checker over ``terrain``."""
-        return cls(
-            CachingLosChecker(terrain, config, profile_capacity=profile_capacity),
-            chunk_size=chunk_size,
-        )
 
     def candidate_pairs(self, registry: TowerRegistry) -> tuple[np.ndarray, np.ndarray]:
         """Spatially pruned tower pairs within radio range, (a, b) with a < b.
@@ -284,9 +227,9 @@ class HopPipeline:
     ) -> np.ndarray:
         """LoS verdicts for candidate pair arrays, chunked and cached.
 
-        Verdicts equal :meth:`LosChecker.hop_feasible` on each pair:
-        pairs are grouped by their deterministic per-pair sample count,
-        so batch composition never changes an answer.
+        Each verdict is the one its pair gets when checked alone: pairs
+        are grouped by their deterministic per-pair sample count, so
+        batch composition never changes an answer.
         """
         if len(cand_a) != len(cand_b):
             raise ValueError("candidate arrays must be aligned")
@@ -297,7 +240,6 @@ class HopPipeline:
         return self.checker.feasible_arrays(
             lats[cand_a], lons[cand_a], heights[cand_a],
             lats[cand_b], lons[cand_b], heights[cand_b],
-            chunk_size=self.chunk_size,
         )
 
     def enumerate_hops(self, registry: TowerRegistry):
@@ -322,61 +264,34 @@ class HopPipeline:
             if len(edges_a)
             else np.zeros(0)
         )
-        n = len(registry)
-        self.stats.n_towers = n
-        self.stats.all_pairs = n * (n - 1) // 2
-        self.stats.candidate_pairs = len(cand_a)
-        self.stats.feasible_hops = len(edges_a)
         return HopGraph(
-            n_towers=n,
+            n_towers=len(registry),
             edges_a=edges_a,
             edges_b=edges_b,
             lengths_km=np.atleast_1d(lengths),
         )
 
 
-def enumerate_hops(
-    registry: TowerRegistry,
-    checker: LosChecker,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-):
-    """One-shot hop enumeration through a fresh :class:`HopPipeline`."""
-    return HopPipeline(checker, chunk_size=chunk_size).enumerate_hops(registry)
+#: Shared terrain caches, keyed by terrain model.  TerrainModel is a
+#: frozen value type, so equal terrains share caches even across
+#: separately constructed instances.
+_SHARED_TERRAIN_CACHES: dict[TerrainModel, tuple[_LruCache, _LruCache]] = {}
 
 
-#: Shared terrain caches, keyed by (terrain model, quantization step).
-#: TerrainModel is a frozen value type, so equal terrains share caches
-#: even across separately constructed instances.
-_SHARED_TERRAIN_CACHES: dict[tuple, tuple[_LruCache, _LruCache]] = {}
-
-
-def shared_pipeline(
-    terrain: TerrainModel,
-    config: LosConfig | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    profile_capacity: int = DEFAULT_PROFILE_CAPACITY,
-) -> HopPipeline:
+def shared_pipeline(terrain: TerrainModel, config: LosConfig | None = None) -> HopPipeline:
     """A pipeline whose terrain caches are shared per terrain model.
 
     Scenario builders use this so parameter sweeps (usable height
     fraction, radio range, clutter...) over the same geography reuse
     every terrain profile and tower-base elevation already sampled.
-    The two caches live for the process, one pair per ``(terrain,
-    quantization step)`` key, compared by value; they store terrain
-    heights only, which are config-independent, while each returned
-    pipeline still applies its own :class:`LosConfig` to the verdicts.
-    Candidate pairs are memoized on the registry instead
-    (:meth:`HopPipeline.candidate_pairs`).
+    The two caches live for the process, one pair per terrain, compared
+    by value; they store terrain heights only, which are
+    config-independent, while each returned pipeline still applies its
+    own :class:`LosConfig` to the verdicts.  Candidate pairs are
+    memoized on the registry instead (:meth:`HopPipeline.candidate_pairs`).
     """
-    checker = CachingLosChecker(terrain, config, profile_capacity=profile_capacity)
-    key = (terrain, checker._quant)
-    profiles, grounds = _SHARED_TERRAIN_CACHES.setdefault(
-        key, (checker._profiles, checker._grounds)
+    checker = CachingLosChecker(terrain, config)
+    checker._profiles, checker._grounds = _SHARED_TERRAIN_CACHES.setdefault(
+        terrain, (checker._profiles, checker._grounds)
     )
-    # Later callers may request a larger cache than the first: grow the
-    # shared instance so no caller's capacity is silently reduced.
-    profiles.capacity = max(profiles.capacity, profile_capacity)
-    grounds.capacity = max(grounds.capacity, 4 * profile_capacity)
-    checker._profiles = profiles
-    checker._grounds = grounds
-    return HopPipeline(checker, chunk_size=chunk_size)
+    return HopPipeline(checker)

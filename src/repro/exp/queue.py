@@ -42,24 +42,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-try:  # pragma: no cover - exercised implicitly wherever orjson exists
-    import orjson as _fastjson
-except ImportError:  # pragma: no cover - stdlib fallback
-    _fastjson = None
-
 logger = logging.getLogger(__name__)
 
 
 def _encode_event(event: dict) -> bytes:
     """Serialize one journal event to a compact JSON line (no newline).
 
-    The journal is an internal format replayed with ``json.loads``, so
-    the faster encoder is safe to use when present.  Tuples (sweep axis
-    values ride inside result payloads) encode as JSON arrays either
-    way, matching what ``json.loads`` hands back on replay.
+    The journal is replayed with ``json.loads``.  Tuples (sweep axis
+    values ride inside result payloads) encode as JSON arrays, matching
+    what ``json.loads`` hands back on replay.
     """
-    if _fastjson is not None:
-        return _fastjson.dumps(event, default=list)
     return json.dumps(event, separators=(",", ":")).encode("utf-8")
 
 #: Task lifecycle states.
@@ -379,9 +371,6 @@ class WorkQueue:
 
     def done_indices(self) -> list[int]:
         return self.indices_with_status(DONE)
-
-    def failed_indices(self) -> list[int]:
-        return self.indices_with_status(FAILED)
 
     def counts(self) -> dict[str, int]:
         out = {status: 0 for status in STATUSES}

@@ -458,42 +458,41 @@ class SweepService:
         # No wave scheduling inline: one process never races itself, and
         # the store's memory layer already dedups shared stages — wave
         # key hashing would only add per-point overhead.
-        for wave in (pending,):
-            ready = deque(wave)
-            retry_at: dict[int, float] = {}
-            while (ready or retry_at) and not self._stop.is_set():
-                if ready:
-                    index = ready.popleft()
-                else:  # everything left is backing off; sleep to the next
-                    index, when = min(retry_at.items(), key=lambda kv: kv[1])
-                    delay = when - time.monotonic()
-                    if delay > 0:
-                        self._stop.wait(delay)
-                        if self._stop.is_set():
-                            break
-                    del retry_at[index]
-                attempt = self.queue.record(index).attempts + 1
-                self.queue.mark_running(index, owner=owner)
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.fire_before(index, attempt)
-                    run = run_experiment(
-                        self.points[index][1], store=self.store
+        ready = deque(pending)
+        retry_at: dict[int, float] = {}
+        while (ready or retry_at) and not self._stop.is_set():
+            if ready:
+                index = ready.popleft()
+            else:  # everything left is backing off; sleep to the next
+                index, when = min(retry_at.items(), key=lambda kv: kv[1])
+                delay = when - time.monotonic()
+                if delay > 0:
+                    self._stop.wait(delay)
+                    if self._stop.is_set():
+                        break
+                del retry_at[index]
+            attempt = self.queue.record(index).attempts + 1
+            self.queue.mark_running(index, owner=owner)
+            try:
+                if self.fault_plan is not None:
+                    self.fault_plan.fire_before(index, attempt)
+                run = run_experiment(
+                    self.points[index][1], store=self.store
+                )
+                if self.fault_plan is not None:
+                    self.fault_plan.fire_after(
+                        index, attempt, self.points[index][1], self.store
                     )
-                    if self.fault_plan is not None:
-                        self.fault_plan.fire_after(
-                            index, attempt, self.points[index][1], self.store
-                        )
-                except Exception as exc:
-                    when = self._note_failure(
-                        index, attempt, f"{type(exc).__name__}: {exc}"
-                    )
-                    if when is not None:
-                        retry_at[index] = when
-                else:
-                    self._finish_point(
-                        index, attempt, run.records, run.stage_status, owner
-                    )
+            except Exception as exc:
+                when = self._note_failure(
+                    index, attempt, f"{type(exc).__name__}: {exc}"
+                )
+                if when is not None:
+                    retry_at[index] = when
+            else:
+                self._finish_point(
+                    index, attempt, run.records, run.stage_status, owner
+                )
 
     # .. pool (jobs>=2) ...................................................
 

@@ -23,7 +23,7 @@ import logging
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .spec import canonical_json
 
@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "REPRO_ARTIFACT_DIR"
 
-#: Result tags for :meth:`ArtifactStore.memoize`.
+#: Stage status tags: how a run obtained each stage's artifact.
 COMPUTED = "computed"
 CACHED = "cached"
 
@@ -79,9 +79,6 @@ class ArtifactStore:
     def path_for(self, key: str) -> Path:
         """On-disk location of a key (two-level fan-out)."""
         return self.root / key[:2] / f"{key}.pkl"
-
-    def contains(self, key: str) -> bool:
-        return self.path_for(key).exists()
 
     def get(self, key: str) -> tuple[bool, Any]:
         """(found, artifact); unreadable/corrupt entries count as misses.
@@ -131,28 +128,6 @@ class ArtifactStore:
         self._memory[key] = artifact
         return path
 
-    # -- stage memoization ------------------------------------------------
-
-    def memoize(
-        self,
-        stage: str,
-        versions: dict[str, str],
-        payload: dict,
-        compute: Callable[[], Any],
-    ) -> tuple[Any, str]:
-        """Fetch the stage artifact, computing and publishing on miss.
-
-        Returns ``(artifact, status)`` with status ``"cached"`` or
-        ``"computed"``.
-        """
-        key = artifact_key(stage, versions, payload)
-        found, artifact = self.get(key)
-        if found:
-            return artifact, CACHED
-        artifact = compute()
-        self.put(key, artifact)
-        return artifact, COMPUTED
-
 
 class NullStore(ArtifactStore):
     """A store that never caches (``--no-cache``): every stage computes."""
@@ -162,9 +137,6 @@ class NullStore(ArtifactStore):
 
     def path_for(self, key: str) -> Path:  # pragma: no cover - never hit
         raise RuntimeError("NullStore has no on-disk paths")
-
-    def contains(self, key: str) -> bool:
-        return False
 
     def get(self, key: str) -> tuple[bool, Any]:
         return False, None

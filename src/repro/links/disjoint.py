@@ -15,7 +15,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ..datasets.sites import Site
-from ..geo.coords import haversine_km
 from ..towers.hops import HopGraph
 from ..towers.registry import TowerRegistry
 from .builder import DEFAULT_SITE_ATTACH_KM, _reconstruct_path, _site_attachment_edges

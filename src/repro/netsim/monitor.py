@@ -62,20 +62,17 @@ class FlowMonitor:
             stats = self.flows[flow_id] = FlowStats()
         return stats
 
-    # Backward-compatible internal alias.
-    _stats = stats_for
-
     def record_sent(self, packet: Packet) -> None:
-        self._stats(packet.flow_id).sent += 1
+        self.stats_for(packet.flow_id).sent += 1
 
     def record_delivered(self, packet: Packet) -> None:
-        stats = self._stats(packet.flow_id)
+        stats = self.stats_for(packet.flow_id)
         stats.received += 1
         stats.bytes_received += packet.size_bytes
         stats.delays.append(self.sim.now - packet.created_at)
 
     def record_dropped(self, packet: Packet) -> None:
-        self._stats(packet.flow_id).dropped += 1
+        self.stats_for(packet.flow_id).dropped += 1
 
     def watch_link(self, link: Link) -> None:
         """Count this link's drops against the owning flows."""

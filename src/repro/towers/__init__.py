@@ -8,7 +8,7 @@ from .acquisition import (
     refine_with_confirmations,
     sample_acquisitions,
 )
-from .hops import HopGraph, build_hop_graph, candidate_pairs
+from .hops import HopGraph
 from .los import DEFAULT_CLUTTER_M, LosChecker, LosConfig
 from .registry import (
     DEFAULT_DENSITY_CAP,
@@ -28,8 +28,6 @@ __all__ = [
     "refine_with_confirmations",
     "sample_acquisitions",
     "HopGraph",
-    "build_hop_graph",
-    "candidate_pairs",
     "DEFAULT_CLUTTER_M",
     "LosChecker",
     "LosConfig",

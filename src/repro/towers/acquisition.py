@@ -158,7 +158,7 @@ def acquisition_study(
     rows = list(hop_graph.edges_a) + list(hop_graph.edges_b)
     cols = list(hop_graph.edges_b) + list(hop_graph.edges_a)
     vals = list(hop_graph.lengths_km) * 2
-    from ..links.builder import _site_attachment_edges
+    from ..links.builder import _reconstruct_path, _site_attachment_edges
 
     s_rows, s_cols, s_vals = _site_attachment_edges(
         [site_a, site_b], registry, attach_km
@@ -174,9 +174,6 @@ def acquisition_study(
     for draw in range(n_draws):
         mask = sample_acquisitions(registry, model, rng, confirmed)
         # Keep edges whose tower endpoints (not site nodes) are acquired.
-        ok_row = (rows >= n_towers) | mask[np.minimum(rows, n_towers - 1)] & (
-            rows < n_towers
-        )
         ok_row = np.where(rows < n_towers, mask[np.clip(rows, 0, n_towers - 1)], True)
         ok_col = np.where(cols < n_towers, mask[np.clip(cols, 0, n_towers - 1)], True)
         keep = ok_row & ok_col
@@ -188,12 +185,7 @@ def acquisition_study(
         )
         if not np.isfinite(dist[dst]):
             continue
-        node_path = [dst]
-        node = dst
-        while pred[node] >= 0:
-            node = int(pred[node])
-            node_path.append(node)
-        node_path.reverse()
+        node_path = _reconstruct_path(pred, dst)
         towers_used = tuple(v for v in node_path if v < n_towers)
         paths.append(
             CandidatePath(

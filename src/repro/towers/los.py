@@ -23,12 +23,15 @@ import numpy as np
 from ..geo.coords import EARTH_RADIUS_KM, haversine_km
 from ..geo.fresnel import RadioProfile
 from ..geo.terrain import TerrainModel
-from .registry import Tower
 
 #: Ground clutter allowance (trees, low buildings) on top of bare
 #: terrain, metres.  The paper's NASA dataset embeds canopy height; we
 #: carry it as an explicit constant.
 DEFAULT_CLUTTER_M = 12.0
+
+#: Pairs per vectorized LoS batch: bounds the (pairs, samples) arrays
+#: no matter how many candidates one call checks.
+CHUNK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,6 @@ class LosChecker:
         self.terrain = terrain
         self.config = config or LosConfig()
 
-    def antenna_altitude_m(self, tower: Tower) -> float:
-        """Antenna altitude above sea level: terrain + usable height."""
-        ground = self.terrain.point_elevation_m(tower.point)
-        return ground + tower.height_m * self.config.usable_height_fraction
-
-    def hop_feasible(self, a: Tower, b: Tower) -> bool:
-        """Single-pair convenience wrapper around :meth:`batch_feasible`."""
-        return bool(self.batch_feasible([a], [b])[0])
-
     def sample_count(self, distance_km) -> np.ndarray:
         """Interior profile samples for hops of the given length(s).
 
@@ -168,28 +162,6 @@ class LosChecker:
         """
         return lats, lons
 
-    def batch_feasible(self, towers_a: list[Tower], towers_b: list[Tower]) -> np.ndarray:
-        """Feasibility mask for aligned lists of tower pairs.
-
-        Returns a boolean array of shape (len(pairs),).  Pairs beyond
-        the radio range are infeasible.  Each pair's profile is sampled
-        at its own :meth:`sample_count` (pairs of equal count are
-        evaluated together), so verdicts are batch-invariant: checking
-        a pair alone or inside any batch gives the same answer.
-        """
-        if len(towers_a) != len(towers_b):
-            raise ValueError("tower lists must be aligned")
-        if len(towers_a) == 0:
-            return np.zeros(0, dtype=bool)
-        return self.feasible_arrays(
-            np.array([t.lat for t in towers_a]),
-            np.array([t.lon for t in towers_a]),
-            np.array([t.height_m for t in towers_a]),
-            np.array([t.lat for t in towers_b]),
-            np.array([t.lon for t in towers_b]),
-            np.array([t.height_m for t in towers_b]),
-        )
-
     def feasible_arrays(
         self,
         lat_a: np.ndarray,
@@ -198,15 +170,15 @@ class LosChecker:
         lat_b: np.ndarray,
         lon_b: np.ndarray,
         h_b: np.ndarray,
-        chunk_size: int | None = None,
     ) -> np.ndarray:
         """Feasibility mask for aligned endpoint coordinate/height arrays.
 
-        The array-based core behind :meth:`batch_feasible`: applies the
-        range filter, groups pairs by their deterministic per-pair
-        sample count, and (optionally) bounds each vectorized batch at
-        ``chunk_size`` pairs so memory stays flat on huge candidate
-        sets.  The candidate-hop pipeline calls this directly.
+        Pairs beyond the radio range are infeasible.  The rest are
+        grouped by their deterministic per-pair :meth:`sample_count`
+        and checked in vectorized batches of at most :data:`CHUNK_SIZE`
+        pairs, so verdicts are batch-invariant (a pair checked alone or
+        inside any batch gets the same answer) and memory stays flat on
+        huge candidate sets.
 
         Tower-base elevations are looked up once per distinct
         :meth:`ground_keys` key, in one :meth:`ground_elevation_m` call
@@ -224,8 +196,9 @@ class LosChecker:
         chunks: list[tuple[int, np.ndarray]] = []
         for m in np.unique(samples[in_range]):
             idx = np.where(in_range & (samples == m))[0]
-            step = len(idx) if chunk_size is None else chunk_size
-            chunks.extend((int(m), idx[start : start + step]) for start in range(0, len(idx), step))
+            chunks.extend(
+                (int(m), idx[start : start + CHUNK_SIZE]) for start in range(0, len(idx), CHUNK_SIZE)
+            )
         ground = self._chunk_grounds(lat_a, lon_a, lat_b, lon_b, [sl for _, sl in chunks])
         start = 0
         for m, sl in chunks:

@@ -30,6 +30,9 @@ DEFAULT_MIN_FCC_HEIGHT_M = 100.0
 DEFAULT_DENSITY_CAP = 50
 DEFAULT_DENSITY_CELL_DEG = 0.5
 
+#: Cell edge of the registry's spatial index, degrees of latitude.
+INDEX_CELL_DEG = 0.5
+
 
 @dataclass(frozen=True)
 class Tower:
@@ -67,16 +70,13 @@ class TowerRegistry:
     The memo is derived data: pickles and deep copies leave it out.
     """
 
-    def __init__(self, towers: list[Tower], index_cell_deg: float = 0.5):
-        if index_cell_deg <= 0:
-            raise ValueError("index cell size must be positive")
+    def __init__(self, towers: list[Tower]):
         self._towers = list(towers)
-        self._cell_deg = index_cell_deg
         self._index: GridIndex | None = None
         if self._towers:
             lats = np.array([t.lat for t in self._towers])
             lons = np.array([t.lon for t in self._towers])
-            self._index = GridIndex(lats, lons, radius_km=index_cell_deg * KM_PER_DEG_LAT)
+            self._index = GridIndex(lats, lons, radius_km=INDEX_CELL_DEG * KM_PER_DEG_LAT)
         self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def __getstate__(self) -> dict:

@@ -53,6 +53,18 @@ def make_toy_design(n: int, seed: int = 0) -> DesignInput:
     )
 
 
+def los_verdicts(checker, towers_a, towers_b) -> np.ndarray:
+    """LoS verdicts for aligned tower lists, through ``checker.feasible_arrays``."""
+
+    def columns(towers):
+        return [
+            np.array([getattr(t, field) for t in towers], dtype=float)
+            for field in ("lat", "lon", "height_m")
+        ]
+
+    return checker.feasible_arrays(*columns(towers_a), *columns(towers_b))
+
+
 @pytest.fixture(autouse=True)
 def _isolated_artifact_store(monkeypatch, tmp_path_factory):
     """Point the experiment artifact store at a per-session temp dir.

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import HopPipeline
 from repro.geo import flat_terrain
 from repro.datasets.sites import Site
-from repro.towers import LosChecker, Tower, TowerRegistry, build_hop_graph
+from repro.towers import LosChecker, Tower, TowerRegistry
 from repro.towers.acquisition import (
     AcquisitionModel,
     acquisition_study,
@@ -28,7 +29,7 @@ def dense_world():
             tid += 1
             lon += 0.5
     reg = TowerRegistry(towers)
-    hg = build_hop_graph(reg, LosChecker(flat_terrain(0.0)))
+    hg = HopPipeline(LosChecker(flat_terrain(0.0))).enumerate_hops(reg)
     return site_a, site_b, reg, hg
 
 

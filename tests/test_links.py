@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import HopPipeline
 from repro.datasets.sites import Site
 from repro.geo import flat_terrain
 from repro.links import CandidateLink, build_link_catalog, tower_disjoint_paths
-from repro.towers import LosChecker, Tower, TowerRegistry, build_hop_graph
+from repro.towers import LosChecker, Tower, TowerRegistry
 
 
 def chain_world(n_chains: int = 1, spacing_deg: float = 0.5):
@@ -23,7 +24,7 @@ def chain_world(n_chains: int = 1, spacing_deg: float = 0.5):
             tid += 1
             lon += spacing_deg
     reg = TowerRegistry(towers)
-    hg = build_hop_graph(reg, LosChecker(flat_terrain(0.0)))
+    hg = HopPipeline(LosChecker(flat_terrain(0.0))).enumerate_hops(reg)
     return site_a, site_b, reg, hg
 
 
@@ -58,7 +59,7 @@ class TestBuildCatalog:
         b = Site("B", 40.0, -80.0, 1)  # no towers anywhere near B
         towers = [Tower(0, 40.0, -100.1, 200.0)]
         reg = TowerRegistry(towers)
-        hg = build_hop_graph(reg, LosChecker(flat_terrain(0.0)))
+        hg = HopPipeline(LosChecker(flat_terrain(0.0))).enumerate_hops(reg)
         cat = build_link_catalog([a, b], reg, hg)
         assert np.isinf(cat.mw_km[0, 1])
         assert cat.link(0, 1) is None

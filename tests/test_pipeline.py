@@ -20,22 +20,16 @@ from repro.core import (
 )
 from repro.core.heuristic import greedy_sequence
 from repro.core import pipeline as pipeline_module
-from repro.core.pipeline import (
-    DEFAULT_QUANT_DEG,
-    CachingLosChecker,
-    HopPipeline,
-    enumerate_hops,
-    shared_pipeline,
-)
+from repro.core.pipeline import QUANT_DEG, CachingLosChecker, HopPipeline, shared_pipeline
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geo.fresnel import RadioProfile
 from repro.geo.spatial import GridIndex, brute_force_pairs_within
 from repro.geo.terrain import flat_terrain, us_terrain
-from repro.towers.hops import build_hop_graph, candidate_pairs
+from repro.towers import los as los_module
 from repro.towers.los import LosChecker, LosConfig
 from repro.towers.registry import Tower, TowerRegistry
 
-from conftest import make_toy_design
+from conftest import los_verdicts, make_toy_design
 
 
 def random_towers(n: int, seed: int = 0, spread: float = 1.0) -> list[Tower]:
@@ -116,31 +110,24 @@ class TestGridIndex:
 
 
 class TestPipelineLos:
-    def test_pipeline_matches_scalar_checks(self):
+    def test_pipeline_matches_scalar_checks(self, monkeypatch):
         """Batch verdicts through the pipeline == per-pair scalar checks."""
+        monkeypatch.setattr(los_module, "CHUNK_SIZE", 17)
         towers = random_towers(60, seed=2, spread=0.25)
         reg = TowerRegistry(towers)
         checker = LosChecker(us_terrain(), LosConfig())
-        pipeline = HopPipeline(checker, chunk_size=17)
+        pipeline = HopPipeline(checker)
         cand_a, cand_b = pipeline.candidate_pairs(reg)
-        assert len(cand_a) > 0
+        assert len(cand_a) > 17
         mask = pipeline.feasible_mask(reg, cand_a, cand_b)
         for i, j, got in zip(cand_a, cand_b, mask):
-            assert bool(got) == checker.hop_feasible(towers[i], towers[j])
-
-    def test_pipeline_equals_build_hop_graph(self):
-        towers = random_towers(80, seed=4, spread=0.4)
-        reg = TowerRegistry(towers)
-        checker = LosChecker(us_terrain(), LosConfig())
-        hg = build_hop_graph(reg, checker)
-        graph = HopPipeline(LosChecker(us_terrain(), LosConfig())).enumerate_hops(reg)
-        assert pair_set(graph.edges_a, graph.edges_b) == pair_set(hg.edges_a, hg.edges_b)
+            assert bool(got) == los_verdicts(checker, [towers[i]], [towers[j]])[0]
 
     def test_caching_checker_same_verdicts_and_hits(self):
         towers = random_towers(70, seed=6, spread=0.3)
         reg = TowerRegistry(towers)
         plain = HopPipeline(LosChecker(us_terrain(), LosConfig()))
-        cached = HopPipeline.from_terrain(us_terrain(), LosConfig())
+        cached = HopPipeline(CachingLosChecker(us_terrain(), LosConfig()))
         want = plain.enumerate_hops(reg)
         got_cold = cached.enumerate_hops(reg)
         stats_cold = cached.checker.cache_stats()
@@ -163,9 +150,9 @@ class TestPipelineLos:
         plain = LosChecker(terrain, LosConfig())
         t1 = Tower(tower_id=0, lat=39.0, lon=-100.0, height_m=120.0)
         t2 = Tower(tower_id=1, lat=39.3, lon=-99.5, height_m=120.0)
-        assert checker.hop_feasible(t1, t2) == plain.hop_feasible(t1, t2)
+        assert los_verdicts(checker, [t1], [t2])[0] == los_verdicts(plain, [t1], [t2])[0]
         # Reverse direction: same profile, flipped — and a cache hit.
-        assert checker.hop_feasible(t2, t1) == plain.hop_feasible(t2, t1)
+        assert los_verdicts(checker, [t2], [t1])[0] == los_verdicts(plain, [t2], [t1])[0]
         stats = checker.cache_stats()
         assert stats["profile_hits"] >= 1
 
@@ -175,8 +162,8 @@ class TestPipelineLos:
         # graph equals the candidate set.
         towers = random_towers(30, seed=8, spread=0.01)
         reg = TowerRegistry(towers)
-        graph = enumerate_hops(reg, LosChecker(flat_terrain(0.0)))
-        a, b = candidate_pairs(reg, LosConfig().radio.max_range_km)
+        graph = HopPipeline(LosChecker(flat_terrain(0.0))).enumerate_hops(reg)
+        a, b = reg.pairs_within(LosConfig().radio.max_range_km)
         assert graph.n_edges == len(a)
 
     def test_shared_pipeline_shares_terrain_cache(self):
@@ -188,17 +175,6 @@ class TestPipelineLos:
         p2 = shared_pipeline(us_terrain(), LosConfig(usable_height_fraction=0.85))
         p2.enumerate_hops(reg)
         assert p2.checker.cache_stats()["profile_hits"] > 0
-
-    def test_stats_account_for_pruning(self):
-        towers = random_towers(100, seed=12)
-        reg = TowerRegistry(towers)
-        pipeline = HopPipeline.from_terrain(us_terrain(), LosConfig())
-        pipeline.enumerate_hops(reg)
-        s = pipeline.stats
-        assert s.all_pairs == 100 * 99 // 2
-        assert 0 < s.candidate_pairs <= s.all_pairs
-        assert s.feasible_hops <= s.candidate_pairs
-        assert 0.0 <= s.pruned_fraction < 1.0
 
 
 class _RowLru:
@@ -226,12 +202,12 @@ class _RowLru:
 class _PerRowReference(LosChecker):
     """Oracle: the caching checker's keying done one endpoint at a time."""
 
-    def __init__(self, terrain, profiles, grounds, quant=DEFAULT_QUANT_DEG):
+    def __init__(self, terrain, profiles, grounds):
         super().__init__(terrain, LosConfig())
-        self.profiles, self.grounds, self.quant = profiles, grounds, quant
+        self.profiles, self.grounds = profiles, grounds
 
     def _qpt(self, lat, lon):
-        return (int(round(lat / self.quant)), int(round(lon / self.quant)))
+        return (int(round(lat / QUANT_DEG)), int(round(lon / QUANT_DEG)))
 
     def profile_terrain_m(self, lat_a, lon_a, lat_b, lon_b, m):
         lat_a, lon_a, lat_b, lon_b = map(np.atleast_1d, (lat_a, lon_a, lat_b, lon_b))
@@ -274,9 +250,7 @@ class _PerRowReference(LosChecker):
 
 def _reference_for(checker: CachingLosChecker) -> _PerRowReference:
     capacity = checker._profiles.capacity
-    return _PerRowReference(
-        checker.terrain, _RowLru(capacity), _RowLru(max(4 * capacity, 1)), checker._quant
-    )
+    return _PerRowReference(checker.terrain, _RowLru(capacity), _RowLru(4 * capacity))
 
 
 def _assert_same_cache(checker: CachingLosChecker, ref: _PerRowReference):
@@ -304,7 +278,7 @@ def _run_both(checker, ref, lat_a, lon_a, lat_b, lon_b, m=7):
 def _keying_batches(seed: int):
     """Batches that exercise every keying corner, in one call sequence."""
     rng = np.random.default_rng(seed)
-    q = DEFAULT_QUANT_DEG
+    q = QUANT_DEG
     lat_a, lon_a = rng.uniform(33.0, 45.0, 40), rng.uniform(-110.0, -80.0, 40)
     lat_b, lon_b = lat_a + rng.uniform(-0.4, 0.4, 40), lon_a + rng.uniform(-0.4, 0.4, 40)
     yield lat_a, lon_a, lat_b, lon_b  # random, all misses
@@ -332,8 +306,9 @@ class TestCachingKeyingOracle:
     """The array keying against a per-row oracle of the same cache."""
 
     @pytest.mark.parametrize("capacity", [200_000, 5])
-    def test_matches_per_row_reference(self, capacity):
-        checker = CachingLosChecker(us_terrain(), LosConfig(), profile_capacity=capacity)
+    def test_matches_per_row_reference(self, capacity, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "PROFILE_CAPACITY", capacity)
+        checker = CachingLosChecker(us_terrain(), LosConfig())
         ref = _reference_for(checker)
         for batch in _keying_batches(seed=capacity):
             _run_both(checker, ref, *batch)
@@ -342,15 +317,13 @@ class TestCachingKeyingOracle:
 
     def test_shared_pipeline_pair_matches_shared_reference(self, monkeypatch):
         monkeypatch.setattr(pipeline_module, "_SHARED_TERRAIN_CACHES", {})
-        first = shared_pipeline(us_terrain(), LosConfig(), profile_capacity=50).checker
-        second = shared_pipeline(
-            us_terrain(), LosConfig(usable_height_fraction=0.85), profile_capacity=50
-        ).checker
+        monkeypatch.setattr(pipeline_module, "PROFILE_CAPACITY", 50)
+        first = shared_pipeline(us_terrain(), LosConfig()).checker
+        second = shared_pipeline(us_terrain(), LosConfig(usable_height_fraction=0.85)).checker
         assert second._profiles is first._profiles
+        assert first._profiles.capacity == 50
         ref_first = _reference_for(first)
-        ref_second = _PerRowReference(
-            us_terrain(), ref_first.profiles, ref_first.grounds, second._quant
-        )
+        ref_second = _PerRowReference(us_terrain(), ref_first.profiles, ref_first.grounds)
         batches = list(_keying_batches(seed=3))
         for i, batch in enumerate(batches):
             checker, ref = (first, ref_first) if i % 2 == 0 else (second, ref_second)
@@ -377,9 +350,8 @@ class TestPairMemo:
         # pipeline's included.
         again = reg.pairs_within(80)
         assert again[0] is a and again[1] is b
-        pipeline = HopPipeline.from_terrain(
-            us_terrain(), LosConfig(radio=RadioProfile(max_range_km=80.0))
-        )
+        config = LosConfig(radio=RadioProfile(max_range_km=80.0))
+        pipeline = HopPipeline(LosChecker(us_terrain(), config))
         assert pipeline.candidate_pairs(reg)[0] is a
         lats, lons = reg.coordinates()
         for max_range in (80.0, 40.0):
@@ -420,14 +392,14 @@ class _ChunkLoopReference(_RecordingChecker):
     """Oracle: the group/chunk loop probing the ground cache per pair,
     one endpoint at a time (a chunk's a-ends, then its b-ends)."""
 
-    def feasible_arrays(self, lat_a, lon_a, h_a, lat_b, lon_b, h_b, chunk_size=None):
+    def feasible_arrays(self, lat_a, lon_a, h_a, lat_b, lon_b, h_b):
         dist = np.atleast_1d(haversine_km(lat_a, lon_a, lat_b, lon_b))
         in_range = (dist <= self.config.radio.max_range_km) & (dist > 1e-6)
         result = np.zeros(len(dist), dtype=bool)
         samples = self.sample_count(dist)
+        step = los_module.CHUNK_SIZE
         for m in np.unique(samples[in_range]):
             idx = np.flatnonzero(in_range & (samples == m))
-            step = len(idx) if chunk_size is None else chunk_size
             for start in range(0, len(idx), step):
                 sl = idx[start : start + step]
                 ground_a = [self.ground_elevation_m(lat_a[i], lon_a[i])[0] for i in sl]
@@ -443,8 +415,8 @@ class _ChunkLoopReference(_RecordingChecker):
 class TestGroundLookups:
     """feasible_arrays looks each tower base up once per call."""
 
-    def test_twin_towers_in_one_cell_match_per_endpoint_reference(self):
-        q = DEFAULT_QUANT_DEG
+    def test_twin_towers_in_one_cell_match_per_endpoint_reference(self, monkeypatch):
+        q = QUANT_DEG
         towers = random_towers(40, seed=31, spread=0.1)
         first = towers[0]
         # A second tower about 3 m away, inside the first one's
@@ -468,11 +440,13 @@ class TestGroundLookups:
         # One base cached before the first call: a hit at call start.
         for c in (checker, ref):
             c.ground_elevation_m(lats[5:6], lons[5:6])
-        for chunk_size in (7, None, 3):
+        # Chunks of 7, one chunk per sample-count group, chunks of 3.
+        for chunk_size in (7, len(cand_a), 3):
+            monkeypatch.setattr(los_module, "CHUNK_SIZE", chunk_size)
             checker.ground_calls.clear()
             ref.ground_calls.clear()
-            got = checker.feasible_arrays(*args, chunk_size=chunk_size)
-            want = ref.feasible_arrays(*args, chunk_size=chunk_size)
+            got = checker.feasible_arrays(*args)
+            want = ref.feasible_arrays(*args)
             assert got.tobytes() == want.tobytes()
             for new, old in ((checker._grounds, ref._grounds), (checker._profiles, ref._profiles)):
                 assert new._data.keys() == old._data.keys()
@@ -484,7 +458,8 @@ class TestGroundLookups:
         # 41 towers, 40 cache keys.
         assert len(checker._grounds) == len(reg) - 1
 
-    def test_plain_checker_looks_each_base_up_once(self):
+    def test_plain_checker_looks_each_base_up_once(self, monkeypatch):
+        monkeypatch.setattr(los_module, "CHUNK_SIZE", 11)
         towers = random_towers(50, seed=32, spread=0.15)
         reg = TowerRegistry(towers)
         calls = []
@@ -495,12 +470,13 @@ class TestGroundLookups:
                 return super().ground_elevation_m(lats, lons)
 
         checker = Counting(us_terrain(), LosConfig())
-        pipeline = HopPipeline(checker, chunk_size=11)
+        pipeline = HopPipeline(checker)
         cand_a, cand_b = pipeline.candidate_pairs(reg)
+        assert len(cand_a) > 11
         mask = pipeline.feasible_mask(reg, cand_a, cand_b)
         assert len(calls) == 1 and calls[0] == len(np.union1d(cand_a, cand_b))
         for i, j, verdict in zip(cand_a, cand_b, mask):
-            assert bool(verdict) == checker.hop_feasible(towers[i], towers[j])
+            assert bool(verdict) == los_verdicts(checker, [towers[i]], [towers[j]])[0]
 
 
 class TestSolverRegistry:

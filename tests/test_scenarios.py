@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import design_network, fiber_only_topology
 from repro.core import pipeline as pipeline_module
-from repro.core.pipeline import HopPipeline
+from repro.core.pipeline import CachingLosChecker, HopPipeline
 from repro.datasets.sites import Site
 from repro.datasets.us_cities import us_population_centers
 from repro.geo.fresnel import RadioProfile
@@ -211,7 +211,7 @@ class TestSubstrateReuse:
         for point in self.POINTS:
             towers = synthesize_towers(sites, terrain, SynthesisConfig(seed=42))
             registry = TowerRegistry(cull_towers(towers))
-            hop_graph = HopPipeline.from_terrain(terrain, _los(*point)).enumerate_hops(registry)
+            hop_graph = HopPipeline(CachingLosChecker(terrain, _los(*point))).enumerate_hops(registry)
             catalog = build_link_catalog(sites, registry, hop_graph)
             refs[point] = substrate_parts(registry, hop_graph, catalog)
         return refs

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import HopPipeline
 from repro.datasets.sites import Site
 from repro.geo import GeoPoint, RadioProfile, flat_terrain, us_terrain
 from repro.towers import (
@@ -11,12 +12,12 @@ from repro.towers import (
     LosConfig,
     Tower,
     TowerRegistry,
-    build_hop_graph,
-    candidate_pairs,
     cull_towers,
     synthesize_towers,
 )
 from repro.towers.synthesis import SynthesisConfig, _gabriel_pairs
+
+from conftest import los_verdicts
 
 SITES = [
     Site("A", 40.0, -100.0, 1_000_000),
@@ -171,13 +172,13 @@ class TestLos:
         checker = LosChecker(flat_terrain(100.0))
         a = Tower(0, 40.0, -100.0, 250.0)
         b = Tower(1, 40.0, -99.0, 250.0)  # ~85 km
-        assert checker.hop_feasible(a, b)
+        assert los_verdicts(checker, [a], [b])[0]
 
     def test_out_of_range_infeasible(self):
         checker = LosChecker(flat_terrain(0.0))
         a = Tower(0, 40.0, -100.0, 300.0)
         b = Tower(1, 40.0, -98.5, 300.0)  # ~128 km > 100 km
-        assert not checker.hop_feasible(a, b)
+        assert not los_verdicts(checker, [a], [b])[0]
 
     def test_short_towers_blocked_by_bulge(self):
         # At ~85 km the midpoint clearance is ~123 m; 40 m towers with
@@ -185,7 +186,7 @@ class TestLos:
         checker = LosChecker(flat_terrain(0.0))
         a = Tower(0, 40.0, -100.0, 40.0)
         b = Tower(1, 40.0, -99.0, 40.0)
-        assert not checker.hop_feasible(a, b)
+        assert not los_verdicts(checker, [a], [b])[0]
 
     def test_mountain_blocks_hop(self):
         from repro.geo import MountainRidge, TerrainModel
@@ -201,15 +202,15 @@ class TestLos:
         checker = LosChecker(wall)
         a = Tower(0, 40.0, -100.0, 200.0)
         b = Tower(1, 40.0, -99.0, 200.0)
-        assert not checker.hop_feasible(a, b)
+        assert not los_verdicts(checker, [a], [b])[0]
 
     def test_usable_height_fraction_reduces_feasibility(self):
         full = LosChecker(flat_terrain(0.0), LosConfig(usable_height_fraction=1.0))
         low = LosChecker(flat_terrain(0.0), LosConfig(usable_height_fraction=0.45))
         a = Tower(0, 40.0, -100.0, 160.0)
         b = Tower(1, 40.0, -99.05, 160.0)
-        assert full.hop_feasible(a, b)
-        assert not low.hop_feasible(a, b)
+        assert los_verdicts(full, [a], [b])[0]
+        assert not los_verdicts(low, [a], [b])[0]
 
     def test_batch_matches_singles(self):
         terrain = us_terrain()
@@ -220,34 +221,27 @@ class TestLos:
         ]
         checker = LosChecker(terrain)
         pairs = [(towers[i], towers[j]) for i in range(10) for j in range(10, 20)]
-        batch = checker.batch_feasible([p[0] for p in pairs], [p[1] for p in pairs])
-        singles = [checker.hop_feasible(a, b) for a, b in pairs]
-        # The batch shares a sample count sized for its longest hop;
-        # individual checks may sample slightly differently, so allow a
-        # tiny disagreement rate.
-        agreement = np.mean(np.array(singles) == batch)
-        assert agreement > 0.95
+        batch = los_verdicts(checker, [p[0] for p in pairs], [p[1] for p in pairs])
+        singles = [los_verdicts(checker, [a], [b])[0] for a, b in pairs]
+        # Sample counts are per pair, so batching never changes a verdict.
+        assert batch.tolist() == singles
 
     def test_misaligned_lists_raise(self):
-        checker = LosChecker(flat_terrain())
-        with pytest.raises(ValueError):
-            checker.batch_feasible([Tower(0, 0, 0, 10.0)], [])
+        towers = [Tower(0, 40.0, -100.0, 100.0), Tower(1, 40.0, -99.5, 100.0)]
+        pipeline = HopPipeline(LosChecker(flat_terrain()))
+        with pytest.raises(ValueError, match="aligned"):
+            pipeline.feasible_mask(TowerRegistry(towers), np.array([0]), np.array([], dtype=int))
 
     def test_empty_batch(self):
         checker = LosChecker(flat_terrain())
-        assert checker.batch_feasible([], []).shape == (0,)
-
-    def test_antenna_altitude(self):
-        checker = LosChecker(flat_terrain(500.0), LosConfig(usable_height_fraction=0.5))
-        t = Tower(0, 40.0, -100.0, 200.0)
-        assert checker.antenna_altitude_m(t) == pytest.approx(600.0)
+        assert los_verdicts(checker, [], []).shape == (0,)
 
 
 class TestHopGraph:
     def test_candidate_pairs_within_range(self):
         towers = [Tower(i, 40.0, -100.0 + i * 0.4, 150.0) for i in range(6)]
         reg = TowerRegistry(towers)
-        a, b = candidate_pairs(reg, max_range_km=100.0)
+        a, b = reg.pairs_within(100.0)
         for i, j in zip(a, b):
             assert i < j
             assert (
@@ -258,24 +252,17 @@ class TestHopGraph:
         # 5 towers all within range of each other -> all 10 pairs found.
         towers = [Tower(i, 40.0 + 0.05 * i, -100.0, 150.0) for i in range(5)]
         reg = TowerRegistry(towers)
-        a, _ = candidate_pairs(reg, max_range_km=100.0)
+        a, _ = reg.pairs_within(100.0)
         assert len(a) == 10
 
     def test_build_hop_graph_flat(self):
         towers = [Tower(i, 40.0, -100.0 + i * 0.6, 250.0) for i in range(5)]
         reg = TowerRegistry(towers)
-        hg = build_hop_graph(reg, LosChecker(flat_terrain(0.0)))
+        hg = HopPipeline(LosChecker(flat_terrain(0.0))).enumerate_hops(reg)
         assert hg.n_towers == 5
         assert hg.n_edges >= 4  # at least the consecutive chain
         assert np.all(hg.lengths_km <= 100.0)
 
     def test_empty_registry(self):
-        hg = build_hop_graph(TowerRegistry([]), LosChecker(flat_terrain()))
+        hg = HopPipeline(LosChecker(flat_terrain())).enumerate_hops(TowerRegistry([]))
         assert hg.n_edges == 0
-
-    def test_degree_histogram(self):
-        towers = [Tower(i, 40.0, -100.0 + i * 0.6, 250.0) for i in range(3)]
-        reg = TowerRegistry(towers)
-        hg = build_hop_graph(reg, LosChecker(flat_terrain(0.0)))
-        hist = hg.degree_histogram()
-        assert sum(hist.values()) == 3
