@@ -1,6 +1,8 @@
 """Package metadata for ``pip install -e .`` (the repository has no
 pyproject.toml); the tests and scripts also run without an install,
-with ``PYTHONPATH=src``.
+with ``PYTHONPATH=src``.  ``pip install -e ".[test]"`` adds what the
+tests and benchmark scripts import besides the package's own
+requirements.
 """
 
 from setuptools import find_packages, setup
@@ -16,4 +18,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.23", "scipy>=1.9", "networkx>=2.8"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -14,14 +14,15 @@ each part is only done when (and once) it must be:
    candidates), grouped by per-pair sample count so every hop gets its
    deterministic fidelity.
 3. **Terrain-profile reuse** — a :class:`CachingLosChecker` memoizes
-   terrain profiles and tower-base elevations in LRU caches keyed by
-   quantized endpoints, so re-enumerations over the same tower field
-   (parameter sweeps over usable height, radio range, clutter...) skip
-   the terrain model entirely.  Keying is array work: each batch is
+   terrain profiles and tower-base elevations in two entry-counted
+   :class:`~repro.cache.LruCache` instances keyed by quantized
+   endpoints, so re-enumerations over the same tower field (parameter
+   sweeps over usable height, radio range, clutter...) skip the
+   terrain model entirely.  Keying is array work: each batch is
    quantized (``np.rint``), direction-canonicalized and turned into
-   keys in one NumPy pass, and probed with C-level ``map`` calls over
-   the cache's OrderedDict, leaving the same contents, recency order
-   and counters as keying one row at a time.
+   keys in one NumPy pass, and probed and filled through the cache's
+   batched ``get_many``/``put_many``, leaving the same contents,
+   recency order and counters as keying one row at a time.
 
 :func:`shared_pipeline` is the front door: its pipelines share the
 terrain caches per terrain model.  ``HopPipeline(checker)`` builds one
@@ -30,12 +31,11 @@ over caller-owned caches.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
 from itertools import compress, repeat
-from operator import is_not
 
 import numpy as np
 
+from ..cache import LruCache
 from ..geo.coords import haversine_km
 from ..geo.terrain import TerrainModel
 from ..towers.los import LosChecker, LosConfig
@@ -48,58 +48,6 @@ PROFILE_CAPACITY = 200_000
 #: Endpoint quantization for cache keys, degrees (~11 m).  Two
 #: endpoints closer than this share cached terrain.
 QUANT_DEG = 1e-4
-
-
-def _consume(iterator) -> None:
-    """Exhaust an iterator at C speed (for maps run for their effect)."""
-    deque(iterator, maxlen=0)
-
-
-class _LruCache:
-    """A small LRU mapping (OrderedDict-backed) with hit/miss counters.
-
-    Lookups and inserts take a whole batch of keys and run as C-level
-    ``map`` passes over the OrderedDict, with the same effect on
-    contents, recency order and counters as one call per key.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get_many(self, keys: list) -> tuple[np.ndarray, list]:
-        """(boolean hit mask, the hits' cached values in key order).
-
-        Hits are refreshed in key order; a key repeated in the batch
-        counts (and refreshes) once per occurrence.
-        """
-        data = self._data
-        found = list(map(data.get, keys))
-        hit = np.fromiter(map(is_not, found, repeat(None)), dtype=bool, count=len(found))
-        hit_list = hit.tolist()
-        _consume(map(data.move_to_end, compress(keys, hit_list)))
-        values = list(compress(found, hit_list))
-        self.hits += len(values)
-        self.misses += len(found) - len(values)
-        return hit, values
-
-    def put_many(self, keys: list, values) -> None:
-        """Insert pairs in order, then evict the least recently used.
-
-        A key repeated in the batch keeps its last value and its last
-        position; evicting once at the end leaves the same entries as
-        evicting after every insert.
-        """
-        data = self._data
-        data.update(zip(keys, values))
-        _consume(map(data.move_to_end, keys))
-        for _ in range(len(data) - self.capacity):
-            data.popitem(last=False)
 
 
 class CachingLosChecker(LosChecker):
@@ -122,8 +70,8 @@ class CachingLosChecker(LosChecker):
 
     def __init__(self, terrain: TerrainModel, config: LosConfig | None = None):
         super().__init__(terrain, config)
-        self._profiles = _LruCache(PROFILE_CAPACITY)
-        self._grounds = _LruCache(4 * PROFILE_CAPACITY)
+        self._profiles = LruCache(PROFILE_CAPACITY)
+        self._grounds = LruCache(4 * PROFILE_CAPACITY)
 
     @staticmethod
     def _quantize(degrees: np.ndarray) -> np.ndarray:
@@ -275,7 +223,7 @@ class HopPipeline:
 #: Shared terrain caches, keyed by terrain model.  TerrainModel is a
 #: frozen value type, so equal terrains share caches even across
 #: separately constructed instances.
-_SHARED_TERRAIN_CACHES: dict[TerrainModel, tuple[_LruCache, _LruCache]] = {}
+_SHARED_TERRAIN_CACHES: dict[TerrainModel, tuple[LruCache, LruCache]] = {}
 
 
 def shared_pipeline(terrain: TerrainModel, config: LosConfig | None = None) -> HopPipeline:

@@ -65,11 +65,6 @@ class GridIndex:
     def __len__(self) -> int:
         return len(self.lats)
 
-    @property
-    def n_cells(self) -> int:
-        """Number of occupied grid cells."""
-        return len(self._buckets)
-
     def _lon_reach(self, radius_km: float, at_lat: float) -> int:
         """Cells of longitude reach covering ``radius_km`` at a latitude."""
         cos_lat = max(np.cos(np.radians(min(abs(at_lat), 85.0))), 0.1)

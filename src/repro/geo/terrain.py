@@ -270,10 +270,6 @@ class TerrainModel:
             elevation[need] = elevation[need] + crest[need] * rough
         return np.maximum(elevation, 0.0)
 
-    def point_elevation_m(self, point: GeoPoint) -> float:
-        """Elevation at a single point, metres."""
-        return float(self.elevation_m([point.lat], [point.lon])[0])
-
     def profile(
         self, p1: GeoPoint, p2: GeoPoint, n_samples: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

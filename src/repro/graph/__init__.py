@@ -10,12 +10,12 @@ Public surface:
 * :func:`edge_delta_distances` / :func:`edge_delta_with_carry` — the
   vectorized single-edge insertion rule the design heuristics and the
   evolution backend share.
-* :class:`FailureSetSolver` / :class:`ByteBudgetLRU` — the delta-reuse
-  router over failure-set query streams (``whatif.py``): memo hit,
-  compositional delta from the nearest cached neighbor set, or full
-  solve (``whatif.distances_with_edges_removed``: affected-source
-  Dijkstra restart, the kernel untouched), under an LRU byte budget.
-  The weather evaluator rides on it.
+* :class:`FailureSetSolver` — the delta-reuse router over failure-set
+  query streams (``whatif.py``): memo hit, compositional delta from
+  the nearest cached neighbor set, or full solve
+  (``whatif.distances_with_edges_removed``: affected-source Dijkstra
+  restart, the kernel untouched), its matrices in a byte-budgeted
+  :class:`~repro.cache.LruCache`.  The weather evaluator rides on it.
 * :func:`graph_kernel_version` — cache-key ingredient for the
   experiment orchestration layer.
 """
@@ -28,13 +28,12 @@ from .kernel import (
     edge_delta_with_carry,
     graph_kernel_version,
 )
-from .whatif import DEFAULT_CACHE_BYTES, ByteBudgetLRU, FailureSetSolver
+from .whatif import DEFAULT_CACHE_BYTES, FailureSetSolver
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
     "DENSE_DENSITY_THRESHOLD",
     "KERNEL_VERSION",
-    "ByteBudgetLRU",
     "FailureSetSolver",
     "GraphKernel",
     "edge_delta_distances",

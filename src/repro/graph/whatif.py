@@ -50,12 +50,13 @@ restoration-only deltas — a sweeping storm pays one full solve per
 *newly seen link*, not one per distinct failure set.
 
 Nearest-neighbor lookup is O(|set|) via a per-link inverted index over
-the cached sets.  Cached matrices live under an LRU byte budget
-(:class:`ByteBudgetLRU`) so long daily-resolution runs cannot exhaust
-memory; the healthy base — the kernel's own memoized distances — is
-pinned.  Route counters (``full_solves`` / ``delta_solves`` /
-``memo_hits``, plus cache bytes and evictions) surface in the weather
-stage records through :meth:`FailureSetSolver.stats`.
+the cached sets.  Cached matrices live under an LRU byte budget (a
+:class:`~repro.cache.LruCache` sized by matrix bytes) so long
+daily-resolution runs cannot exhaust memory; the healthy base — the
+kernel's own memoized distances — is pinned.  Route counters
+(``full_solves`` / ``delta_solves`` / ``memo_hits``, plus cache bytes
+and evictions) surface in the weather stage records through
+:meth:`FailureSetSolver.stats`.
 
 Accuracy contract: delta-derived matrices match the full solve to
 <= 1e-9 relative.  The restoration rule is exact and removals restart
@@ -69,13 +70,14 @@ identically configured solvers return bitwise-identical results.
 
 from __future__ import annotations
 
-import numbers
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from ..cache import LruCache
 from .kernel import DENSE_DENSITY_THRESHOLD, GraphKernel
 
 #: Default LRU budget for cached distance matrices (bytes).
@@ -176,107 +178,6 @@ def distances_with_edges_removed(
     return out
 
 
-class ByteBudgetLRU:
-    """An LRU mapping bounded by the total byte size of its values.
-
-    Args:
-        budget_bytes: evict least-recently-used entries once the held
-            bytes exceed this (``None`` = unbounded).
-        size_of: value -> size in bytes (default: ``value.nbytes``).
-
-    Pinned keys (:meth:`pin`) and the most recently inserted entry are
-    never evicted, so the cache can exceed its budget by at most one
-    working entry plus the pinned ones — a cache that cannot hold the
-    entry it was just asked to keep would thrash.
-    """
-
-    def __init__(
-        self,
-        budget_bytes: float | None = None,
-        size_of: Callable | None = None,
-    ) -> None:
-        # A positive test, so NaN (which fails every comparison) is
-        # rejected too rather than evicting all but the newest entry.
-        if budget_bytes is not None and not (
-            isinstance(budget_bytes, numbers.Real)
-            and not isinstance(budget_bytes, bool)
-            and budget_bytes >= 0
-        ):
-            raise ValueError(
-                f"budget_bytes must be None or a number >= 0, got {budget_bytes!r}"
-            )
-        self._budget = None if budget_bytes is None else float(budget_bytes)
-        self._size_of = size_of or (lambda value: int(value.nbytes))
-        self._data: dict = {}
-        self._sizes: dict = {}
-        self._pinned: set = set()
-        self._bytes = 0
-        self.evictions = 0
-
-    @property
-    def bytes_held(self) -> int:
-        """Total byte size of all held values."""
-        return self._bytes
-
-    @property
-    def budget_bytes(self) -> float | None:
-        return self._budget
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def keys(self):
-        """Keys in LRU -> MRU order."""
-        return iter(list(self._data))
-
-    def pin(self, key) -> None:
-        """Exempt ``key`` from eviction (it need not be present yet)."""
-        self._pinned.add(key)
-
-    def peek(self, key, default=None):
-        """Look up without touching recency."""
-        return self._data.get(key, default)
-
-    def get(self, key, default=None):
-        """Look up and mark most-recently-used."""
-        value = self._data.get(key, default)
-        if key in self._data:
-            # dicts preserve insertion order: re-inserting moves to MRU.
-            self._data[key] = self._data.pop(key)
-            self._sizes[key] = self._sizes.pop(key)
-        return value
-
-    def put(self, key, value) -> list:
-        """Insert/replace ``key`` at MRU, then evict down to budget.
-
-        Returns the evicted keys, least recently used first (a
-        replacement of ``key`` itself is not an eviction).
-        """
-        size = int(self._size_of(value))
-        if key in self._data:
-            del self._data[key]
-            self._bytes -= self._sizes.pop(key)
-        self._data[key] = value
-        self._sizes[key] = size
-        self._bytes += size
-        evicted: list = []
-        if self._budget is None:
-            return evicted
-        for victim in list(self._data):
-            if self._bytes <= self._budget:
-                break
-            if victim == key or victim in self._pinned:
-                continue
-            del self._data[victim]
-            self._bytes -= self._sizes.pop(victim)
-            self.evictions += 1
-            evicted.append(victim)
-        return evicted
-
-
 class _CacheEntry:
     """One cached failure-set solve: the matrix plus delta-chain depth."""
 
@@ -361,10 +262,7 @@ class FailureSetSolver:
         # put() returns the evicted keys: an eviction callback bound to
         # this solver would make solver and cache a reference cycle that
         # keeps every cached matrix alive until a full garbage collection.
-        self._cache = ByteBudgetLRU(
-            cache_bytes,
-            size_of=lambda entry: int(entry.dist.nbytes),
-        )
+        self._cache = LruCache(cache_bytes, size_of=attrgetter("dist.nbytes"))
         self._base = kernel.distances()
         self._cache.pin(frozenset())
         self._remember(frozenset(), self._base, depth=0)
@@ -379,13 +277,9 @@ class FailureSetSolver:
             "memo_hits": self.memo_hits,
             "union_solves": self.union_solves,
             "cached_sets": len(self._cache),
-            "cache_bytes": self._cache.bytes_held,
+            "cache_bytes": self._cache.held,
             "evictions": self._cache.evictions,
         }
-
-    def cached_failure_sets(self) -> tuple[frozenset, ...]:
-        """Currently cached canonical keys, LRU -> MRU."""
-        return tuple(self._cache.keys())
 
     def canonical_key(self, failed) -> frozenset:
         """Normalize a failure set: sorted endpoints, no-op links dropped.

@@ -84,10 +84,6 @@ class FlowMonitor:
         return sum(s.sent for s in self.flows.values())
 
     @property
-    def total_received(self) -> int:
-        return sum(s.received for s in self.flows.values())
-
-    @property
     def total_dropped(self) -> int:
         return sum(s.dropped for s in self.flows.values())
 
@@ -106,10 +102,6 @@ class FlowMonitor:
         return float(
             np.mean([s.throughput_bps(elapsed_s) for s in self.flows.values()])
         )
-
-    def delay_percentile_s(self, q: float) -> float:
-        all_delays = [d for s in self.flows.values() for d in s.delays]
-        return float(np.percentile(all_delays, q)) if all_delays else 0.0
 
 
 class QueueSampler:

@@ -183,8 +183,17 @@ class LosChecker:
         Tower-base elevations are looked up once per distinct
         :meth:`ground_keys` key, in one :meth:`ground_elevation_m` call
         ordered as the chunk loop first reaches each key (a chunk's
-        a-ends, then its b-ends), and gathered per pair.
+        a-ends, then its b-ends), and gathered per pair.  The six arrays
+        must be 1-D of one length, or a ``ValueError`` gives each length.
         """
+        ends = dict(lat_a=lat_a, lon_a=lon_a, h_a=h_a, lat_b=lat_b, lon_b=lon_b, h_b=h_b)
+        shapes = {name: np.shape(v) for name, v in ends.items()}
+        if len(set(shapes.values())) != 1 or len(shapes["lat_a"]) != 1:
+            got = ", ".join(
+                f"{name}={s[0]}" if len(s) == 1 else f"{name}=shape {s}"
+                for name, s in shapes.items()
+            )
+            raise ValueError(f"endpoint arrays must be 1-D and of one length, got {got}")
         cfg = self.config
         dist = np.atleast_1d(haversine_km(lat_a, lon_a, lat_b, lon_b))
         n = len(dist)

@@ -37,8 +37,8 @@ Four properties make the sampled-year loop scale:
   Storm tracks — where one or two links flap between consecutive days —
   ride the delta route, which is what makes daily-resolution
   (365-interval) years affordable at continental scale.  Cached
-  matrices and stretch rows live under an LRU byte budget, so long
-  runs cannot exhaust memory.
+  matrices, stretch rows and storm rows each live in a byte-budgeted
+  :class:`~repro.cache.LruCache`, so long runs cannot exhaust memory.
 
 The analyses and the weather stage build the default evaluator
 (``delta_k=2``, 256 MiB).  An evaluator built with ``delta_k=0``
@@ -58,11 +58,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from ..core.topology import Topology
-from ..graph import ByteBudgetLRU, FailureSetSolver
+from ..cache import LruCache
+from ..graph import FailureSetSolver
 from ..links.builder import LinkCatalog
 from ..towers.registry import TowerRegistry
 from .attenuation import (
@@ -79,7 +81,7 @@ STORM_ROWS_BYTES = 64 * 2**20
 
 # Storm-field rows keyed by value: (precipitation class, climate, seed,
 # hop lat bytes, hop lon bytes, day) -> read-only rain row.
-_storm_rows = ByteBudgetLRU(STORM_ROWS_BYTES)
+_storm_rows = LruCache(STORM_ROWS_BYTES, size_of=attrgetter("nbytes"))
 
 
 def sample_interval_days(seed: int, n_intervals: int) -> np.ndarray:
@@ -275,9 +277,7 @@ class YearlyWeatherEvaluator:
         self._geo_flat = geo[self._iu]
         self._fiber_km = design.fiber_km
         self._solver: FailureSetSolver | None = None
-        self._stretch_cache: ByteBudgetLRU = ByteBudgetLRU(
-            self.cache_mb * 2**20
-        )
+        self._stretch_cache = LruCache(self.cache_mb * 2**20, size_of=attrgetter("nbytes"))
         self._stretch_cache.pin(frozenset())
         self._critical_cache: dict[float, CriticalRainRates] = {}
 

@@ -65,6 +65,11 @@ def los_verdicts(checker, towers_a, towers_b) -> np.ndarray:
     return checker.feasible_arrays(*columns(towers_a), *columns(towers_b))
 
 
+def point_elevation_m(terrain, point) -> float:
+    """Terrain elevation at one ``GeoPoint``, metres."""
+    return float(terrain.elevation_m([point.lat], [point.lon])[0])
+
+
 @pytest.fixture(autouse=True)
 def _isolated_artifact_store(monkeypatch, tmp_path_factory):
     """Point the experiment artifact store at a per-session temp dir.

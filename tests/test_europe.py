@@ -6,6 +6,8 @@ import pytest
 from repro.core import solve_heuristic
 from repro.scenarios import EU_FIBER_STRETCH, get_scenario
 
+from conftest import point_elevation_m
+
 
 @pytest.fixture(scope="module")
 def europe():
@@ -70,6 +72,6 @@ class TestEuropeScenario:
     def test_terrain_is_european(self, europe):
         from repro.geo import GeoPoint
 
-        alps = europe.terrain.point_elevation_m(GeoPoint(46.5, 9.5))
-        po_valley = europe.terrain.point_elevation_m(GeoPoint(45.1, 10.5))
+        alps = point_elevation_m(europe.terrain, GeoPoint(46.5, 9.5))
+        po_valley = point_elevation_m(europe.terrain, GeoPoint(45.1, 10.5))
         assert alps > po_valley

@@ -28,6 +28,8 @@ from repro.geo import (
 )
 from repro.geo.terrain import _BLOCK_POINTS
 
+from conftest import point_elevation_m
+
 GOLDEN = Path(__file__).parent / "golden" / "terrain_elevations.json"
 
 # NumPy picks its exp kernel per CPU, so the last bit of a golden value
@@ -178,14 +180,14 @@ class TestTerrainModel:
 
     def test_rockies_higher_than_midwest(self):
         t = us_terrain()
-        rockies = t.point_elevation_m(GeoPoint(39.5, -106.0))
-        midwest = t.point_elevation_m(GeoPoint(41.0, -93.0))
+        rockies = point_elevation_m(t, GeoPoint(39.5, -106.0))
+        midwest = point_elevation_m(t, GeoPoint(41.0, -93.0))
         assert rockies > midwest + 800.0
 
     def test_alps_higher_than_netherlands(self):
         t = europe_terrain()
-        alps = t.point_elevation_m(GeoPoint(46.5, 9.5))
-        holland = t.point_elevation_m(GeoPoint(52.3, 4.9))
+        alps = point_elevation_m(t, GeoPoint(46.5, 9.5))
+        holland = point_elevation_m(t, GeoPoint(52.3, 4.9))
         assert alps > holland + 1000.0
 
     def test_profile_shapes(self):
@@ -197,14 +199,14 @@ class TestTerrainModel:
         t = us_terrain()
         p1, p2 = GeoPoint(35.0, -101.0), GeoPoint(36.0, -97.0)
         _, _, elev = t.profile(p1, p2, 10)
-        assert elev[0] == pytest.approx(t.point_elevation_m(p1))
-        assert elev[-1] == pytest.approx(t.point_elevation_m(p2))
+        assert elev[0] == pytest.approx(point_elevation_m(t, p1))
+        assert elev[-1] == pytest.approx(point_elevation_m(t, p2))
 
     @given(lat_st, lon_st)
     @settings(max_examples=50)
     def test_scalar_query_finite(self, lat, lon):
         t = us_terrain()
-        e = t.point_elevation_m(GeoPoint(lat, lon))
+        e = point_elevation_m(t, GeoPoint(lat, lon))
         assert np.isfinite(e)
         assert 0.0 <= e < 6000.0
 

@@ -249,7 +249,7 @@ class _PerRowReference(LosChecker):
 
 
 def _reference_for(checker: CachingLosChecker) -> _PerRowReference:
-    capacity = checker._profiles.capacity
+    capacity = checker._profiles._budget
     return _PerRowReference(checker.terrain, _RowLru(capacity), _RowLru(4 * capacity))
 
 
@@ -321,7 +321,7 @@ class TestCachingKeyingOracle:
         first = shared_pipeline(us_terrain(), LosConfig()).checker
         second = shared_pipeline(us_terrain(), LosConfig(usable_height_fraction=0.85)).checker
         assert second._profiles is first._profiles
-        assert first._profiles.capacity == 50
+        assert first._profiles._budget == 50
         ref_first = _reference_for(first)
         ref_second = _PerRowReference(us_terrain(), ref_first.profiles, ref_first.grounds)
         batches = list(_keying_batches(seed=3))

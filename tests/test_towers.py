@@ -232,6 +232,39 @@ class TestLos:
         with pytest.raises(ValueError, match="aligned"):
             pipeline.feasible_mask(TowerRegistry(towers), np.array([0]), np.array([], dtype=int))
 
+    @pytest.mark.parametrize(
+        "ends, got",
+        [
+            # Used to return an empty mask without error.
+            (
+                ([40.0], [-100.0], [100.0], [], [], []),
+                "lat_a=1, lon_a=1, h_a=1, lat_b=0, lon_b=0, h_b=0",
+            ),
+            # Used to raise IndexError from inside the chunk loop.
+            (
+                ([40.0], [-100.0], [100.0], [40.0] * 3, [-99.5, -99.4, -99.3], [100.0] * 3),
+                "lat_a=1, lon_a=1, h_a=1, lat_b=3, lon_b=3, h_b=3",
+            ),
+            (
+                ([40.0] * 3, [-100.0] * 3, [100.0], [40.0] * 3, [-99.5, -99.4, -99.3], [100.0] * 3),
+                "lat_a=3, lon_a=3, h_a=1, lat_b=3, lon_b=3, h_b=3",
+            ),
+            # Used to raise TypeError from inside the chunk loop.
+            (
+                (40.0, -100.0, 100.0, 40.0, -99.5, 100.0),
+                "lat_a=shape (), lon_a=shape (), h_a=shape (), "
+                "lat_b=shape (), lon_b=shape (), h_b=shape ()",
+            ),
+        ],
+        ids=["no-b-ends", "three-b-ends", "short-h_a", "scalars"],
+    )
+    def test_feasible_arrays_names_misaligned_ends(self, ends, got):
+        checker = LosChecker(flat_terrain())
+        ends = [np.array(v) if isinstance(v, list) else v for v in ends]
+        with pytest.raises(ValueError) as info:
+            checker.feasible_arrays(*ends)
+        assert str(info.value) == f"endpoint arrays must be 1-D and of one length, got {got}"
+
     def test_empty_batch(self):
         checker = LosChecker(flat_terrain())
         assert los_verdicts(checker, [], []).shape == (0,)

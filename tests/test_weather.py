@@ -9,6 +9,7 @@ solver to 1e-9.
 
 import argparse
 import sys
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -559,7 +560,7 @@ class TestWeatherEvaluator:
         # ... with bit-identical distance matrices (the same arrays).
         assert np.array_equal(first.p99, second.p99)
         assert np.array_equal(first.worst, second.worst)
-        for failure_set in evaluator.solver.cached_failure_sets():
+        for failure_set in list(evaluator.solver._cache._data):
             assert evaluator.distances_for(failure_set) is evaluator.distances_for(
                 failure_set
             )
@@ -722,10 +723,12 @@ class TestSharedStormRows:
     @staticmethod
     def fresh_store(monkeypatch, budget_bytes=None):
         """Swap in an empty process-wide store (default budget)."""
-        from repro.graph import ByteBudgetLRU
+        from repro.cache import LruCache
         from repro.weather import evaluation
 
-        store = ByteBudgetLRU(budget_bytes or evaluation.STORM_ROWS_BYTES)
+        store = LruCache(
+            budget_bytes or evaluation.STORM_ROWS_BYTES, size_of=attrgetter("nbytes")
+        )
         monkeypatch.setattr(evaluation, "_storm_rows", store)
         return store
 
@@ -829,7 +832,7 @@ class TestSharedStormRows:
         ev = self.evaluator(small_us_scenario, topology)
         rain = ev.rain_for_days(self.DAYS)
         store = evaluation._storm_rows
-        stored = [store.peek(key) for key in store.keys()]
+        stored = list(store._data.values())
         assert len(stored) == 4
         for row in stored:
             assert not row.flags.writeable
