@@ -11,19 +11,15 @@ them from ``benchmarks/`` with the patterns given explicitly::
 
 (one shell line; the ``-o python_files`` value is one quoted string).
 The CI gates (``bench_hop_enumeration.py``, ``bench_flow_table.py``,
-``bench_storm_track.py``, ``bench_sweep_runner.py``,
-``bench_sweep_service.py``) are plain scripts: ``python bench_X.py``.
+``bench_storm_track.py``) are plain scripts: ``python bench_X.py``.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from functools import lru_cache
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def report(experiment: str, lines: list[str]) -> None:
@@ -33,29 +29,6 @@ def report(experiment: str, lines: list[str]) -> None:
     (RESULTS_DIR / f"{experiment}.txt").write_text(text)
     print(f"\n=== {experiment} ===")
     print(text)
-
-
-def write_bench_json(experiment: str, payload: dict) -> Path:
-    """Append one run record to ``BENCH_<experiment>.json`` at the repo root.
-
-    The file accumulates a machine-readable perf trajectory across PRs:
-    ``{"experiment": ..., "runs": [run, ...]}`` with a UTC date stamped
-    onto each run.  Corrupt or pre-existing non-JSON content is
-    replaced rather than crashing the benchmark.
-    """
-    path = REPO_ROOT / f"BENCH_{experiment}.json"
-    doc: dict = {"experiment": experiment, "runs": []}
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text())
-            if isinstance(loaded, dict) and isinstance(loaded.get("runs"), list):
-                doc = loaded
-        except ValueError:
-            pass
-    run = {"date": time.strftime("%Y-%m-%d", time.gmtime()), **payload}
-    doc["runs"].append(run)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 @lru_cache(maxsize=1)

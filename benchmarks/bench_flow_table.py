@@ -7,8 +7,8 @@ commodities.  This benchmark times raw demand arrays to per-flow rates
 on a 10^6-flow continental workload (table build + ``solve_fluid``:
 problem setup, progressive fill, latency and link-load accounting) and
 gates the footprint: peak RSS after the build and solve stays under
-2 GiB.  Each run appends its timing and peak RSS to the
-``BENCH_netsim.json`` perf trajectory.
+2 GiB.  The timing and peak RSS go to ``benchmarks/results/`` and
+stdout.
 """
 
 import resource
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.netsim import FlowTable, FluidNetwork, PathPool, solve_fluid
 
-from _support import report, write_bench_json
+from _support import report
 
 #: Acceptance threshold (see module docstring).
 MAX_PEAK_RSS_BYTES = 2 * 1024**3
@@ -136,23 +136,6 @@ def bench_flow_table(benchmark=None):
         f"exceeds the {MAX_PEAK_RSS_BYTES / 1024**3:.0f} GiB ceiling"
     )
     report("flow_table", rows)
-    write_bench_json(
-        "netsim",
-        {
-            "benchmark": "flow_table",
-            "workload": {
-                "n_core": N_CORE,
-                "n_metro": N_METRO,
-                "n_flows": scale["n_flows"],
-                "n_commodities": scale["n_commodities"],
-                "n_links": scale["n_links"],
-                "n_tiers": N_TIERS,
-                "carried_fraction": round(scale["carried_fraction"], 4),
-            },
-            "table_s": round(scale["table_s"], 4),
-            "peak_rss_gib": round(scale["peak_rss_bytes"] / 1024**3, 3),
-        },
-    )
     if benchmark is not None:
         home, capacities = million_flow_network()
         src, dst, demands = build_raw_million_flow_demands()

@@ -35,8 +35,6 @@ steady).  Gates:
 3. the delta route must actually carry the year: full solves stay
    within a handful of the corridor's link count (one padded union
    solve per newly seen link, not one per distinct set).
-
-Each run appends to the ``BENCH_weather.json`` perf trajectory.
 """
 
 import gc
@@ -53,7 +51,7 @@ from repro.towers.registry import Tower, TowerRegistry
 from repro.traffic.matrices import population_product_matrix
 from repro.weather import YearlyWeatherEvaluator
 
-from _support import report, write_bench_json
+from _support import report
 
 #: Acceptance threshold (see module docstring).
 MIN_SPEEDUP = 10.0
@@ -258,23 +256,6 @@ def main() -> None:
         f"{MIN_SPEEDUP:.0f}x gate"
     )
 
-    write_bench_json(
-        "weather",
-        {
-            "storm_sites": N_SITES,
-            "storm_days": N_DAYS,
-            "storm_distinct_sets": distinct,
-            "storm_corridor_links": corridor_links,
-            "storm_memo_s": round(t_memo, 4),
-            "storm_delta_s": round(t_delta, 4),
-            "storm_speedup": round(speedup, 2),
-            "storm_parity": float(f"{max_err:.3e}"),
-            "storm_full_solves": delta_stats["full_solves"],
-            "storm_delta_solves": delta_stats["delta_solves"],
-            "storm_memo_hits": delta_stats["memo_hits"],
-            "storm_union_solves": delta_stats["union_solves"],
-        },
-    )
     print("storm-track gate: PASS")
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from ..cache import LruCache
 from ..geo.coords import haversine_km
 from ..geo.terrain import TerrainModel
-from ..towers.los import LosChecker, LosConfig
+from ..towers.los import LosChecker, LosConfig, check_aligned
 from ..towers.registry import TowerRegistry
 
 #: LRU capacity: cached terrain profiles (one row per hop).  The
@@ -90,8 +90,9 @@ class CachingLosChecker(LosChecker):
         }
 
     def profile_terrain_m(self, lat_a, lon_a, lat_b, lon_b, m: int) -> np.ndarray:
+        check_aligned("endpoint", lat_a=lat_a, lon_a=lon_a, lat_b=lat_b, lon_b=lon_b)
         lat_a, lon_a, lat_b, lon_b = (
-            np.atleast_1d(np.asarray(v, dtype=float)) for v in (lat_a, lon_a, lat_b, lon_b)
+            np.asarray(v, dtype=float) for v in (lat_a, lon_a, lat_b, lon_b)
         )
         ya, xa, yb, xb = (self._quantize(v) for v in (lat_a, lon_a, lat_b, lon_b))
         # Canonical endpoint order, (lat, lon) lexicographic; the
@@ -126,8 +127,9 @@ class CachingLosChecker(LosChecker):
         return self._quantize(lats), self._quantize(lons)
 
     def ground_elevation_m(self, lats, lons) -> np.ndarray:
-        lats = np.atleast_1d(np.asarray(lats, dtype=float))
-        lons = np.atleast_1d(np.asarray(lons, dtype=float))
+        check_aligned("coordinate", lats=lats, lons=lons)
+        lats = np.asarray(lats, dtype=float)
+        lons = np.asarray(lons, dtype=float)
         keys = list(zip(self._quantize(lats).tolist(), self._quantize(lons).tolist()))
         hit, cached = self._grounds.get_many(keys)
         out = np.empty(len(keys), dtype=float)

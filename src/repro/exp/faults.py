@@ -28,14 +28,19 @@ from __future__ import annotations
 import json
 import logging
 import os
-import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .spec import ExperimentSpec
-    from .store import ArtifactStore
+from .spec import (
+    _NON_NEGATIVE,
+    ExperimentSpec,
+    _check_choice,
+    _check_int,
+    _check_real,
+)
+from .stages import STAGES, stage_key
+from .store import ArtifactStore, NullStore
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +70,10 @@ class Fault:
             at ``attempt=1`` lets the retry succeed deterministically).
         seconds: sleep length for ``delay``.
         stage: which cached stage artifact ``corrupt`` targets.
+
+    Plans arrive from JSON files, so each field is checked when the
+    fault is built, not when it fires: a bad one raises a
+    ``ValueError`` that names it.
     """
 
     point: int
@@ -79,12 +88,10 @@ class Fault:
                 f"unknown fault action {self.action!r} "
                 f"(choose from {', '.join(ACTIONS)})"
             )
-        if self.point < 0:
-            raise ValueError("fault point index must be >= 0")
-        if self.attempt < 1:
-            raise ValueError("fault attempt numbers are 1-based")
-        if self.seconds < 0:
-            raise ValueError("fault delay must be non-negative")
+        _check_int("fault point", self.point, 0)
+        _check_int("fault attempt (1-based)", self.attempt, 1)
+        _check_real("fault seconds", self.seconds, *_NON_NEGATIVE)
+        _check_choice("fault stage", self.stage, tuple(STAGES))
 
     def to_dict(self) -> dict:
         return {
@@ -137,13 +144,10 @@ class FaultPlan:
         self,
         point: int,
         attempt: int,
-        spec: "ExperimentSpec",
-        store: "ArtifactStore",
+        spec: ExperimentSpec,
+        store: ArtifactStore,
     ) -> None:
         """Inject post-execution faults (corrupt the point's artifacts)."""
-        from .stages import stage_key
-        from .store import NullStore
-
         for fault in self.for_point(point, attempt):
             if fault.action != CORRUPT:
                 continue
@@ -178,33 +182,9 @@ class FaultPlan:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    @classmethod
-    def seeded_kills(
-        cls,
-        n_points: int,
-        seed: int = 0,
-        rate: float = 0.1,
-        attempt: int = 1,
-    ) -> "FaultPlan":
-        """Kill a deterministic ``rate`` fraction of first attempts.
-
-        The victim set is a pure function of ``(n_points, seed, rate)``,
-        so a chaos benchmark replays the same worker deaths every run.
-        """
-        if not 0 <= rate <= 1:
-            raise ValueError("kill rate must be in [0, 1]")
-        n_kills = int(round(n_points * rate))
-        victims = random.Random(seed).sample(range(n_points), n_kills)
-        return cls(
-            faults=tuple(
-                Fault(point=p, action=KILL, attempt=attempt)
-                for p in sorted(victims)
-            )
-        )
-
 
 def corrupt_artifact(
-    store: "ArtifactStore", key: str, mode: str = "garbage"
+    store: ArtifactStore, key: str, mode: str = "garbage"
 ) -> None:
     """Deterministically damage one on-disk store entry.
 

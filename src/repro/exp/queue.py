@@ -2,8 +2,7 @@
 
 A :class:`WorkQueue` journals every sweep point as a task record —
 status (``pending`` / ``running`` / ``done`` / ``failed``), attempt
-count, owner, timestamps, last error — in a directory next to the
-artifact store:
+count, owner, last error — in a directory next to the artifact store:
 
 .. code-block:: text
 
@@ -13,11 +12,12 @@ artifact store:
         hb/worker-<pid>.json  # worker heartbeats (atomic replace)
         failures.json   # quarantine report of retry-exhausted points
 
-State mutation is append-only: each transition is one JSON line, and
-every *completion* transition (done / failed / requeued) is flushed, so
-a process killed at any instruction leaves a journal whose replay is
-consistent — at worst the tail is a buffered ``start`` or a torn line,
-both of which replay as "point still pending" and the point re-runs.
+State mutation is append-only: each transition is one JSON line,
+stamped with its wall-clock time ``t``, and every *completion*
+transition (done / failed / requeued) is flushed, so a process killed
+at any instruction leaves a journal whose replay is consistent — at
+worst the tail is a buffered ``start`` or a torn line, both of which
+replay as "point still pending" and the point re-runs.
 The ``done`` event carries the point's completion summary (stage
 status, attempts, owner) in the same line, so a ``done`` that survived
 the crash always implies a readable summary, and checkpointing a
@@ -38,9 +38,8 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 logger = logging.getLogger(__name__)
 
@@ -79,24 +78,8 @@ class TaskRecord:
     status: str = PENDING
     attempts: int = 0
     owner: str | None = None
-    enqueued_at: float | None = None
-    started_at: float | None = None
-    finished_at: float | None = None
     error: str | None = None
     interrupted: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "status": self.status,
-            "attempts": self.attempts,
-            "owner": self.owner,
-            "enqueued_at": self.enqueued_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "error": self.error,
-            "interrupted": self.interrupted,
-        }
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -140,8 +123,7 @@ class WorkQueue:
         self.failure_report_path = self.journal_dir / "failures.json"
 
         self.tasks: dict[int, TaskRecord] = {
-            i: TaskRecord(index=i, enqueued_at=time.time())
-            for i in range(n_tasks)
+            i: TaskRecord(index=i) for i in range(n_tasks)
         }
         self._results: dict[int, dict] = {}
         existing = self.meta_path.exists()
@@ -242,22 +224,18 @@ class WorkQueue:
             return
         rec = self.tasks[index]
         kind = event.get("e")
-        stamp = event.get("t")
         if kind == EV_START:
             rec.status = RUNNING
             rec.attempts += 1
             rec.owner = event.get("o")
-            rec.started_at = stamp
         elif kind == EV_DONE:
             rec.status = DONE
             rec.owner = event.get("o", rec.owner)
-            rec.finished_at = stamp
             rec.error = None
             if event.get("r") is not None:
                 self._results[index] = event["r"]
         elif kind == EV_FAIL:
             rec.status = FAILED
-            rec.finished_at = stamp
             rec.error = event.get("err")
         elif kind == EV_REQUEUE:
             rec.status = PENDING
@@ -298,13 +276,12 @@ class WorkQueue:
         rec.status = RUNNING
         rec.attempts += 1
         rec.owner = owner
-        rec.started_at = time.time()
         # Buffered, not flushed: appends to one handle stay ordered, so
         # any later flushed completion event carries this line out with
         # it.  A crash before that flush loses at most the start record
         # — replay then sees the point pending and simply re-runs it.
         self._append(
-            {"e": EV_START, "i": index, "t": rec.started_at, "o": owner},
+            {"e": EV_START, "i": index, "t": time.time(), "o": owner},
             flush=False,
         )
 
@@ -323,7 +300,6 @@ class WorkQueue:
         rec = self.tasks[index]
         rec.status = DONE
         rec.owner = owner or rec.owner
-        rec.finished_at = time.time()
         rec.error = None
         if result is not None:
             self._results[index] = result
@@ -331,7 +307,7 @@ class WorkQueue:
             {
                 "e": EV_DONE,
                 "i": index,
-                "t": rec.finished_at,
+                "t": time.time(),
                 "o": rec.owner,
                 "r": result,
             }
@@ -341,10 +317,9 @@ class WorkQueue:
         """Terminal failure: the point is quarantined, not retried."""
         rec = self.tasks[index]
         rec.status = FAILED
-        rec.finished_at = time.time()
         rec.error = error
         self._append(
-            {"e": EV_FAIL, "i": index, "t": rec.finished_at, "err": error}
+            {"e": EV_FAIL, "i": index, "t": time.time(), "err": error}
         )
 
     def mark_requeued(self, index: int, error: str | None = None) -> None:
@@ -423,9 +398,3 @@ class WorkQueue:
             pass
         finally:
             self._journal_fd = None
-
-    def __enter__(self) -> "WorkQueue":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -31,13 +31,11 @@ function of its seed-pinned spec slice, and the table is assembled in
 point order.
 
 It is the one sweep executor: the CLI, the library, the tests and the
-benchmarks all run sweeps through it.  ``jobs=1`` executes points
-inline (no pool, no watchdog — within a few percent of a plain
-:func:`~repro.exp.runner.run_experiment` loop); ``jobs>=2`` runs the
-supervised pool.  A seed-pinned :class:`~repro.exp.faults.FaultPlan`
-can be injected to deterministically kill workers, delay points, or
-corrupt artifacts — the chaos tests and ``bench_sweep_service.py`` are
-built on it.
+performance ledger all run sweeps through it.  ``jobs=1`` executes
+points inline (no pool, no watchdog); ``jobs>=2`` runs the supervised
+pool.  A seed-pinned :class:`~repro.exp.faults.FaultPlan` can be
+injected to deterministically kill workers, delay points, or corrupt
+artifacts — the chaos tests are built on it.
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
-import numbers
 import os
 import random
 import signal
@@ -71,7 +67,13 @@ from .runner import (
     point_waves,
     run_experiment,
 )
-from .spec import ExperimentSpec, canonical_json
+from .spec import (
+    _POSITIVE,
+    ExperimentSpec,
+    _check_int,
+    _check_real,
+    canonical_json,
+)
 from .store import ArtifactStore, CACHED, COMPUTED, NullStore
 
 logger = logging.getLogger(__name__)
@@ -82,6 +84,17 @@ HEARTBEAT_INTERVAL_S = 0.5
 #: Heartbeat age past which the watchdog counts a pool worker as dead or
 #: frozen and kills it.
 STALL_TIMEOUT_S = 15.0
+
+#: Supervisor wait tick in pool mode (the watchdog's granularity).
+POLL_INTERVAL_S = 0.25
+
+#: Retry backoff: the delay before a point's 2nd attempt, doubling per
+#: further retry up to the cap, plus up to ``JITTER`` of it again as
+#: pseudo-random jitter pinned to the point and attempt (de-synchronizes
+#: retry storms without wall-clock randomness).
+BACKOFF_BASE_S = 0.25
+BACKOFF_CAP_S = 30.0
+JITTER = 0.25
 
 
 def sweep_fingerprint(
@@ -95,52 +108,31 @@ def sweep_fingerprint(
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def _finite_positive(value: Any) -> bool:
-    """A real number (not a bool) that is finite and > 0."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff and deterministic jitter.
 
     Attributes:
         max_attempts: total tries per point (1 = no retry) before the
-            point is quarantined.
-        backoff_base_s: delay before the 2nd attempt; doubles per retry.
-        backoff_cap_s: upper bound on the backoff delay.
-        jitter: fraction of the delay added as seeded pseudo-random
-            jitter (de-synchronizes retry storms without wall-clock
-            randomness — the same seed always jitters identically).
-        seed: jitter seed.
+            point is quarantined.  The backoff between tries is fixed by
+            :data:`BACKOFF_BASE_S`, :data:`BACKOFF_CAP_S` and
+            :data:`JITTER`.
     """
 
     max_attempts: int = 3
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 30.0
-    jitter: float = 0.25
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError("jitter must be in [0, 1]")
+        # A NaN budget would never quarantine, so a failing point would
+        # retry forever.
+        _check_int("max_attempts", self.max_attempts, 1)
 
     def delay_s(self, attempt: int, point: int) -> float:
         """Seconds to wait before running ``attempt`` (2-based) of ``point``."""
-        if attempt <= 1 or self.backoff_base_s <= 0:
+        if attempt <= 1:
             return 0.0
-        base = min(self.backoff_cap_s, self.backoff_base_s * 2 ** (attempt - 2))
-        rng = random.Random(self.seed * 1_000_003 + point * 1_009 + attempt)
-        return base * (1.0 + self.jitter * rng.random())
+        base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (attempt - 2))
+        rng = random.Random(point * 1_009 + attempt)
+        return base * (1.0 + JITTER * rng.random())
 
 
 @dataclass
@@ -173,7 +165,6 @@ class SweepResult:
     in a pool, or across crashes and resumes.
 
     Attributes:
-        axes: the sweep axes, first axis outermost.
         records: one row per (done point, stage row), in point order;
             every row carries ``point`` plus one column per axis path.
         points: one :class:`ExperimentRun` summary (records + stage
@@ -189,12 +180,10 @@ class SweepResult:
             instead of executing.
         executed_points: points actually executed this session.
         pool_restarts: how many times the watchdog respawned the pool.
-        journal_dir: where the journal (and failure report) lives.
         session_stage_counts: ``stage_counts`` over the points executed
             this session only.
     """
 
-    axes: tuple[SweepAxis, ...]
     records: list[dict]
     points: list[ExperimentRun]
     stage_counts: dict[str, dict[str, int]]
@@ -203,7 +192,6 @@ class SweepResult:
     resumed_points: int
     executed_points: int
     pool_restarts: int
-    journal_dir: Path
     session_stage_counts: dict[str, dict[str, int]]
 
     def records_json(self) -> str:
@@ -343,17 +331,16 @@ class SweepService:
             ``<store root>/sweeps/<fingerprint>`` unless ``journal_dir``
             overrides it; a :class:`NullStore` needs an explicit
             ``journal_dir``.
-        jobs: worker processes; 1 executes points inline.
+        jobs: worker processes (an integer >= 1); 1 executes points
+            inline.
         journal_dir: explicit journal location.
         resume: load the existing journal and execute only points
             without a ``done`` entry.
-        retry: bounded-retry policy (attempts, backoff, jitter).
+        retry: bounded-retry policy (attempts per point).
         point_timeout_s: wall-clock budget per point attempt (None or
             a finite number > 0); the watchdog kills the worker past it
             (pool mode only).  A worker whose heartbeat is older than
             :data:`STALL_TIMEOUT_S` is killed regardless.
-        poll_interval_s: supervisor wait tick (watchdog granularity), a
-            finite number > 0.
         fault_plan: deterministic fault injection for chaos tests.
     """
 
@@ -367,32 +354,19 @@ class SweepService:
         resume: bool = False,
         retry: RetryPolicy | None = None,
         point_timeout_s: float | None = None,
-        poll_interval_s: float = 0.25,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        _check_int("jobs", jobs, 1)
         # Zero or negative timeouts would quarantine every point and a
         # NaN one would silently disable the watchdog.
-        if point_timeout_s is not None and not _finite_positive(
-            point_timeout_s
-        ):
-            raise ValueError(
-                "point_timeout_s must be None or a finite number > 0, "
-                f"got {point_timeout_s!r}"
-            )
-        if not _finite_positive(poll_interval_s):
-            raise ValueError(
-                "poll_interval_s must be a finite number > 0, "
-                f"got {poll_interval_s!r}"
-            )
+        if point_timeout_s is not None:
+            _check_real("point_timeout_s", point_timeout_s, *_POSITIVE)
         self.base_spec = base_spec
         self.axes = _axis_list(axes)
         self.store = store if store is not None else ArtifactStore()
         self.jobs = jobs
         self.retry = retry if retry is not None else RetryPolicy()
         self.point_timeout_s = point_timeout_s
-        self.poll_interval_s = poll_interval_s
         self.fault_plan = fault_plan
         # Fail fast on bad paths / disabled sections before any work runs.
         for axis in self.axes:
@@ -541,14 +515,14 @@ class SweepService:
                         )
                         self._stop.wait(
                             min(
-                                self.poll_interval_s,
+                                POLL_INTERVAL_S,
                                 max(0.0, next_ready - now),
                             )
                         )
                         continue
                     done, _ = wait(
                         set(futures),
-                        timeout=self.poll_interval_s,
+                        timeout=POLL_INTERVAL_S,
                         return_when=FIRST_COMPLETED,
                     )
                     try:
@@ -833,7 +807,6 @@ class SweepService:
             )
         self.queue.write_failure_report([f.to_dict() for f in failures])
         return SweepResult(
-            axes=self.axes,
             records=table,
             points=runs,
             stage_counts=counts,
@@ -842,6 +815,5 @@ class SweepService:
             resumed_points=resumed,
             executed_points=self._executed,
             pool_restarts=self._restarts,
-            journal_dir=self.queue.journal_dir,
             session_stage_counts=self._session_counts,
         )

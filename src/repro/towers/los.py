@@ -64,6 +64,24 @@ class LosConfig:
             raise ValueError("need at least 3 samples")
 
 
+def check_aligned(what: str, **arrays) -> None:
+    """Raise a ``ValueError`` giving each array's length (or its shape,
+    if not 1-D) unless all are 1-D of one length.
+
+    ``what`` names the arrays in the message, and each keyword its
+    argument: misaligned arrays would otherwise broadcast to a wrong
+    shape or fail deep inside NumPy indexing.
+    """
+    shapes = {name: np.shape(v) for name, v in arrays.items()}
+    first = next(iter(shapes.values()))
+    if len(first) != 1 or any(s != first for s in shapes.values()):
+        got = ", ".join(
+            f"{name}={s[0]}" if len(s) == 1 else f"{name}=shape {s}"
+            for name, s in shapes.items()
+        )
+        raise ValueError(f"{what} arrays must be 1-D and of one length, got {got}")
+
+
 def _unit_vectors(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     """(n, 3) unit vectors on the sphere for coordinate arrays."""
     phi = np.radians(lats)
@@ -143,6 +161,7 @@ class LosChecker:
         m: int,
     ) -> np.ndarray:
         """Terrain heights at the m interior samples of each hop, (n, m)."""
+        check_aligned("endpoint", lat_a=lat_a, lon_a=lon_a, lat_b=lat_b, lon_b=lon_b)
         sample_lats, sample_lons = profile_sample_points(lat_a, lon_a, lat_b, lon_b, m)
         n = sample_lats.shape[0]
         return self.terrain.elevation_m(
@@ -151,7 +170,8 @@ class LosChecker:
 
     def ground_elevation_m(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
         """Terrain heights at tower bases, (n,)."""
-        return np.atleast_1d(self.terrain.elevation_m(lats, lons))
+        check_aligned("coordinate", lats=lats, lons=lons)
+        return self.terrain.elevation_m(lats, lons)
 
     def ground_keys(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-tower-base ``(y, x)`` keys: equal keys share one ground lookup.
@@ -186,14 +206,9 @@ class LosChecker:
         a-ends, then its b-ends), and gathered per pair.  The six arrays
         must be 1-D of one length, or a ``ValueError`` gives each length.
         """
-        ends = dict(lat_a=lat_a, lon_a=lon_a, h_a=h_a, lat_b=lat_b, lon_b=lon_b, h_b=h_b)
-        shapes = {name: np.shape(v) for name, v in ends.items()}
-        if len(set(shapes.values())) != 1 or len(shapes["lat_a"]) != 1:
-            got = ", ".join(
-                f"{name}={s[0]}" if len(s) == 1 else f"{name}=shape {s}"
-                for name, s in shapes.items()
-            )
-            raise ValueError(f"endpoint arrays must be 1-D and of one length, got {got}")
+        check_aligned(
+            "endpoint", lat_a=lat_a, lon_a=lon_a, h_a=h_a, lat_b=lat_b, lon_b=lon_b, h_b=h_b
+        )
         cfg = self.config
         dist = np.atleast_1d(haversine_km(lat_a, lon_a, lat_b, lon_b))
         n = len(dist)

@@ -349,6 +349,38 @@ class TestSweeps:
         assert warm.executed("design") == 0
         assert warm.stage_counts["design"]["cached"] == 4
 
+    def test_netsim_rows_match_hand_wired_loop(self, shared_store):
+        """The sweep composes the experiment a plain solver-then-simulator
+        loop runs; it does not remodel it."""
+        from repro.core import solve_heuristic
+        from repro.netsim import run_udp_experiment
+        from repro.scenarios import us_scenario
+
+        spec = tiny_spec()
+        result = SweepService(spec, AXES, store=shared_store).run()
+        metrics = ("mean_delay_ms", "loss_rate", "max_link_utilization")
+        got = [
+            (row["design.budget_towers"], row["load"], *(row[m] for m in metrics))
+            for row in result.records
+            if row["stage"] == "netsim"
+        ]
+        design_input = us_scenario(n_sites=6, seed=42).design_input()
+        ns = spec.netsim
+        want = []
+        for budget in AXES["design.budget_towers"]:
+            topology = solve_heuristic(
+                design_input, budget, ilp_refinement=False
+            ).topology
+            for (load,) in AXES["netsim.loads"]:
+                res = run_udp_experiment(
+                    topology, spec.design.aggregate_gbps, load,
+                    duration_s=ns.duration_s, seed=ns.seed, engine=ns.engine,
+                )
+                want.append(
+                    (budget, load, *(float(getattr(res, m)) for m in metrics))
+                )
+        assert got == want
+
     def test_jobs_4_matches_jobs_1(self, shared_store):
         spec = tiny_spec()
         serial = SweepService(spec, AXES, store=shared_store, jobs=1).run()

@@ -336,6 +336,30 @@ class TestCachingKeyingOracle:
         assert checker.profile_terrain_m(e, e, e, e, 9).shape == (0, 9)
         assert checker.ground_elevation_m(e, e).shape == (0,)
 
+    @pytest.mark.parametrize("checker_type", [LosChecker, CachingLosChecker])
+    def test_misaligned_coordinates_fail_by_name(self, checker_type):
+        # Three latitudes, one longitude: the plain checker broadcast them
+        # to shapes (3,) and (3, 9), the caching one raised IndexError.
+        checker = checker_type(us_terrain())
+        lats, lon = np.array([40.0, 40.1, 40.2]), np.array([-100.0])
+        with pytest.raises(ValueError) as info:
+            checker.ground_elevation_m(lats, lon)
+        assert str(info.value) == (
+            "coordinate arrays must be 1-D and of one length, got lats=3, lons=1"
+        )
+        with pytest.raises(ValueError) as info:
+            checker.profile_terrain_m(lats, lon, lats + 0.5, lats - 100.5, 9)
+        assert str(info.value) == (
+            "endpoint arrays must be 1-D and of one length, "
+            "got lat_a=3, lon_a=1, lat_b=3, lon_b=3"
+        )
+        with pytest.raises(ValueError) as info:
+            checker.ground_elevation_m(40.0, -100.0)
+        assert str(info.value) == (
+            "coordinate arrays must be 1-D and of one length, "
+            "got lats=shape (), lons=shape ()"
+        )
+
 
 class TestPairMemo:
     """Candidate pairs are memoized per range on the registry."""
@@ -402,8 +426,9 @@ class _ChunkLoopReference(_RecordingChecker):
             idx = np.flatnonzero(in_range & (samples == m))
             for start in range(0, len(idx), step):
                 sl = idx[start : start + step]
-                ground_a = [self.ground_elevation_m(lat_a[i], lon_a[i])[0] for i in sl]
-                ground_b = [self.ground_elevation_m(lat_b[i], lon_b[i])[0] for i in sl]
+                ends = [slice(i, i + 1) for i in sl]  # one endpoint per call
+                ground_a = [self.ground_elevation_m(lat_a[e], lon_a[e])[0] for e in ends]
+                ground_b = [self.ground_elevation_m(lat_b[e], lon_b[e])[0] for e in ends]
                 result[sl] = self._feasible_at_samples(
                     lat_a[sl], lon_a[sl], h_a[sl], np.array(ground_a),
                     lat_b[sl], lon_b[sl], h_b[sl], np.array(ground_b),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -49,6 +50,7 @@ from repro.exp import (
     sweep_fingerprint,
 )
 from repro.cli import main
+from repro.exp import service as service_module
 from repro.exp.runner import _axis_list
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -76,8 +78,14 @@ AXES = {
     "netsim.loads": [(0.3,), (0.9,)],
 }
 
-#: RetryPolicy used throughout: fast backoff so retries don't slow tests.
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
+#: RetryPolicy used throughout; ``fast_backoff`` keeps its retries quick.
+FAST_RETRY = RetryPolicy(max_attempts=3)
+
+
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    """Retries back off 0.01 s instead of 0.25 s, so they don't slow tests."""
+    monkeypatch.setattr(service_module, "BACKOFF_BASE_S", 0.01)
 
 
 def reference_records(spec, axes, store) -> list[dict]:
@@ -233,13 +241,43 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault field"):
             Fault.from_dict({"point": 0, "action": "kill", "when": "now"})
 
-    def test_seeded_kills_deterministic(self):
-        a = FaultPlan.seeded_kills(100, seed=7, rate=0.1)
-        b = FaultPlan.seeded_kills(100, seed=7, rate=0.1)
-        assert a == b
-        assert len(a.faults) == 10
-        assert all(f.action == "kill" for f in a.faults)
-        assert FaultPlan.seeded_kills(100, seed=8, rate=0.1) != a
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            # Accepted before, and never fired.
+            ({"point": 1.5}, "fault point must be an integer >= 0, got 1.5"),
+            (
+                {"attempt": True},
+                "fault attempt (1-based) must be an integer >= 1, got True",
+            ),
+            # Accepted before; time.sleep then raised inside the point.
+            (
+                {"seconds": float("nan")},
+                "fault seconds must be a finite number >= 0, got nan",
+            ),
+            # Accepted before; stage_key then raised KeyError at fire time.
+            (
+                {"stage": "nonsense"},
+                "fault stage must be one of substrate, design, netsim, "
+                "weather, apps, econ, got 'nonsense'",
+            ),
+            # Raised TypeError: '<' not supported before.
+            ({"point": "1"}, "fault point must be an integer >= 0, got '1'"),
+            (
+                {"seconds": "5"},
+                "fault seconds must be a finite number >= 0, got '5'",
+            ),
+        ],
+        ids=[
+            "point-float", "attempt-bool", "seconds-nan", "stage-unknown",
+            "point-str", "seconds-str",
+        ],
+    )
+    def test_plan_fields_fail_by_name(self, field, message):
+        doc = {"faults": [{"point": 0, "action": "delay", **field}]}
+        with pytest.raises(ValueError) as info:
+            FaultPlan.from_dict(doc)
+        assert str(info.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -342,21 +380,38 @@ class TestSweepService:
         with pytest.raises(ValueError, match="journal_dir"):
             SweepService(tiny_spec(), axes=AXES, store=NullStore())
 
-    @pytest.mark.parametrize("value", [0, -5.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", [0, -5.0, float("nan"), float("inf"), "5", True]
+    )
     def test_point_timeout_must_be_finite_and_positive(self, tmp_path, value):
-        with pytest.raises(ValueError, match="point_timeout_s"):
+        with pytest.raises(ValueError) as info:
             SweepService(
                 tiny_spec(), axes=AXES, store=ArtifactStore(tmp_path / "s"),
                 point_timeout_s=value,
             )
+        assert str(info.value) == (
+            f"point_timeout_s must be a finite number > 0, got {value!r}"
+        )
 
-    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf")])
-    def test_poll_interval_must_be_finite_and_positive(self, tmp_path, value):
-        with pytest.raises(ValueError, match="poll_interval_s"):
+    @pytest.mark.parametrize("value", [0, 2.5, True, "2", float("nan")])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, value):
+        # 2.5 and True were accepted before; "2" raised TypeError.
+        with pytest.raises(ValueError) as info:
             SweepService(
                 tiny_spec(), axes=AXES, store=ArtifactStore(tmp_path / "s"),
-                poll_interval_s=value,
+                jobs=value,
             )
+        assert str(info.value) == f"jobs must be an integer >= 1, got {value!r}"
+
+    @pytest.mark.parametrize("value", [0, float("nan"), 2.5, True, "3"])
+    def test_max_attempts_must_be_a_positive_integer(self, value):
+        # A NaN budget never quarantined, so a failing point retried
+        # forever; 2.5 and True were accepted and "3" raised TypeError.
+        with pytest.raises(ValueError) as info:
+            RetryPolicy(max_attempts=value)
+        assert str(info.value) == (
+            f"max_attempts must be an integer >= 1, got {value!r}"
+        )
 
     def test_transient_fault_retries_to_success(self, tmp_path, baseline):
         plan = FaultPlan(faults=(Fault(point=1, action="fail", attempt=1),))
@@ -417,9 +472,27 @@ class TestSweepService:
         assert result.resumed_points == 2
         assert result.executed_points == 2
         # Shared expensive stages came from the first session's store:
-        # nothing completed re-executes.
+        # nothing completed re-executes, and the resume computes exactly
+        # the one design (budget 150) the interrupted run never reached.
         assert result.session_executed("substrate") == 0
-        assert result.session_executed("design") <= 1
+        assert result.session_executed("design") == 1
+
+    def test_corrupt_design_recomputes_once_byte_identical(
+        self, tmp_path, baseline
+    ):
+        """A corrupted design artifact is a cache miss: a fresh sweep over
+        the store recomputes that one design and nothing else."""
+        root = tmp_path / "s"
+        spec = tiny_spec()
+        SweepService(spec, axes=AXES, store=ArtifactStore(root)).run()
+        key = stage_key(spec.with_value("design.budget_towers", 100.0), "design")
+        corrupt_artifact(ArtifactStore(root), key, mode="garbage")
+        result = SweepService(spec, axes=AXES, store=ArtifactStore(root)).run()
+        assert result.records_json() == canonical_json(baseline)
+        assert result.executed("substrate") == 0
+        assert result.executed("design") == 1
+        quarantined = ArtifactStore(root).path_for(key).with_suffix(".pkl.corrupt")
+        assert quarantined.exists()
 
     def test_resume_of_complete_sweep_executes_nothing(
         self, tmp_path, baseline
@@ -445,42 +518,50 @@ class TestSweepService:
         assert a != b
         assert a == sweep_fingerprint(spec, _axis_list(AXES))
 
-    def test_retry_policy_backoff_deterministic(self):
-        policy = RetryPolicy(max_attempts=4, backoff_base_s=0.5, seed=3)
+    def test_retry_policy_backoff_deterministic(self, monkeypatch):
+        policy = RetryPolicy(max_attempts=4)
+        # The constants as shipped (``fast_backoff`` undone): 0.25 s base
+        # and 25 % jitter, seeded by the point and attempt alone.
+        monkeypatch.undo()
+        assert policy.delay_s(2, 5) == 0.25 * (
+            1.0 + 0.25 * random.Random(5 * 1_009 + 2).random()
+        )
+        monkeypatch.setattr(service_module, "BACKOFF_BASE_S", 0.5)
         assert policy.delay_s(1, 0) == 0.0
         d2, d3 = policy.delay_s(2, 5), policy.delay_s(3, 5)
         assert 0.5 <= d2 <= 0.5 * 1.25
         assert 1.0 <= d3 <= 1.0 * 1.25
-        assert policy.delay_s(2, 5) == d2  # same seed, same jitter
-        assert RetryPolicy(max_attempts=4, backoff_base_s=0.5,
-                           seed=4).delay_s(2, 5) != d2
+        assert policy.delay_s(2, 5) == d2  # same point, same jitter
+        assert policy.delay_s(2, 6) != d2
+        monkeypatch.setattr(service_module, "BACKOFF_CAP_S", 0.75)
+        assert 0.75 <= policy.delay_s(4, 5) <= 0.75 * 1.25
 
 
 class TestSweepServicePool:
     """Pool-mode chaos: dead workers and the watchdog."""
 
     def test_killed_worker_respawns_pool_and_completes(
-        self, tmp_path, baseline
+        self, tmp_path, baseline, monkeypatch
     ):
+        monkeypatch.setattr(service_module, "POLL_INTERVAL_S", 0.05)
         plan = FaultPlan(faults=(Fault(point=2, action="kill", attempt=1),))
         service = SweepService(
             tiny_spec(), axes=AXES, store=ArtifactStore(tmp_path / "s"),
             jobs=2, retry=FAST_RETRY, fault_plan=plan,
-            poll_interval_s=0.05,
         )
         result = service.run()
         assert result.records_json() == canonical_json(baseline)
         assert result.pool_restarts >= 1
         assert not result.failures
 
-    def test_watchdog_kills_stalled_point(self, tmp_path, baseline):
+    def test_watchdog_kills_stalled_point(self, tmp_path, baseline, monkeypatch):
+        monkeypatch.setattr(service_module, "POLL_INTERVAL_S", 0.1)
         plan = FaultPlan(faults=(
             Fault(point=1, action="delay", attempt=1, seconds=60.0),
         ))
         service = SweepService(
             tiny_spec(), axes=AXES, store=ArtifactStore(tmp_path / "s"),
-            jobs=2, retry=FAST_RETRY, fault_plan=plan,
-            point_timeout_s=2.0, poll_interval_s=0.1,
+            jobs=2, retry=FAST_RETRY, fault_plan=plan, point_timeout_s=2.0,
         )
         start = time.monotonic()
         result = service.run()
