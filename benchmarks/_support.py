@@ -2,8 +2,9 @@
 
 Every figure benchmark regenerates one table or figure of the paper and
 writes its rows/series to ``benchmarks/results/<experiment>.txt`` (and
-stdout).  No pytest configuration maps the ``bench_*`` files, so run
-them from ``benchmarks/`` with the patterns given explicitly::
+stdout).  Each is a plain function without arguments.  No pytest
+configuration maps the ``bench_*`` files, so run them from
+``benchmarks/`` with the patterns given explicitly::
 
     PYTHONPATH=../src python -m pytest -o python_files='bench_fig*.py
       bench_sec*.py bench_ablation_greedy.py bench_evolution_acquisition.py

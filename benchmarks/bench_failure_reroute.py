@@ -15,7 +15,7 @@ from repro.scenarios import us_scenario
 from _support import report
 
 
-def bench_failure_reroute(benchmark):
+def bench_failure_reroute():
     scenario = us_scenario(n_sites=40)
     topology = solve_heuristic(
         scenario.design_input(), 1500.0, ilp_refinement=False
@@ -39,11 +39,3 @@ def bench_failure_reroute(benchmark):
         "(as §6.1 proposes) would remove the outage window entirely",
     ]
     report("failure_reroute", rows)
-
-    benchmark.pedantic(
-        lambda: run_failure_reroute_experiment(
-            topology, 100.0, busiest, seed=5
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -50,7 +50,7 @@ def _evaluate(range_km: float, height_fraction: float):
     return result.objective, aug.cost_per_gb()
 
 
-def bench_fig10_tower_constraints(benchmark):
+def bench_fig10_tower_constraints():
     base_stretch, base_cost = _evaluate(*COMBOS[0])
     rows = [
         f"baseline: stretch={base_stretch:.4f} cost=${base_cost:.3f}/GB",
@@ -69,5 +69,3 @@ def bench_fig10_tower_constraints(benchmark):
         f"cost {worst_cost:.1f}% (paper: ~11%)"
     )
     report("fig10_tower_constraints", rows)
-
-    benchmark.pedantic(lambda: _evaluate(100.0, 0.85), rounds=1, iterations=1)

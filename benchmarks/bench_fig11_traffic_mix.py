@@ -6,7 +6,7 @@ millisecond and loss stays ~0 up to ~70% of design load.
 """
 
 from repro.core import solve_heuristic
-from repro.netsim import run_udp_experiment
+from repro.netsim import run_load_curve
 from repro.scenarios import city_dc_scenario, city_dc_traffic, dc_dc_traffic
 from repro.traffic import mixed_matrix, population_product_matrix
 
@@ -22,7 +22,7 @@ MIXES = {
 }
 
 
-def bench_fig11_traffic_mix(benchmark):
+def bench_fig11_traffic_mix():
     scenario = city_dc_scenario()
     sites = list(scenario.sites)
     cc = population_product_matrix(sites)
@@ -38,34 +38,27 @@ def bench_fig11_traffic_mix(benchmark):
     baseline_delay = {}
     for label, (w_cc, w_cdc, w_dc) in MIXES.items():
         offered = mixed_matrix([(cc, w_cc), (cdc, w_cdc), (dcdc, w_dc)])
-        for load in LOADS:
-            res = run_udp_experiment(
-                topology,
-                DESIGN_GBPS,
-                load,
-                offered_traffic=offered,
-                duration_s=0.4,
-                rate_scale=3e-3,
-                capacity_mode="tight",
-                seed=5,
-            )
+        curve = run_load_curve(
+            topology,
+            DESIGN_GBPS,
+            LOADS,
+            duration_s=0.4,
+            seed=5,
+            capacity_mode="tight",
+            offered_traffic=offered,
+            rate_scale=3e-3,
+        )
+        for row in curve:
+            load, delay = row["load"], row["mean_delay_ms"]
             rows.append(
-                f"{label:15s} {load * 100:4.0f}  {res.mean_delay_ms:13.3f}  {res.loss_rate:.4f}"
+                f"{label:15s} {load * 100:4.0f}  {delay:13.3f}  {row['loss_rate']:.4f}"
             )
             if label == "4:3:3 (design)":
-                baseline_delay[load] = res.mean_delay_ms
+                baseline_delay[load] = delay
             elif load <= 0.7:
-                deltas.append(abs(res.mean_delay_ms - baseline_delay[load]))
+                deltas.append(abs(delay - baseline_delay[load]))
     rows.append(
         f"max |delay shift| vs design mix at <=70% load: {max(deltas):.3f} ms"
         " (paper: <0.05 ms)"
     )
     report("fig11_traffic_mix", rows)
-
-    benchmark.pedantic(
-        lambda: run_udp_experiment(
-            topology, DESIGN_GBPS, 0.5, duration_s=0.2, rate_scale=1e-3
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -14,7 +14,7 @@ from _support import report
 LATENCIES_MS = [0, 50, 100, 150, 200, 250, 300]
 
 
-def bench_fig12_gaming(benchmark):
+def bench_fig12_gaming():
     with_aug = frame_time_curve(LATENCIES_MS, use_augmentation=True, seed=3)
     without = frame_time_curve(LATENCIES_MS, use_augmentation=False, seed=3)
     rows = ["conv_latency_ms  frame_aug_ms  frame_conv_ms"]
@@ -34,9 +34,3 @@ def bench_fig12_gaming(benchmark):
         f"{slope_conv:.2f} ms/ms (paper: ~3x reduction)"
     )
     report("fig12_gaming", rows)
-
-    benchmark.pedantic(
-        lambda: frame_time_curve([100.0], use_augmentation=True),
-        rounds=3,
-        iterations=1,
-    )

@@ -13,7 +13,7 @@ from repro.apps import compare_corpus, synthesize_pages
 from _support import report
 
 
-def bench_fig13_web(benchmark):
+def bench_fig13_web():
     pages = synthesize_pages(80, seed=1)
     cmp = compare_corpus(pages)
     rows = [
@@ -36,9 +36,3 @@ def bench_fig13_web(benchmark):
             f"{label:24s} {qs[0]:7.0f} {qs[1]:7.0f} {qs[2]:7.0f} {qs[3]:7.0f}"
         )
     report("fig13_web", rows)
-
-    benchmark.pedantic(
-        lambda: compare_corpus(synthesize_pages(10, seed=2)),
-        rounds=1,
-        iterations=1,
-    )

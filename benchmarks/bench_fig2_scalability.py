@@ -30,7 +30,7 @@ HEURISTIC_SIZES = [10, 20, 40, 80, 120]
 TOWERS_PER_CITY = 50.0
 
 
-def bench_fig2a_runtime_scaling(benchmark):
+def bench_fig2a_runtime_scaling():
     rows = ["n_cities  method     runtime_s   stretch"]
     ilp_times = []
     for n in ILP_SIZES:
@@ -59,15 +59,8 @@ def bench_fig2a_runtime_scaling(benchmark):
     rows.append("shape check: heuristic solves 120 cities; exact ILP growth is superlinear")
     report("fig2a_runtime", rows)
 
-    design = us_scenario(n_sites=20).design_input()
-    benchmark.pedantic(
-        lambda: solve(design, 1000.0, backend="heuristic", ilp_refinement=False),
-        rounds=1,
-        iterations=1,
-    )
 
-
-def bench_fig2b_optimality(benchmark):
+def bench_fig2b_optimality():
     rows = ["n_cities  ilp_stretch  heuristic_stretch  match_2dp"]
     matches = []
     for n in ILP_SIZES:
@@ -83,13 +76,8 @@ def bench_fig2b_optimality(benchmark):
     rows.append(f"paper claim (match to 2 decimals) holds: {all(matches)}")
     report("fig2b_optimality", rows)
 
-    design = us_scenario(n_sites=8).design_input()
-    benchmark.pedantic(
-        lambda: solve(design, 400.0, backend="heuristic"), rounds=1, iterations=1
-    )
 
-
-def bench_fig2_ablation_pruning_oracle(benchmark):
+def bench_fig2_ablation_pruning_oracle():
     """A1: the exactness-preserving oracle shrinks the ILP drastically."""
     design = us_scenario(n_sites=8).design_input()
     budget = TOWERS_PER_CITY * 8
@@ -103,8 +91,3 @@ def bench_fig2_ablation_pruning_oracle(benchmark):
         f"variable reduction: {1 - pruned.n_variables / full.n_variables:.1%}",
     ]
     report("fig2_ablation_pruning", rows)
-    benchmark.pedantic(
-        lambda: solve(design, budget, backend="ilp", use_pruning=True),
-        rounds=1,
-        iterations=1,
-    )

@@ -10,7 +10,7 @@ from repro.core import CostModel, augment_capacity, fiber_only_topology
 from _support import full_us_design_input, full_us_scenario, report, us_topology_3000
 
 
-def bench_fig3_flagship_design(benchmark):
+def bench_fig3_flagship_design():
     scenario = full_us_scenario()
     topology = us_topology_3000()
     design = full_us_design_input()
@@ -32,11 +32,3 @@ def bench_fig3_flagship_design(benchmark):
         f"cost per GB at 100 Gbps         $0.81      ${cost:.2f}",
     ]
     report("fig3_us_network", rows)
-
-    benchmark.pedantic(
-        lambda: augment_capacity(
-            topology, scenario.catalog, scenario.registry, 100.0
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -12,7 +12,7 @@ from _support import report, stretch_at_budget, us_greedy_steps
 BUDGETS = [0, 500, 1000, 2000, 3000, 4000, 6000, 8000]
 
 
-def bench_fig4a_stretch_vs_budget(benchmark):
+def bench_fig4a_stretch_vs_budget():
     steps_100 = us_greedy_steps(max_budget=9000.0, max_range_km=100.0)
     steps_70 = us_greedy_steps(max_budget=9000.0, max_range_km=70.0)
     rows = ["budget_towers  stretch_100km  stretch_70km"]
@@ -22,7 +22,3 @@ def bench_fig4a_stretch_vs_budget(benchmark):
         rows.append(f"{budget:13d}  {s100:.4f}        {s70:.4f}")
     rows.append("shape checks: monotone decreasing; 70 km close to 100 km")
     report("fig4a_budget_sweep", rows)
-
-    benchmark.pedantic(
-        lambda: stretch_at_budget(steps_100, 3000), rounds=3, iterations=1
-    )

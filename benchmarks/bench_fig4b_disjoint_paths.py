@@ -29,7 +29,7 @@ def _illinois_california_pair(scenario):
     return best
 
 
-def bench_fig4b_disjoint_paths(benchmark):
+def bench_fig4b_disjoint_paths():
     scenario = full_us_scenario()
     a, b = _illinois_california_pair(scenario)
     a, b = min(a, b), max(a, b)
@@ -56,11 +56,3 @@ def bench_fig4b_disjoint_paths(benchmark):
         stretches = np.array([p.stretch for p in paths])
         assert np.all(np.diff(stretches) >= -1e-9)
     report("fig4b_disjoint_paths", rows)
-
-    benchmark.pedantic(
-        lambda: tower_disjoint_paths(
-            site_a, site_b, scenario.registry, scenario.hop_graph, max_iterations=3
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -13,7 +13,7 @@ from _support import full_us_scenario, report, us_topology_3000
 THROUGHPUTS_GBPS = [1, 10, 50, 100, 200, 500, 1000]
 
 
-def bench_fig4c_cost_vs_throughput(benchmark):
+def bench_fig4c_cost_vs_throughput():
     scenario = full_us_scenario()
     topology = us_topology_3000()
     rows = ["aggregate_gbps  cost_per_gb  new_towers  hop_series"]
@@ -30,11 +30,3 @@ def bench_fig4c_cost_vs_throughput(benchmark):
     rows.append(f"shape: monotone decreasing = {all(a >= b for a, b in zip(costs, costs[1:]))}")
     rows.append(f"cost at 100 Gbps: ${costs[THROUGHPUTS_GBPS.index(100)]:.2f} (paper: $0.81)")
     report("fig4c_cost_throughput", rows)
-
-    benchmark.pedantic(
-        lambda: augment_capacity(
-            topology, scenario.catalog, scenario.registry, 100.0
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -7,7 +7,7 @@ only heavy load exposes the mismatch.  Rates here are uniformly scaled
 down (utilizations preserved) to keep the packet count laptop-sized.
 """
 
-from repro.netsim import run_udp_experiment
+from repro.netsim import run_load_curve
 from repro.traffic import perturbed_population_matrix
 
 from _support import full_us_scenario, report, us_topology_3000
@@ -17,7 +17,7 @@ GAMMAS = [0.0, 0.1, 0.3, 0.5]
 DESIGN_GBPS = 100.0
 
 
-def bench_fig5_delay_loss_vs_load(benchmark):
+def bench_fig5_delay_loss_vs_load():
     scenario = full_us_scenario()
     topology = us_topology_3000()
     sites = list(scenario.sites)
@@ -30,35 +30,28 @@ def bench_fig5_delay_loss_vs_load(benchmark):
             if gamma == 0.0
             else perturbed_population_matrix(sites, gamma=gamma, seed=17)
         )
-        for load in LOAD_FRACTIONS:
-            res = run_udp_experiment(
-                topology,
-                DESIGN_GBPS,
-                load,
-                offered_traffic=traffic,
-                duration_s=0.4,
-                rate_scale=3e-3,
-                capacity_mode="tight",
-                seed=3,
-            )
-            series[(gamma, load)] = res
+        curve = run_load_curve(
+            topology,
+            DESIGN_GBPS,
+            LOAD_FRACTIONS,
+            duration_s=0.4,
+            seed=3,
+            capacity_mode="tight",
+            offered_traffic=traffic,
+            rate_scale=3e-3,
+        )
+        for row in curve:
+            series[(gamma, row["load"])] = row
             rows.append(
-                f"{gamma:5.1f}  {load * 100:4.0f}  {res.mean_delay_ms:13.3f}  {res.loss_rate:.4f}"
+                f"{gamma:5.1f}  {row['load'] * 100:4.0f}  "
+                f"{row['mean_delay_ms']:13.3f}  {row['loss_rate']:.4f}"
             )
     # Shape checks mirroring the paper's claims.
-    low_load_losses = [series[(g, f)].loss_rate for g in GAMMAS for f in (0.1, 0.3, 0.5, 0.7)]
+    low_load_losses = [series[(g, f)]["loss_rate"] for g in GAMMAS for f in (0.1, 0.3, 0.5, 0.7)]
     rows.append(
         f"loss ~0 up to 70% load for all gammas: {max(low_load_losses):.4f} max"
     )
-    base = series[(0.0, 0.7)].mean_delay_ms
-    worst = max(series[(g, 0.7)].mean_delay_ms for g in GAMMAS)
+    base = series[(0.0, 0.7)]["mean_delay_ms"]
+    worst = max(series[(g, 0.7)]["mean_delay_ms"] for g in GAMMAS)
     rows.append(f"delay shift at 70% load across gammas: {worst - base:.3f} ms")
     report("fig5_perturbation", rows)
-
-    benchmark.pedantic(
-        lambda: run_udp_experiment(
-            topology, DESIGN_GBPS, 0.5, duration_s=0.2, rate_scale=1e-3
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -78,7 +78,7 @@ def _run(edge_rate_bps: float, pacing: bool, isolated: bool, seed: int = 11):
     return sampler, fcts
 
 
-def bench_fig6_pacing(benchmark):
+def bench_fig6_pacing():
     configs = [
         ("bottleneck-rate edge, no pacing", BOTTLENECK_BPS, False),
         ("10G-class edge,       no pacing", FAST_EDGE_BPS, False),
@@ -111,7 +111,3 @@ def bench_fig6_pacing(benchmark):
         "bottleneck-rate profile (paper Fig 6a) with comparable FCTs (Fig 6b)"
     )
     report("fig6_pacing", rows)
-
-    benchmark.pedantic(
-        lambda: _run(FAST_EDGE_BPS, True, True, seed=5), rounds=1, iterations=1
-    )

@@ -8,7 +8,7 @@ than fiber's).
 
 import numpy as np
 
-from repro.weather import yearly_stretch_analysis
+from repro.weather import YearlyWeatherEvaluator, sample_interval_days
 
 from _support import full_us_scenario, report, us_topology_3000
 
@@ -19,12 +19,12 @@ def _cdf_row(label, values, probes=(0.25, 0.5, 0.75, 0.95)):
     return f"{label:6s}  {cells}"
 
 
-def bench_fig7_weather_year(benchmark):
+def bench_fig7_weather_year():
     scenario = full_us_scenario()
-    topology = us_topology_3000()
-    result = yearly_stretch_analysis(
-        topology, scenario.catalog, scenario.registry, n_intervals=365, seed=7
+    evaluator = YearlyWeatherEvaluator(
+        us_topology_3000(), scenario.catalog, scenario.registry
     )
+    result = evaluator.binary_year(sample_interval_days(7, 365))
     rows = [
         "CDF quantiles of per-pair stretch     p25    p50    p75    p95",
         _cdf_row("best", result.best),
@@ -40,11 +40,3 @@ def bench_fig7_weather_year(benchmark):
         f"mean links failed/interval: {result.links_failed_per_interval.mean():.2f}",
     ]
     report("fig7_weather", rows)
-
-    benchmark.pedantic(
-        lambda: yearly_stretch_analysis(
-            topology, scenario.catalog, scenario.registry, n_intervals=30, seed=9
-        ),
-        rounds=1,
-        iterations=1,
-    )

@@ -11,7 +11,7 @@ from repro.scenarios import europe_scenario
 from _support import report
 
 
-def bench_fig8_europe(benchmark):
+def bench_fig8_europe():
     scenario = europe_scenario()
     design = scenario.design_input()
     result = solve_heuristic(design, 3000.0, ilp_refinement=False)
@@ -28,9 +28,3 @@ def bench_fig8_europe(benchmark):
         f"MW links built              -         {len(result.topology.mw_links)}",
     ]
     report("fig8_europe", rows)
-
-    benchmark.pedantic(
-        lambda: solve_heuristic(design, 1000.0, ilp_refinement=False),
-        rounds=1,
-        iterations=1,
-    )

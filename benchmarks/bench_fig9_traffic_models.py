@@ -28,7 +28,7 @@ def _cost_curve(scenario, topology):
     ]
 
 
-def bench_fig9_traffic_models(benchmark):
+def bench_fig9_traffic_models():
     # City-city: the flagship design.
     cc_scenario = full_us_scenario()
     cc_topology = us_topology_3000()
@@ -57,7 +57,3 @@ def bench_fig9_traffic_models(benchmark):
     )
     rows.append(f"city-city most expensive at every throughput: {cheaper}")
     report("fig9_traffic_models", rows)
-
-    benchmark.pedantic(
-        lambda: _cost_curve(dc_scenario, dc_topology), rounds=1, iterations=1
-    )

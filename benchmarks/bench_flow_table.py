@@ -118,7 +118,7 @@ def run_footprint_gate(timing_rounds: int = 3):
     }
 
 
-def bench_flow_table(benchmark=None):
+def bench_flow_table():
     scale = run_footprint_gate()
 
     rows = [
@@ -136,16 +136,6 @@ def bench_flow_table(benchmark=None):
         f"exceeds the {MAX_PEAK_RSS_BYTES / 1024**3:.0f} GiB ceiling"
     )
     report("flow_table", rows)
-    if benchmark is not None:
-        home, capacities = million_flow_network()
-        src, dst, demands = build_raw_million_flow_demands()
-        benchmark.pedantic(
-            lambda: table_path_end_to_end(
-                src, dst, demands, home, capacities
-            ),
-            rounds=1,
-            iterations=1,
-        )
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ def run_comparison(n_towers: int = N_TOWERS) -> dict:
     }
 
 
-def bench_hop_enumeration(benchmark=None):
+def bench_hop_enumeration():
     r = run_comparison()
     cold, warm = r["cold"], r["warm"]
     profiles = cold["profile_hits"] + cold["profile_misses"]
@@ -140,12 +140,6 @@ def bench_hop_enumeration(benchmark=None):
     assert warm["profile_hits"] - cold["profile_hits"] == profiles, (
         "the warm re-enumeration did not read every profile from the cache"
     )
-    if benchmark is not None:
-        registry = _continental_registry()
-        pipeline = HopPipeline(CachingLosChecker(us_terrain(), LosConfig()))
-        benchmark.pedantic(
-            lambda: pipeline.enumerate_hops(registry), rounds=1, iterations=1
-        )
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from repro.weather import synthesize_hft_trace
 from _support import report
 
 
-def bench_sec2_loss_trace(benchmark):
+def bench_sec2_loss_trace():
     trace = synthesize_hft_trace()
     rows = [
         "metric             paper    measured",
@@ -21,5 +21,3 @@ def bench_sec2_loss_trace(benchmark):
         "shape: mean >> median (loss concentrates in the hurricane days)",
     ]
     report("sec2_loss_trace", rows)
-
-    benchmark.pedantic(lambda: synthesize_hft_trace(), rounds=5, iterations=1)

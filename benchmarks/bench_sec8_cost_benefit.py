@@ -12,7 +12,7 @@ from repro.core import augment_capacity
 from _support import full_us_scenario, report, us_topology_3000
 
 
-def bench_sec8_cost_benefit(benchmark):
+def bench_sec8_cost_benefit():
     scenario = full_us_scenario()
     topology = us_topology_3000()
     aug = augment_capacity(topology, scenario.catalog, scenario.registry, 100.0)
@@ -30,5 +30,3 @@ def bench_sec8_cost_benefit(benchmark):
         )
     rows.append(f"every scenario's value exceeds the cost: {all_exceed}")
     report("sec8_cost_benefit", rows)
-
-    benchmark.pedantic(lambda: all_estimates(), rounds=5, iterations=1)

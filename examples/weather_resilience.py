@@ -15,8 +15,9 @@ import numpy as np
 from repro import solve_heuristic, us_scenario
 from repro.weather import (
     PrecipitationYear,
+    YearlyWeatherEvaluator,
     path_attenuation_db,
-    yearly_stretch_analysis,
+    sample_interval_days,
 )
 
 
@@ -35,13 +36,13 @@ def main() -> None:
     print(f"  {len(topology.mw_links)} MW links")
 
     print("Replaying a year of synthetic storms (365 intervals)...")
-    result = yearly_stretch_analysis(
+    evaluator = YearlyWeatherEvaluator(
         topology,
         scenario.catalog,
         scenario.registry,
         precipitation=PrecipitationYear(seed=2015),
-        n_intervals=365,
     )
+    result = evaluator.binary_year(sample_interval_days(7, 365))
     for label, values in (
         ("fair-weather best", result.best),
         ("99th percentile  ", result.p99),

@@ -6,7 +6,6 @@ from .econ import (
     ecommerce_value,
     econ_records,
     gaming_value,
-    value_summary,
     web_search_value,
 )
 from .integration import (
@@ -51,7 +50,6 @@ __all__ = [
     "ecommerce_value",
     "econ_records",
     "gaming_value",
-    "value_summary",
     "web_search_value",
     "DIRECTIONS",
     "FrameTimeStats",

@@ -126,14 +126,3 @@ def econ_records(cost_per_gb: float = 0.81) -> list[dict]:
         for est in all_estimates()
     ]
 
-
-def value_summary(cost_per_gb: float = 0.81) -> dict[str, dict[str, float | bool]]:
-    """§8's bottom line: every scenario's value exceeds the cost."""
-    summary = {}
-    for est in all_estimates():
-        summary[est.label] = {
-            "low_usd_per_gb": est.low_usd_per_gb,
-            "high_usd_per_gb": est.high_usd_per_gb,
-            "exceeds_cost": est.exceeds_cost(cost_per_gb),
-        }
-    return summary

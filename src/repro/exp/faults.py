@@ -122,6 +122,23 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
 
+    def check_sweep(self, n_points: int, stages: tuple[str, ...]) -> None:
+        """Reject a fault that could never fire on a sweep of ``n_points``
+        points running ``stages``: one at a point outside the sweep, or a
+        ``corrupt`` fault naming a stage the sweep does not run."""
+        for fault in self.faults:
+            if fault.point >= n_points:
+                raise ValueError(
+                    f"fault plan: point {fault.point} is not in this "
+                    f"{n_points}-point sweep"
+                )
+            if fault.action == CORRUPT and fault.stage not in stages:
+                raise ValueError(
+                    f"fault plan: corrupt fault at point {fault.point} names "
+                    f"stage {fault.stage!r}, which this sweep does not run "
+                    f"(runs: {', '.join(stages)})"
+                )
+
     def for_point(self, point: int, attempt: int) -> list[Fault]:
         return [
             f for f in self.faults if f.point == point and f.attempt == attempt

@@ -74,6 +74,7 @@ from .spec import (
     _check_real,
     canonical_json,
 )
+from .stages import BASE_STAGES
 from .store import ArtifactStore, CACHED, COMPUTED, NullStore
 
 logger = logging.getLogger(__name__)
@@ -341,7 +342,9 @@ class SweepService:
             a finite number > 0); the watchdog kills the worker past it
             (pool mode only).  A worker whose heartbeat is older than
             :data:`STALL_TIMEOUT_S` is killed regardless.
-        fault_plan: deterministic fault injection for chaos tests.
+        fault_plan: deterministic fault injection for chaos tests; a
+            fault that could never fire on this sweep is rejected here
+            (:meth:`~repro.exp.faults.FaultPlan.check_sweep`).
     """
 
     def __init__(
@@ -372,6 +375,10 @@ class SweepService:
         for axis in self.axes:
             base_spec.with_value(axis.path, axis.values[0])
         self.points = expand_points(base_spec, self.axes)
+        if fault_plan is not None:
+            fault_plan.check_sweep(
+                len(self.points), (*BASE_STAGES, *base_spec.eval_stages())
+            )
         self.fingerprint = sweep_fingerprint(base_spec, self.axes)
         if journal_dir is None:
             if isinstance(self.store, NullStore) or self.store.root is None:

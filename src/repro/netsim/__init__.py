@@ -6,13 +6,11 @@ from .experiments import (
     ENGINES,
     TRANSPORTS,
     FailureRerouteResult,
-    UdpExperimentResult,
     hybrid_routing_graph,
     kept_flow_table,
     run_failure_reroute_experiment,
     run_load_curve,
     build_edge_specs,
-    run_udp_experiment,
 )
 from .fluid import FluidNetwork, FluidResult, aggregate_capacities, solve_fluid
 from .flowtable import FlowTable, PathPool
@@ -49,11 +47,9 @@ __all__ = [
     "solve_fluid",
     "solve_fluid_tcp",
     "FailureRerouteResult",
-    "UdpExperimentResult",
     "run_failure_reroute_experiment",
     "run_load_curve",
     "build_edge_specs",
-    "run_udp_experiment",
     "DEFAULT_UDP_PACKET_BYTES",
     "UdpFlow",
     "DEFAULT_QUEUE_PACKETS",

@@ -22,7 +22,7 @@ import networkx as nx
 import numpy as np
 
 from ..core.augmentation import route_link_demands, series_needed
-from ..core.topology import Topology
+from ..core.topology import DesignInput, Topology
 from ..geo.coords import SPEED_OF_LIGHT_KM_S
 from ..traffic.matrices import user_demand_matrix
 from .engine import Simulator
@@ -42,7 +42,11 @@ from ..exp.spec import (  # noqa: E402 - re-exported for callers
     ENGINES,
     TRANSPORTS,
 )
-from ..exp.spec import _check_choice, _check_real  # noqa: E402 - the spec's field checks
+from ..exp.spec import _POSITIVE, _check_choice, _check_real  # noqa: E402 - the spec's field checks
+
+#: Demands below this fraction of the total are dropped: they carry
+#: negligible load but dominate the event count.
+MIN_FLOW_RATE_FRACTION = 2e-4
 
 
 @dataclass(frozen=True)
@@ -64,23 +68,6 @@ class FailureRerouteResult:
     flows_rerouted: int
 
 
-@dataclass(frozen=True)
-class UdpExperimentResult:
-    """Aggregate outcome of one load point.
-
-    Attributes:
-        input_rate_fraction: offered load relative to design capacity.
-        mean_delay_ms: mean end-to-end packet delay.
-        loss_rate: network-wide packet loss fraction.
-        max_link_utilization: highest per-link utilization observed.
-    """
-
-    input_rate_fraction: float
-    mean_delay_ms: float
-    loss_rate: float
-    max_link_utilization: float
-
-
 def build_edge_specs(
     topology: Topology,
     aggregate_gbps: float,
@@ -100,8 +87,7 @@ def build_edge_specs(
     counts); utilization at a given offered-load fraction is invariant
     to it.
     """
-    if rate_scale <= 0:
-        raise ValueError("rate scale must be positive")
+    _check_real("rate_scale", rate_scale, *_POSITIVE)
     if capacity_mode not in CAPACITY_MODES:
         raise ValueError(
             f"capacity_mode must be one of {', '.join(CAPACITY_MODES)}, "
@@ -134,15 +120,33 @@ def build_edge_specs(
             edge = (min(u, v), max(u, v))
             if edge in mw or edge in specs:
                 continue
-            delay_s = design.fiber_km[edge] / SPEED_OF_LIGHT_KM_S
-            specs[edge] = EdgeSpec(
-                a=str(edge[0]),
-                b=str(edge[1]),
-                rate_bps=100e9 * rate_scale,
-                delay_s=delay_s,
-                queue_capacity=queue_packets,
-            )
+            specs[edge] = _fiber_spec(design, edge, rate_scale, queue_packets)
     return list(specs.values())
+
+
+def _fiber_spec(
+    design: DesignInput, edge: tuple[int, int], rate_scale: float, queue_packets: int
+) -> EdgeSpec:
+    """A fiber edge ``(a, b)``, ``a < b``: 100 Gbps before scaling, since
+    fiber bandwidth is plentiful in the paper's model."""
+    return EdgeSpec(
+        a=str(edge[0]),
+        b=str(edge[1]),
+        rate_bps=100e9 * rate_scale,
+        delay_s=design.fiber_km[edge] / SPEED_OF_LIGHT_KM_S,
+        queue_capacity=queue_packets,
+    )
+
+
+def _packet_network(specs: list[EdgeSpec]) -> tuple[Simulator, Network, FlowMonitor]:
+    """A simulator, the network of ``specs`` on it, and a monitor that
+    watches every link."""
+    sim = Simulator()
+    net = Network.from_edges(sim, specs)
+    monitor = FlowMonitor(sim)
+    for link in net.links.values():
+        monitor.watch_link(link)
+    return sim, net, monitor
 
 
 def kept_flow_table(
@@ -196,20 +200,12 @@ class _ExperimentSetup:
 
     specs: list[EdgeSpec]
     network: FluidNetwork | None
-    offered_aggregate_gbps: float
-    rate_scale: float
+    #: Offered aggregate at load 1.0, in scaled bits per second.
+    full_load_bps: float
     kept_mass: float
     pool: PathPool
     path_ids: np.ndarray
     shares: np.ndarray
-
-    def offered_bps(self, input_rate_fraction: float) -> float:
-        return (
-            self.offered_aggregate_gbps
-            * 1e9
-            * self.rate_scale
-            * input_rate_fraction
-        )
 
 
 def _validate_experiment_params(
@@ -218,11 +214,8 @@ def _validate_experiment_params(
     demand_model: str,
     transport: str,
 ) -> None:
-    """The shared argument checks, in their historical order.
-
-    Each message names its parameter, as the spec's checks do; a bool
-    or a string load is rejected, never converted.
-    """
+    """Each message names its parameter, as the spec's checks do; a
+    bool or a string load is rejected, never converted."""
     _check_real(
         "input_rate_fraction", input_rate_fraction, "in (0, 1.5]", lambda v: 0 < v <= 1.5
     )
@@ -241,7 +234,6 @@ def _prepare_experiment(
     design_aggregate_gbps: float,
     offered_traffic: np.ndarray | None,
     rate_scale: float,
-    min_flow_rate_fraction: float,
     capacity_mode: str,
     demand_model: str,
     demand_hour_utc: float,
@@ -277,94 +269,18 @@ def _prepare_experiment(
     )
     node_names = {spec.a for spec in specs} | {spec.b for spec in specs}
     pool, path_ids, shares, kept_mass = kept_flow_table(
-        topology.routed_paths(), traffic, node_names, min_flow_rate_fraction
+        topology.routed_paths(), traffic, node_names, MIN_FLOW_RATE_FRACTION
     )
     if kept_mass <= 0:
         raise ValueError("no flows above the rate cutoff")
     return _ExperimentSetup(
         specs=specs,
         network=FluidNetwork.from_specs(specs) if engine == "fluid" else None,
-        offered_aggregate_gbps=offered_aggregate_gbps,
-        rate_scale=rate_scale,
+        full_load_bps=offered_aggregate_gbps * 1e9 * rate_scale,
         kept_mass=kept_mass,
         pool=pool,
         path_ids=path_ids,
         shares=shares,
-    )
-
-
-def run_udp_experiment(
-    topology: Topology,
-    design_aggregate_gbps: float,
-    input_rate_fraction: float,
-    offered_traffic: np.ndarray | None = None,
-    duration_s: float = 1.0,
-    rate_scale: float = 1e-4,
-    min_flow_rate_fraction: float = 2e-4,
-    capacity_mode: str = "k2",
-    seed: int = 0,
-    engine: str = "packet",
-    demand_model: str = "design",
-    demand_hour_utc: float = 20.0,
-    demand_seed: int = 0,
-    users_millions: float | None = None,
-    transport: str = "udp",
-) -> UdpExperimentResult:
-    """One Fig 5 / Fig 11 load point.
-
-    Args:
-        topology: the designed (and implicitly provisioned) network.
-        design_aggregate_gbps: the capacity the network was designed
-            for; link capacities derive from routing *design* traffic.
-        input_rate_fraction: offered aggregate load as a fraction of
-            ``design_aggregate_gbps`` (the x-axis of Fig 5) — or of the
-            user-model aggregate under ``demand_model="users"``.
-        offered_traffic: traffic matrix actually offered (defaults to
-            the design matrix; perturbed/mixed matrices reproduce the
-            deviation experiments).  Mutually exclusive with
-            ``demand_model="users"``, which builds its own matrix.
-        duration_s: simulated seconds (packet engine only).
-        rate_scale: uniform rate shrink factor (see module docstring).
-        min_flow_rate_fraction: demands below this fraction of the
-            total are dropped (they contribute negligible load but
-            dominate event count).
-        seed: RNG seed for Poisson arrivals (packet engine only).
-        engine: ``"packet"`` simulates every packet; ``"fluid"`` solves
-            the steady-state max-min rate allocation instead — 1-2
-            orders of magnitude faster, no queueing/jitter modelling.
-        demand_model: ``"design"`` offers the design (or explicit)
-            matrix; ``"users"`` builds offered traffic bottom-up from
-            per-city populations (diurnal x heavy-tail, the
-            million-user layer in :mod:`repro.traffic.matrices`).
-        demand_hour_utc: UTC hour for the diurnal profile (users model).
-        demand_seed: heavy-tail multiplier seed (users model).
-        users_millions: rescale the user model to this many million
-            active users network-wide (users model; None keeps
-            population-derived counts).
-        transport: ``"udp"`` offers demand open-loop; ``"tcp"`` caps
-            each flow at its Mathis macro-model rate and iterates loss
-            to a fixed point (fluid engine only).
-
-    Both engines read one kept-flow table (see :func:`kept_flow_table`).
-    """
-    _validate_experiment_params(
-        input_rate_fraction, engine, demand_model, transport
-    )
-    setup = _prepare_experiment(
-        topology,
-        design_aggregate_gbps,
-        offered_traffic,
-        rate_scale,
-        min_flow_rate_fraction,
-        capacity_mode,
-        demand_model,
-        demand_hour_utc,
-        demand_seed,
-        users_millions,
-        engine,
-    )
-    return _run_point(
-        setup, input_rate_fraction, engine, transport, duration_s, seed
     )
 
 
@@ -375,10 +291,13 @@ def _run_point(
     transport: str,
     duration_s: float,
     seed: int,
-) -> UdpExperimentResult:
-    """One load point over already-prepared invariants."""
+) -> tuple[float, float, float]:
+    """One load point over already-prepared invariants.
+
+    Returns ``(mean_delay_ms, loss_rate, max_link_utilization)``.
+    """
     kept_mass = setup.kept_mass
-    offered_bps = setup.offered_bps(input_rate_fraction)
+    offered_bps = setup.full_load_bps * input_rate_fraction
 
     if engine == "fluid":
         # Per-flow demands, positivity filter, and flow ids (positions
@@ -395,18 +314,13 @@ def _run_point(
             result = solve_fluid_tcp(setup.network, flows)
         else:
             result = solve_fluid(setup.network, flows)
-        return UdpExperimentResult(
-            input_rate_fraction=input_rate_fraction,
-            mean_delay_ms=result.mean_latency_s() * 1000.0,
-            loss_rate=result.loss_rate,
-            max_link_utilization=result.max_link_utilization,
+        return (
+            result.mean_latency_s() * 1000.0,
+            result.loss_rate,
+            result.max_link_utilization,
         )
 
-    sim = Simulator()
-    net = Network.from_edges(sim, setup.specs)
-    monitor = FlowMonitor(sim)
-    for link in net.links.values():
-        monitor.watch_link(link)
+    sim, net, monitor = _packet_network(setup.specs)
     flow_id = 0
     for path_id, h in zip(setup.path_ids.tolist(), setup.shares.tolist()):
         rate = offered_bps * h / kept_mass
@@ -427,12 +341,7 @@ def _run_point(
     max_util = max(
         (link.utilization(duration_s) for link in net.links.values()), default=0.0
     )
-    return UdpExperimentResult(
-        input_rate_fraction=input_rate_fraction,
-        mean_delay_ms=monitor.mean_delay_s() * 1000.0,
-        loss_rate=monitor.overall_loss_rate(),
-        max_link_utilization=max_util,
-    )
+    return monitor.mean_delay_s() * 1000.0, monitor.overall_loss_rate(), max_util
 
 
 def run_load_curve(
@@ -449,14 +358,33 @@ def run_load_curve(
     demand_seed: int = 0,
     users_millions: float | None = None,
     transport: str = "udp",
+    rate_scale: float = 1e-4,
 ) -> list[dict]:
-    """The full Fig 5 load curve as tidy records (the netsim stage).
+    """The Fig 5 / Fig 11 load curve as tidy records (the netsim stage).
 
-    One :func:`run_udp_experiment` point per load fraction, flattened to
-    plain-scalar rows so the orchestration layer can cache, merge, and
-    serialize them deterministically.  The load-invariant work — link
-    capacities, the routed path pool, the kept-flow filter — is hoisted
-    out of the loop and computed once for the whole curve.
+    One row per load (``mean_delay_ms``, ``loss_rate``,
+    ``max_link_utilization``), flattened to plain scalars so the
+    orchestration layer can cache, merge, and serialize them
+    deterministically.  The load-invariant work — link capacities, the
+    routed path pool, the kept-flow filter (:func:`kept_flow_table`) —
+    is computed once for the whole curve.
+
+    Args:
+        design_aggregate_gbps: the capacity the network was designed
+            for; link capacities derive from routing *design* traffic.
+        loads: offered loads as fractions of ``design_aggregate_gbps``
+            (Fig 5's x-axis), or of the user-model aggregate.
+        engine: ``"packet"`` simulates every packet for ``duration_s``
+            with Poisson arrivals seeded by ``seed``; ``"fluid"`` solves
+            the steady-state max-min rates (no queueing or jitter).
+        offered_traffic: the matrix actually offered (default: the
+            design matrix); perturbed or mixed matrices reproduce the
+            deviation experiments.  ``demand_model="users"`` builds its
+            own matrix from populations (see :mod:`repro.traffic.matrices`;
+            ``demand_hour_utc``, ``demand_seed``, ``users_millions``).
+        transport: ``"tcp"`` caps each flow at its Mathis rate and
+            iterates loss to a fixed point (fluid engine only).
+        rate_scale: uniform rate shrink factor (see module docstring).
     """
     rows: list[dict] = []
     setup: _ExperimentSetup | None = None
@@ -469,8 +397,7 @@ def run_load_curve(
                 topology,
                 design_aggregate_gbps,
                 offered_traffic,
-                1e-4,
-                2e-4,
+                rate_scale,
                 capacity_mode,
                 demand_model,
                 demand_hour_utc,
@@ -478,7 +405,7 @@ def run_load_curve(
                 users_millions,
                 engine,
             )
-        res = _run_point(
+        mean_delay_ms, loss_rate, max_util = _run_point(
             setup, float(load), engine, transport, duration_s, seed
         )
         rows.append({
@@ -487,9 +414,9 @@ def run_load_curve(
             "transport": transport,
             "demand_model": demand_model,
             "load": float(load),
-            "mean_delay_ms": float(res.mean_delay_ms),
-            "loss_rate": float(res.loss_rate),
-            "max_link_utilization": float(res.max_link_utilization),
+            "mean_delay_ms": float(mean_delay_ms),
+            "loss_rate": float(loss_rate),
+            "max_link_utilization": float(max_util),
         })
     return rows
 
@@ -529,7 +456,6 @@ def run_failure_reroute_experiment(
     duration_s: float = 1.2,
     input_rate_fraction: float = 0.5,
     rate_scale: float = 1e-3,
-    min_flow_rate_fraction: float = 2e-4,
     seed: int = 0,
 ) -> FailureRerouteResult:
     """Fail one MW link mid-run, then reroute around it (§6.1).
@@ -559,7 +485,7 @@ def run_failure_reroute_experiment(
     )
     node_names = {s.a for s in specs} | {s.b for s in specs}
     pool, path_ids, shares, kept_mass = kept_flow_table(
-        routes, design.traffic, node_names, min_flow_rate_fraction
+        routes, design.traffic, node_names, MIN_FLOW_RATE_FRACTION
     )
     # Pool row p is the route of the p-th pair in route-dict order.
     pairs = list(routes)
@@ -591,26 +517,14 @@ def run_failure_reroute_experiment(
     seen = {(s.a, s.b) for s in specs} | {(s.b, s.a) for s in specs}
     for path in new_routes.values():
         for u, v in zip(path[:-1], path[1:]):
-            key = (str(min(u, v)), str(max(u, v)))
+            edge = (min(u, v), max(u, v))
+            key = (str(edge[0]), str(edge[1]))
             if key in seen:
                 continue
-            edge = (min(u, v), max(u, v))
-            specs.append(
-                EdgeSpec(
-                    a=key[0],
-                    b=key[1],
-                    rate_bps=100e9 * rate_scale,
-                    delay_s=design.fiber_km[edge] / SPEED_OF_LIGHT_KM_S,
-                    queue_capacity=200,
-                )
-            )
+            specs.append(_fiber_spec(design, edge, rate_scale, 200))
             seen.add(key)
             seen.add((key[1], key[0]))
-    sim = Simulator()
-    net = Network.from_edges(sim, specs)
-    monitor = FlowMonitor(sim)
-    for link in net.links.values():
-        monitor.watch_link(link)
+    sim, net, monitor = _packet_network(specs)
 
     flows: dict[int, UdpFlow] = {}
     affected: list[tuple[int, tuple[int, int], float]] = []

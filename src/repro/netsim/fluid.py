@@ -32,7 +32,7 @@ The network is built from the same :class:`~repro.netsim.network.EdgeSpec`
 capacities as the packet engine's (:meth:`FluidNetwork.from_specs`), so
 an experiment can switch between ``engine="packet"`` and
 ``engine="fluid"`` behind one API (see
-:func:`repro.netsim.experiments.run_udp_experiment`).
+:func:`repro.netsim.experiments.run_load_curve`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from .matrices import (
     active_users,
     city_to_dc_matrix,
     dc_to_dc_matrix,
-    demand_pairs,
     demands_gbps,
     diurnal_factor,
     heavy_tail_multipliers,
@@ -17,7 +16,6 @@ from .matrices import (
     population_product_matrix,
     user_demand_gbps,
     user_demand_matrix,
-    user_demand_pairs,
 )
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "active_users",
     "city_to_dc_matrix",
     "dc_to_dc_matrix",
-    "demand_pairs",
     "demands_gbps",
     "diurnal_factor",
     "heavy_tail_multipliers",
@@ -36,5 +33,4 @@ __all__ = [
     "population_product_matrix",
     "user_demand_gbps",
     "user_demand_matrix",
-    "user_demand_pairs",
 ]

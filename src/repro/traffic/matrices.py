@@ -118,27 +118,6 @@ def mixed_matrix(
     return _normalize(h)
 
 
-def demand_pairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A matrix's positive demands as ``(pairs, shares)`` arrays.
-
-    The array-native front-end for flow-table workloads: ``pairs`` is an
-    (m, 2) int64 array of site pairs (i, j) with i < j, ``shares`` the
-    matching demands normalized to sum to 1 over the upper triangle —
-    no per-pair Python iteration between the matrix and the solver.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("traffic matrix must be square")
-    iu, ju = np.triu_indices(m.shape[0], k=1)
-    values = m[iu, ju]
-    total = values.sum()
-    if total <= 0:
-        raise ValueError("traffic matrix has no demand")
-    positive = values > 0
-    pairs = np.stack([iu[positive], ju[positive]], axis=1).astype(np.int64)
-    return pairs, values[positive] / total
-
-
 def demands_gbps(matrix: np.ndarray, aggregate_gbps: float) -> np.ndarray:
     """Scale a normalized matrix to an aggregate demand (sum of all
     site-site demands) in Gbps.  Returns a symmetric matrix whose upper
@@ -278,32 +257,3 @@ def user_demand_matrix(
     h = np.outer(demand, demand)
     np.fill_diagonal(h, 0.0)
     return _normalize(h), float(demand.sum())
-
-
-def user_demand_pairs(
-    sites: list[Site],
-    hour_utc: float = PEAK_LOCAL_HOUR,
-    seed: int = 0,
-    users_per_capita: float = DEFAULT_USERS_PER_CAPITA,
-    users_millions: float | None = None,
-    per_user_kbps: float = DEFAULT_PER_USER_KBPS,
-    trough_fraction: float = 0.25,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The million-user demand layer in array form.
-
-    Returns ``(pairs, demands_gbps, aggregate_gbps)`` where ``pairs`` /
-    ``demands_gbps`` are the positive site pairs and their absolute
-    offered demands (``shares * aggregate``) — the direct input for a
-    :class:`~repro.netsim.flowtable.FlowTable` fluid evaluation.
-    """
-    matrix, aggregate_gbps = user_demand_matrix(
-        sites,
-        hour_utc=hour_utc,
-        seed=seed,
-        users_per_capita=users_per_capita,
-        users_millions=users_millions,
-        per_user_kbps=per_user_kbps,
-        trough_fraction=trough_fraction,
-    )
-    pairs, shares = demand_pairs(matrix)
-    return pairs, shares * aggregate_gbps, aggregate_gbps

@@ -10,11 +10,7 @@ from .attenuation import (
     rain_coefficients,
     specific_attenuation_db_per_km,
 )
-from .degradation import (
-    GradedComparison,
-    graded_yearly_comparison,
-    weather_stage_records,
-)
+from .degradation import weather_stage_records
 from .evaluation import (
     LinkHopArrays,
     YearlyStretchResult,
@@ -24,7 +20,6 @@ from .evaluation import (
     sample_interval_days,
     strided_interval_days,
 )
-from .failures import yearly_stretch_analysis
 from .loss_traces import (
     MINUTES_PER_TRADING_DAY,
     PAPER_TRACE_MINUTES,
@@ -41,8 +36,6 @@ from .precipitation import (
 )
 
 __all__ = [
-    "GradedComparison",
-    "graded_yearly_comparison",
     "weather_stage_records",
     "CriticalRainRates",
     "critical_rain_rates",
@@ -59,7 +52,6 @@ __all__ = [
     "sample_interval_days",
     "strided_interval_days",
     "link_hop_segments",
-    "yearly_stretch_analysis",
     "DAYS_PER_YEAR",
     "MINUTES_PER_TRADING_DAY",
     "PAPER_TRACE_MINUTES",

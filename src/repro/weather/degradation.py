@@ -1,25 +1,23 @@
-"""Graded (non-binary) weather degradation (§6.1's refinement).
+"""The weather stage's records (§6.1, Fig 7).
 
 The paper treats precipitation conservatively: any hop whose attenuation
 exceeds a threshold fails its whole link.  It notes that "a more
 sophisticated analysis allowing dynamic link bandwidth adjustment
-rather than binary failures can only improve these numbers."  This
-module implements that refinement: between a *soft* and a *hard* fade
-margin, the physical layer trades bandwidth for resilience (stepping
-down the modulation), so the link stays up — at reduced capacity — and
-only a hard-margin breach drops it.
+rather than binary failures can only improve these numbers."  The
+stage reports both: the binary model's stretch series and, with
+``graded``, the refinement in which the physical layer trades bandwidth
+for resilience between a *soft* and a *hard* fade margin (stepping down
+the modulation), so a link stays up — at reduced capacity — and only a
+hard-margin breach drops it.
 
-Both the binary and the graded pass run through one shared
-:class:`~repro.weather.evaluation.YearlyWeatherEvaluator` on one
-shared day sample (:func:`~repro.weather.evaluation.sample_interval_days`)
-with one ``frequency_ghz``, so the two models always evaluate the same
-physics over the same days — and split the evaluator's per-day storm
-fields and failure-set solve cache between them.
+Both passes run through one shared
+:class:`~repro.weather.evaluation.YearlyWeatherEvaluator` on one day
+sample with one ``frequency_ghz``, so the two models always evaluate
+the same physics over the same days — and split the evaluator's
+per-day storm fields and failure-set solve cache between them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,67 +26,6 @@ from ..links.builder import LinkCatalog
 from ..towers.registry import TowerRegistry
 from .evaluation import YearlyWeatherEvaluator, select_days
 from .precipitation import PrecipitationYear
-
-
-@dataclass(frozen=True)
-class GradedComparison:
-    """Binary vs graded failure models over the same sampled year.
-
-    Attributes:
-        binary_p99: per-pair 99th-percentile stretch, binary model.
-        graded_p99: same under the graded model.
-        binary_worst / graded_worst: per-pair worst stretch.
-        capacity_loss_fraction: mean fraction of MW capacity lost to
-            modulation downshifts under the graded model (the bandwidth
-            price paid for keeping latency).
-    """
-
-    binary_p99: np.ndarray
-    graded_p99: np.ndarray
-    binary_worst: np.ndarray
-    graded_worst: np.ndarray
-    capacity_loss_fraction: float
-
-
-def graded_yearly_comparison(
-    topology: Topology,
-    catalog: LinkCatalog,
-    registry: TowerRegistry,
-    precipitation: PrecipitationYear | None = None,
-    n_intervals: int = 120,
-    soft_margin_db: float = 18.0,
-    hard_margin_db: float = 40.0,
-    binary_margin_db: float = 30.0,
-    seed: int = 7,
-    frequency_ghz: float = 11.0,
-    sample_interval_days: int | None = None,
-) -> GradedComparison:
-    """Run the paper's binary model and the graded refinement side by side.
-
-    The graded model only drops links above the (higher) hard margin, so
-    its latency statistics are no worse than the binary model's; the
-    cost is surfaced as the mean capacity-loss fraction.  Both passes
-    consume one day sample and one carrier frequency through one
-    evaluator — they can never desynchronize.  A set
-    ``sample_interval_days`` stride replaces the random day sample with
-    the deterministic every-Nth-day grid (``n_intervals``/``seed``
-    ignored).
-    """
-    days = select_days(n_intervals, seed, sample_interval_days)
-    evaluator = YearlyWeatherEvaluator(
-        topology, catalog, registry, precipitation, frequency_ghz
-    )
-    binary = evaluator.binary_year(days, fade_margin_db=binary_margin_db)
-    per_interval, capacity_loss = evaluator.graded_year(
-        days, soft_margin_db=soft_margin_db, hard_margin_db=hard_margin_db
-    )
-    return GradedComparison(
-        binary_p99=binary.p99,
-        graded_p99=np.percentile(per_interval, 99, axis=0),
-        binary_worst=binary.worst,
-        graded_worst=per_interval.max(axis=0),
-        capacity_loss_fraction=capacity_loss,
-    )
 
 
 def weather_stage_records(

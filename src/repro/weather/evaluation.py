@@ -1,9 +1,13 @@
 """The shared yearly-weather evaluation engine (§6.1, Fig 7).
 
-Every yearly analysis — the binary failure model, the graded
-(modulation-downshift) refinement, and the orchestration layer's
-weather stage — runs through one :class:`YearlyWeatherEvaluator`.
-Four properties make the sampled-year loop scale:
+Every yearly analysis — the binary failure model and the graded
+(modulation-downshift) refinement, in the orchestration layer's weather
+stage, the Fig 7 scripts and the examples — runs through one
+:class:`YearlyWeatherEvaluator`: build it on a design and call
+:meth:`~YearlyWeatherEvaluator.binary_year` or
+:meth:`~YearlyWeatherEvaluator.graded_year` on the days of
+:func:`sample_interval_days` (or :func:`select_days`, which takes a
+stride).  Four properties make the sampled-year loop scale:
 
 * **one sampler** — :func:`sample_interval_days` is the only place the
   §6.1 interval days are drawn, so the binary and graded passes can
@@ -40,8 +44,7 @@ Four properties make the sampled-year loop scale:
   matrices, stretch rows and storm rows each live in a byte-budgeted
   :class:`~repro.cache.LruCache`, so long runs cannot exhaust memory.
 
-The analyses and the weather stage build the default evaluator
-(``delta_k=2``, 256 MiB).  An evaluator built with ``delta_k=0``
+Every caller builds the default evaluator (``delta_k=2``, 256 MiB).  An evaluator built with ``delta_k=0``
 reproduces the per-interval re-solve bit-identically
 (``tests/test_weather.py`` pins the binary year to it and the graded
 year to the scalar per-hop rule of ``tests/weather_reference.py``, and
@@ -89,9 +92,9 @@ def sample_interval_days(seed: int, n_intervals: int) -> np.ndarray:
 
     Days are drawn uniformly from the 365-day synthetic year (without
     replacement while ``n_intervals`` fits in one year).  This is the
-    *only* sampler: the binary analysis, the graded comparison, and the
-    weather stage all consume it, so one seed always means one shared
-    day sequence across passes.
+    *only* sampler: the binary and graded passes of every caller
+    consume it, so one seed always means one shared day sequence
+    across passes.
     """
     if n_intervals <= 0:
         raise ValueError("need at least one interval")
@@ -232,8 +235,8 @@ class YearlyWeatherEvaluator:
 
     One evaluator pins one ``(topology, precipitation, frequency)``
     context; the binary and graded passes share its failure-set solver,
-    so e.g. the graded comparison's two passes pay each distinct
-    failure set only once between them.  Per-day storm fields are
+    so e.g. a binary and a graded pass over the same days pay each
+    distinct failure set only once between them.  Per-day storm fields are
     shared more widely, by every evaluator in the process
     (:meth:`rain_for_days`).
 

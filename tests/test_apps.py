@@ -8,6 +8,7 @@ from repro.apps import (
     all_estimates,
     compare_corpus,
     ecommerce_value,
+    econ_records,
     fast_fraction_from_topology,
     fat_client_latency_ms,
     frame_time_curve,
@@ -16,7 +17,6 @@ from repro.apps import (
     simulate_thin_client,
     synthesize_page,
     synthesize_pages,
-    value_summary,
     web_search_value,
 )
 
@@ -183,9 +183,11 @@ class TestEconomics:
             assert est.exceeds_cost(0.81)
 
     def test_value_summary(self):
-        summary = value_summary(cost_per_gb=0.81)
-        assert set(summary) == {"web-search", "e-commerce", "gaming"}
-        assert all(v["exceeds_cost"] for v in summary.values())
+        """§8's value summary, as the econ stage's table."""
+        rows = econ_records(cost_per_gb=0.81)
+        assert [row["scenario"] for row in rows] == ["web-search", "e-commerce", "gaming"]
+        assert all(row["justifies"] for row in rows)
+        assert all(row["cost_per_gb"] == 0.81 for row in rows)
 
     def test_validation(self):
         with pytest.raises(ValueError):

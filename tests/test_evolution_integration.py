@@ -17,7 +17,7 @@ from repro.core import (
     mw_shares,
     solve_heuristic,
 )
-from repro.weather import graded_yearly_comparison
+from repro.weather import YearlyWeatherEvaluator, sample_interval_days
 
 from weather_reference import graded_capacity_fraction
 
@@ -81,14 +81,16 @@ class TestGradedDegradation:
     def test_graded_never_worse_than_binary(self, small_us_scenario):
         sc = small_us_scenario
         topo = solve_heuristic(sc.design_input(), 800.0, ilp_refinement=False).topology
-        cmp = graded_yearly_comparison(
-            topo, sc.catalog, sc.registry, n_intervals=40, seed=5
-        )
+        evaluator = YearlyWeatherEvaluator(topo, sc.catalog, sc.registry)
+        days = sample_interval_days(5, 40)
+        binary = evaluator.binary_year(days)
+        graded, capacity_loss = evaluator.graded_year(days)
         # Graded links only fail above the (higher) hard margin, so
         # latency statistics can only improve.
-        assert np.median(cmp.graded_worst) <= np.median(cmp.binary_worst) + 1e-9
-        assert np.median(cmp.graded_p99) <= np.median(cmp.binary_p99) + 1e-9
-        assert 0.0 <= cmp.capacity_loss_fraction <= 1.0
+        assert np.median(graded.max(axis=0)) <= np.median(binary.worst) + 1e-9
+        graded_p99 = np.percentile(graded, 99, axis=0)
+        assert np.median(graded_p99) <= np.median(binary.p99) + 1e-9
+        assert 0.0 <= capacity_loss <= 1.0
 
 
 class TestFastPathPlanning:

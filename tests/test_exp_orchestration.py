@@ -351,9 +351,10 @@ class TestSweeps:
 
     def test_netsim_rows_match_hand_wired_loop(self, shared_store):
         """The sweep composes the experiment a plain solver-then-simulator
-        loop runs; it does not remodel it."""
+        loop runs, one fresh single-load curve per point; it does not
+        remodel it."""
         from repro.core import solve_heuristic
-        from repro.netsim import run_udp_experiment
+        from repro.netsim import run_load_curve
         from repro.scenarios import us_scenario
 
         spec = tiny_spec()
@@ -371,14 +372,12 @@ class TestSweeps:
             topology = solve_heuristic(
                 design_input, budget, ilp_refinement=False
             ).topology
-            for (load,) in AXES["netsim.loads"]:
-                res = run_udp_experiment(
-                    topology, spec.design.aggregate_gbps, load,
+            for loads in AXES["netsim.loads"]:
+                (row,) = run_load_curve(
+                    topology, spec.design.aggregate_gbps, loads,
                     duration_s=ns.duration_s, seed=ns.seed, engine=ns.engine,
                 )
-                want.append(
-                    (budget, load, *(float(getattr(res, m)) for m in metrics))
-                )
+                want.append((budget, row["load"], *(row[m] for m in metrics)))
         assert got == want
 
     def test_jobs_4_matches_jobs_1(self, shared_store):

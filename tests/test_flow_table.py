@@ -17,14 +17,13 @@ from repro.netsim import (
     aggregate_capacities,
     build_edge_specs,
     run_load_curve,
-    run_udp_experiment,
     solve_fluid,
     solve_fluid_tcp,
 )
 from repro.netsim import experiments, flowtable
 from repro.netsim.experiments import kept_flow_table
 from repro.netsim.fluid import _CommodityProblem
-from repro.traffic import demand_pairs, user_demand_matrix, user_demand_pairs
+from repro.traffic import mixed_matrix, user_demand_matrix
 
 from fluid_reference import FluidFlow, flows_to_table, max_min_rates
 
@@ -522,17 +521,17 @@ class TestExperimentIntegration:
 
     @pytest.mark.parametrize("transport", ["udp", "tcp"])
     def test_table_workload_bit_identical_records(self, designed, transport):
-        res = run_udp_experiment(
-            designed, 50.0, 0.9, engine="fluid", transport=transport
+        (res,) = run_load_curve(
+            designed, 50.0, [0.9], engine="fluid", transport=transport
         )
         ref = self.per_flow_result(designed, 0.9, transport)
-        assert res.mean_delay_ms == ref.mean_latency_s() * 1000.0
-        assert res.loss_rate == ref.loss_rate
-        assert res.max_link_utilization == ref.max_link_utilization
+        assert res["mean_delay_ms"] == ref.mean_latency_s() * 1000.0
+        assert res["loss_rate"] == ref.loss_rate
+        assert res["max_link_utilization"] == ref.max_link_utilization
 
     def test_table_workload_users_model(self, designed):
-        res = run_udp_experiment(
-            designed, 50.0, 0.8, engine="fluid", demand_model="users",
+        (res,) = run_load_curve(
+            designed, 50.0, [0.8], engine="fluid", demand_model="users",
             users_millions=2.0,
         )
         traffic, aggregate = user_demand_matrix(
@@ -542,27 +541,35 @@ class TestExperimentIntegration:
         ref = self.per_flow_result(
             designed, 0.8, "udp", traffic=traffic, aggregate_gbps=aggregate
         )
-        assert res.loss_rate == ref.loss_rate
-        assert res.max_link_utilization == ref.max_link_utilization
+        assert res["loss_rate"] == ref.loss_rate
+        assert res["max_link_utilization"] == ref.max_link_utilization
 
     def test_unknown_workload_rejected(self, designed):
         # The workload knob is gone; passing it is an error, not a no-op.
         with pytest.raises(TypeError, match="workload"):
-            run_udp_experiment(
-                designed, 50.0, 0.5, engine="fluid", workload="table"
+            run_load_curve(
+                designed, 50.0, [0.5], engine="fluid", workload="table"
             )
 
     def test_load_curve_hoisting_keeps_records_unchanged(self, designed):
         """The hoisted invariants must not change a single record value
-        vs running each load point standalone (fresh setup per call)."""
+        vs running each load point standalone (fresh setup per call).
+        The second call shape is Fig 5's and Fig 11's: packet engine,
+        tight links, an explicit offered matrix and a larger rate
+        scale."""
         loads = (0.4, 0.8, 1.1)
-        curve = run_load_curve(designed, 50.0, loads, engine="fluid")
-        for row, load in zip(curve, loads):
-            res = run_udp_experiment(designed, 50.0, load, engine="fluid")
-            assert row["load"] == load
-            assert row["mean_delay_ms"] == res.mean_delay_ms
-            assert row["loss_rate"] == res.loss_rate
-            assert row["max_link_utilization"] == res.max_link_utilization
+        traffic = designed.design.traffic
+        ring = np.roll(np.eye(len(traffic)), 1, axis=1)
+        fig5 = {
+            "engine": "packet", "duration_s": 0.05, "seed": 3,
+            "capacity_mode": "tight", "rate_scale": 3e-3,
+            "offered_traffic": mixed_matrix([(traffic, 4.0), (ring + ring.T, 1.0)]),
+        }
+        for kwargs in ({"engine": "fluid"}, fig5):
+            curve = run_load_curve(designed, 50.0, loads, **kwargs)
+            assert [row["load"] for row in curve] == list(loads)
+            for row, load in zip(curve, loads):
+                assert [row] == run_load_curve(designed, 50.0, [load], **kwargs)
 
     def test_network_built_once_per_fluid_curve(self, designed, monkeypatch):
         builds = []
@@ -607,28 +614,6 @@ class TestSpecKnobs:
         spec = ExperimentSpec(netsim=NetsimSpec(engine="fluid", transport="tcp"))
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert again == spec
-
-
-class TestDemandPairs:
-    def test_pairs_match_matrix(self):
-        m = np.array(
-            [[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        )
-        pairs, shares = demand_pairs(m)
-        assert pairs.tolist() == [[0, 1], [1, 2]]
-        assert shares.tolist() == [2.0 / 3.0, 1.0 / 3.0]
-
-    def test_no_demand_rejected(self):
-        with pytest.raises(ValueError, match="no demand"):
-            demand_pairs(np.zeros((3, 3)))
-
-    def test_user_demand_pairs_consistent(self, small_us_scenario):
-        sites = list(small_us_scenario.sites)
-        matrix, aggregate = user_demand_matrix(sites, users_millions=1.0)
-        pairs, demands, agg2 = user_demand_pairs(sites, users_millions=1.0)
-        assert agg2 == aggregate
-        i, j = pairs[0]
-        assert demands[0] == matrix[i, j] * aggregate
 
 
 class TestValidationDedup:

@@ -39,7 +39,7 @@ from repro.netsim import (
     EdgeSpec,
     FlowTable,
     FluidNetwork,
-    run_udp_experiment,
+    run_load_curve,
     solve_fluid,
 )
 from repro.netsim import fluid
@@ -256,8 +256,8 @@ class TestDiurnalTcpLoadPoint:
     def test_every_iterate_equals_reference(self, topology, monkeypatch):
         recorder = Recorder()
         recorder.install(monkeypatch)
-        run_udp_experiment(
-            topology, 50.0, 1.2, engine="fluid", transport="tcp",
+        run_load_curve(
+            topology, 50.0, [1.2], engine="fluid", transport="tcp",
             demand_model="users", users_millions=10.0, demand_hour_utc=20.0,
         )
         assert len(recorder.calls) >= 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve_heuristic
-from repro.netsim import build_edge_specs, run_load_curve, run_udp_experiment
+from repro.netsim import build_edge_specs, run_load_curve
 from repro.traffic import mixed_matrix, perturbed_population_matrix
 
 
@@ -21,6 +21,12 @@ def small_us_scenario():
     from repro.scenarios import us_scenario
 
     return us_scenario(n_sites=20)
+
+
+def load_point(topo, load, **kwargs) -> dict:
+    """The one row of a single-load curve at 50 Gbps design capacity."""
+    (row,) = run_load_curve(topo, 50.0, [load], **kwargs)
+    return row
 
 
 class TestEdgeSpecs:
@@ -41,29 +47,37 @@ class TestEdgeSpecs:
             assert spec.delay_s == pytest.approx(expected)
 
     def test_rate_scale_validation(self, designed_20):
+        # Both experiments build their links here, so one check covers
+        # them; a bool is rejected, never read as 1.0.
         _, topo = designed_20
-        with pytest.raises(ValueError):
-            build_edge_specs(topo, 50.0, rate_scale=0.0)
+        for value in (0.0, -1e-4, float("nan"), float("inf"), True):
+            message = f"rate_scale must be a finite number > 0, got {value!r}"
+            with pytest.raises(ValueError) as info:
+                build_edge_specs(topo, 50.0, rate_scale=value)
+            assert str(info.value) == message
+            with pytest.raises(ValueError) as info:
+                run_load_curve(topo, 50.0, [0.5], rate_scale=value)
+            assert str(info.value) == message
 
 
 class TestUdpExperiments:
     def test_low_load_near_zero_loss(self, designed_20):
         _, topo = designed_20
-        r = run_udp_experiment(topo, 50.0, 0.3, duration_s=0.5)
-        assert r.loss_rate < 0.01
-        assert r.mean_delay_ms > 0.0
+        r = load_point(topo, 0.3, duration_s=0.5)
+        assert r["loss_rate"] < 0.01
+        assert r["mean_delay_ms"] > 0.0
 
     def test_matched_traffic_high_load_low_loss(self, designed_20):
         """§5: with matching traffic, 95% load runs with near-zero loss."""
         _, topo = designed_20
-        r = run_udp_experiment(topo, 50.0, 0.95, duration_s=0.5)
-        assert r.loss_rate < 0.02
+        r = load_point(topo, 0.95, duration_s=0.5)
+        assert r["loss_rate"] < 0.02
 
     def test_delay_monotone_in_load(self, designed_20):
         _, topo = designed_20
         delays = [
-            run_udp_experiment(topo, 50.0, f, duration_s=0.5).mean_delay_ms
-            for f in (0.2, 0.9)
+            row["mean_delay_ms"]
+            for row in run_load_curve(topo, 50.0, [0.2, 0.9], duration_s=0.5)
         ]
         assert delays[1] >= delays[0] - 0.5
 
@@ -71,12 +85,10 @@ class TestUdpExperiments:
         """Fig 5: perturbations cost little until high load."""
         sc, topo = designed_20
         pert = perturbed_population_matrix(list(sc.sites), gamma=0.5, seed=7)
-        base = run_udp_experiment(topo, 50.0, 0.5, duration_s=0.5)
-        shaken = run_udp_experiment(
-            topo, 50.0, 0.5, offered_traffic=pert, duration_s=0.5
-        )
-        assert shaken.loss_rate < 0.02
-        assert abs(shaken.mean_delay_ms - base.mean_delay_ms) < 5.0
+        base = load_point(topo, 0.5, duration_s=0.5)
+        shaken = load_point(topo, 0.5, offered_traffic=pert, duration_s=0.5)
+        assert shaken["loss_rate"] < 0.02
+        assert abs(shaken["mean_delay_ms"] - base["mean_delay_ms"]) < 5.0
 
     def test_mixed_traffic_runs(self, designed_20):
         sc, topo = designed_20
@@ -84,13 +96,13 @@ class TestUdpExperiments:
         rng_m = np.zeros_like(h)
         rng_m[0, 1] = rng_m[1, 0] = 1.0
         mix = mixed_matrix([(h, 4.0), (rng_m, 1.0)])
-        r = run_udp_experiment(topo, 50.0, 0.4, offered_traffic=mix, duration_s=0.3)
-        assert r.loss_rate < 0.05
+        r = load_point(topo, 0.4, offered_traffic=mix, duration_s=0.3)
+        assert r["loss_rate"] < 0.05
 
     def test_bad_fraction_raises(self, designed_20):
         _, topo = designed_20
         with pytest.raises(ValueError):
-            run_udp_experiment(topo, 50.0, 0.0)
+            load_point(topo, 0.0)
 
 
 def _bad_input(name: str, value, expected: str):
@@ -98,8 +110,8 @@ def _bad_input(name: str, value, expected: str):
 
 
 class TestParameterValidation:
-    """Library input fails loudly, naming the parameter, through either
-    entry point; a bool or a numeric string is never converted."""
+    """Library input fails loudly, naming the parameter; a bool or a
+    numeric string is never converted."""
 
     CASES = [
         _bad_input("input_rate_fraction", True, r"a finite number in \(0, 1\.5\]"),
@@ -108,13 +120,6 @@ class TestParameterValidation:
         _bad_input("demand_model", "x", "one of design, users"),
         _bad_input("transport", "x", "one of udp, tcp"),
     ]
-
-    @pytest.mark.parametrize("name, value, message", CASES)
-    def test_run_udp_experiment(self, designed_20, name, value, message):
-        _, topo = designed_20
-        kwargs = {"input_rate_fraction": 0.5, name: value}
-        with pytest.raises(ValueError, match=message):
-            run_udp_experiment(topo, 50.0, **kwargs)
 
     @pytest.mark.parametrize("name, value, message", CASES)
     def test_run_load_curve(self, designed_20, name, value, message):
@@ -128,17 +133,14 @@ class TestDeterminism:
     def test_same_seed_identical_results(self, designed_20):
         """Two runs with one seed reproduce delivery/loss exactly."""
         _, topo = designed_20
-        first = run_udp_experiment(topo, 50.0, 0.6, duration_s=0.5, seed=3)
-        second = run_udp_experiment(topo, 50.0, 0.6, duration_s=0.5, seed=3)
-        assert first.mean_delay_ms == second.mean_delay_ms
-        assert first.loss_rate == second.loss_rate
-        assert first.max_link_utilization == second.max_link_utilization
-        assert first.input_rate_fraction == second.input_rate_fraction
+        first = load_point(topo, 0.6, duration_s=0.5, seed=3)
+        second = load_point(topo, 0.6, duration_s=0.5, seed=3)
+        assert first == second
 
     def test_seed_changes_arrivals(self, designed_20):
         """Different seeds draw different Poisson arrival processes."""
         _, topo = designed_20
-        a = run_udp_experiment(topo, 50.0, 0.6, duration_s=0.5, seed=3)
-        b = run_udp_experiment(topo, 50.0, 0.6, duration_s=0.5, seed=4)
+        a = load_point(topo, 0.6, duration_s=0.5, seed=3)
+        b = load_point(topo, 0.6, duration_s=0.5, seed=4)
         # Same load, same topology — only the arrival randomness moves.
-        assert (a.mean_delay_ms, a.loss_rate) != (b.mean_delay_ms, b.loss_rate)
+        assert (a["mean_delay_ms"], a["loss_rate"]) != (b["mean_delay_ms"], b["loss_rate"])

@@ -13,7 +13,7 @@ from repro.netsim import (
     Simulator,
     TcpFlow,
     UdpFlow,
-    run_udp_experiment,
+    run_load_curve,
     solve_fluid,
 )
 
@@ -227,22 +227,22 @@ class TestEngineSelector:
 
     def test_unknown_engine_rejected(self, topology):
         with pytest.raises(ValueError):
-            run_udp_experiment(topology, 50.0, 0.5, engine="quantum")
+            run_load_curve(topology, 50.0, [0.5], engine="quantum")
 
     def test_fluid_engine_matches_packet_shape(self, topology):
-        packet = run_udp_experiment(
-            topology, 50.0, 0.5, duration_s=0.3, engine="packet"
+        (packet,) = run_load_curve(
+            topology, 50.0, [0.5], duration_s=0.3, engine="packet"
         )
-        fluid = run_udp_experiment(
-            topology, 50.0, 0.5, duration_s=0.3, engine="fluid"
+        (fluid,) = run_load_curve(
+            topology, 50.0, [0.5], duration_s=0.3, engine="fluid"
         )
-        assert fluid.input_rate_fraction == packet.input_rate_fraction
-        assert fluid.loss_rate == pytest.approx(packet.loss_rate, abs=0.02)
-        assert fluid.max_link_utilization == pytest.approx(
-            packet.max_link_utilization, abs=0.15
+        assert fluid["load"] == packet["load"]
+        assert fluid["loss_rate"] == pytest.approx(packet["loss_rate"], abs=0.02)
+        assert fluid["max_link_utilization"] == pytest.approx(
+            packet["max_link_utilization"], abs=0.15
         )
-        assert fluid.mean_delay_ms == pytest.approx(
-            packet.mean_delay_ms, rel=0.5
+        assert fluid["mean_delay_ms"] == pytest.approx(
+            packet["mean_delay_ms"], rel=0.5
         )
 
     def test_fluid_mean_throughput_within_10pct_of_packet(self, topology):
@@ -260,8 +260,8 @@ class TestEngineSelector:
         assert fluid.mean_rate_bps == pytest.approx(packet_mean, rel=0.10)
 
     def test_fluid_loss_appears_beyond_capacity(self, topology):
-        overloaded = run_udp_experiment(
-            topology, 50.0, 1.5, engine="fluid", capacity_mode="tight"
+        (overloaded,) = run_load_curve(
+            topology, 50.0, [1.5], engine="fluid", capacity_mode="tight"
         )
-        assert overloaded.loss_rate > 0.0
-        assert overloaded.max_link_utilization == pytest.approx(1.0)
+        assert overloaded["loss_rate"] > 0.0
+        assert overloaded["max_link_utilization"] == pytest.approx(1.0)

@@ -279,6 +279,37 @@ class TestFaultPlan:
             FaultPlan.from_dict(doc)
         assert str(info.value) == message
 
+    def test_corrupt_fault_on_a_stage_the_sweep_skips_fails_at_build(
+        self, tmp_path
+    ):
+        # Checked before any work: at run time the fault can only fail a
+        # point whose work succeeded.
+        store = ArtifactStore(tmp_path / "s")
+        axes = {"design.budget_towers": [100.0, 150.0]}
+
+        def plan(stage):
+            return FaultPlan(faults=(Fault(point=0, action="corrupt", stage=stage),))
+
+        with pytest.raises(ValueError) as info:
+            SweepService(tiny_spec(), axes, store=store, fault_plan=plan("weather"))
+        assert str(info.value) == (
+            "fault plan: corrupt fault at point 0 names stage 'weather', which "
+            "this sweep does not run (runs: substrate, design, netsim, econ)"
+        )
+        assert not (tmp_path / "s" / "sweeps").exists()  # no journal either
+        SweepService(tiny_spec(), axes, store=store, fault_plan=plan("design"))
+
+    def test_fault_outside_the_sweep_fails_through_the_cli(self, cli_sweep_dir):
+        # Otherwise the fault would silently never fire.
+        (cli_sweep_dir / "plan.json").write_text(json.dumps(
+            {"faults": [{"point": 4, "action": "fail"}]}
+        ))
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(cli_sweep_dir / "spec.json"),
+                  "--cache-dir", str(cli_sweep_dir / "store"),
+                  "--fault-plan", str(cli_sweep_dir / "plan.json")])
+        assert str(info.value) == "fault plan: point 4 is not in this 4-point sweep"
+
 
 # --------------------------------------------------------------------------
 # Store corruption quarantine (satellite b).

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from repro.weather import (
     PrecipitationYear,
     US_CLIMATE,
+    YearlyWeatherEvaluator,
     effective_path_km,
-    graded_yearly_comparison,
     hop_fails,
     path_attenuation_db,
     rain_coefficients,
+    sample_interval_days,
     specific_attenuation_db_per_km,
     synthesize_hft_trace,
 )
@@ -173,12 +174,9 @@ class TestPrecipitation:
 class TestYearlyAnalysis:
     @pytest.fixture(scope="class")
     def analysis(self, small_us_scenario, topology):
-        from repro.weather import yearly_stretch_analysis
-
         sc = small_us_scenario
-        return yearly_stretch_analysis(
-            topology, sc.catalog, sc.registry, n_intervals=80, seed=3
-        )
+        evaluator = YearlyWeatherEvaluator(topology, sc.catalog, sc.registry)
+        return evaluator.binary_year(sample_interval_days(3, 80))
 
     def test_ordering_best_p99_worst(self, analysis):
         assert np.all(analysis.best <= analysis.p99 + 1e-9)
@@ -570,73 +568,63 @@ class TestWeatherEvaluator:
     ):
         """The paper's claim, per pair: graded can only improve the numbers."""
         sc = small_us_scenario
-        cmp = graded_yearly_comparison(
-            topology, sc.catalog, sc.registry, n_intervals=60, seed=11
-        )
-        assert np.all(cmp.graded_p99 <= cmp.binary_p99 + 1e-12)
-        assert np.all(cmp.graded_worst <= cmp.binary_worst + 1e-12)
+        evaluator = YearlyWeatherEvaluator(topology, sc.catalog, sc.registry)
+        days = sample_interval_days(11, 60)
+        binary = evaluator.binary_year(days)
+        graded, _ = evaluator.graded_year(days)
+        assert np.all(np.percentile(graded, 99, axis=0) <= binary.p99 + 1e-12)
+        assert np.all(graded.max(axis=0) <= binary.worst + 1e-12)
 
     def test_graded_binary_pass_shares_sampler_and_frequency(
         self, small_us_scenario, topology
     ):
-        """Regression: binary-inside-graded == standalone binary, bitwise."""
-        from repro.weather import yearly_stretch_analysis
-
+        """Regression: the binary pass of an evaluator that also runs the
+        graded pass == a standalone evaluator's binary pass, bitwise."""
         sc = small_us_scenario
+        days = sample_interval_days(9, 30)
         for freq in (7.0, 15.0):
-            cmp = graded_yearly_comparison(
-                topology, sc.catalog, sc.registry,
-                n_intervals=30, seed=9, frequency_ghz=freq,
+            shared = YearlyWeatherEvaluator(
+                topology, sc.catalog, sc.registry, frequency_ghz=freq
             )
-            solo = yearly_stretch_analysis(
-                topology, sc.catalog, sc.registry,
-                n_intervals=30, seed=9, frequency_ghz=freq,
-            )
-            assert np.array_equal(cmp.binary_p99, solo.p99)
-            assert np.array_equal(cmp.binary_worst, solo.worst)
-            assert np.all(cmp.graded_p99 <= cmp.binary_p99 + 1e-12)
-            assert np.all(cmp.graded_worst <= cmp.binary_worst + 1e-12)
+            binary = shared.binary_year(days)
+            graded, _ = shared.graded_year(days)
+            solo = YearlyWeatherEvaluator(
+                topology, sc.catalog, sc.registry, frequency_ghz=freq
+            ).binary_year(days)
+            assert np.array_equal(binary.p99, solo.p99)
+            assert np.array_equal(binary.worst, solo.worst)
+            assert np.all(np.percentile(graded, 99, axis=0) <= binary.p99 + 1e-12)
+            assert np.all(graded.max(axis=0) <= binary.worst + 1e-12)
 
     def test_frequency_threads_through_both_models(
         self, small_us_scenario, topology
     ):
         """Regression: the graded physics follow the carrier frequency."""
-        from repro.weather import yearly_stretch_analysis
-
         sc = small_us_scenario
-        low = graded_yearly_comparison(
-            topology, sc.catalog, sc.registry,
-            n_intervals=40, seed=3, frequency_ghz=7.0,
-        )
-        high = graded_yearly_comparison(
-            topology, sc.catalog, sc.registry,
-            n_intervals=40, seed=3, frequency_ghz=15.0,
-        )
+        days = sample_interval_days(3, 40)
+        capacity_loss, failures = {}, {}
+        for freq in (7.0, 15.0):
+            evaluator = YearlyWeatherEvaluator(
+                topology, sc.catalog, sc.registry, frequency_ghz=freq
+            )
+            failures[freq] = evaluator.binary_year(days).links_failed_per_interval.sum()
+            capacity_loss[freq] = evaluator.graded_year(days)[1]
         # More attenuation at 15 GHz: more capacity lost to downshifts
         # and at least as many binary failures.
-        assert high.capacity_loss_fraction > low.capacity_loss_fraction
-        low_fail = yearly_stretch_analysis(
-            topology, sc.catalog, sc.registry,
-            n_intervals=40, seed=3, frequency_ghz=7.0,
-        ).links_failed_per_interval.sum()
-        high_fail = yearly_stretch_analysis(
-            topology, sc.catalog, sc.registry,
-            n_intervals=40, seed=3, frequency_ghz=15.0,
-        ).links_failed_per_interval.sum()
-        assert high_fail >= low_fail
+        assert capacity_loss[15.0] > capacity_loss[7.0]
+        assert failures[15.0] >= failures[7.0]
 
 
 class TestDailyResolution:
     """The strided-day grid and the solver counters in stage records."""
 
     def test_daily_year_end_to_end(self, small_us_scenario, topology):
-        """A full 365-interval year runs through the analysis entry point."""
-        from repro.weather import yearly_stretch_analysis
+        """A full 365-interval year runs through the evaluator."""
+        from repro.weather import strided_interval_days
 
         sc = small_us_scenario
-        result = yearly_stretch_analysis(
-            topology, sc.catalog, sc.registry, sample_interval_days=1
-        )
+        evaluator = YearlyWeatherEvaluator(topology, sc.catalog, sc.registry)
+        result = evaluator.binary_year(strided_interval_days(1))
         assert result.links_failed_per_interval.shape == (365,)
         assert np.all(result.best <= result.p99 + 1e-9)
         assert np.all(result.worst <= result.fiber + 1e-9)
@@ -644,22 +632,21 @@ class TestDailyResolution:
     def test_stride_overrides_random_sampling(
         self, small_us_scenario, topology
     ):
-        from repro.weather import yearly_stretch_analysis
+        from repro.weather import weather_stage_records
 
         sc = small_us_scenario
         # seed/n_intervals are ignored once the stride is set: two
-        # different seeds give identical (deterministic-grid) results.
-        a = yearly_stretch_analysis(
+        # different seeds give identical (deterministic-grid) records.
+        a = weather_stage_records(
             topology, sc.catalog, sc.registry,
             n_intervals=5, seed=1, sample_interval_days=30,
         )
-        b = yearly_stretch_analysis(
+        b = weather_stage_records(
             topology, sc.catalog, sc.registry,
             n_intervals=9, seed=2, sample_interval_days=30,
         )
-        assert a.links_failed_per_interval.shape[0] == len(range(1, 366, 30))
-        assert np.array_equal(a.p99, b.p99)
-        assert np.array_equal(a.worst, b.worst)
+        assert a[-1]["intervals"] == len(range(1, 366, 30))
+        assert a == b
 
     def test_stage_records_report_solver_counters(
         self, small_us_scenario, topology
