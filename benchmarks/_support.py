@@ -33,28 +33,23 @@ def report(experiment: str, lines: list[str]) -> None:
 
 
 @lru_cache(maxsize=1)
-def full_us_scenario():
-    """The 120-city US scenario (cached across benchmarks)."""
-    from repro.scenarios import us_scenario
-
-    return us_scenario()
-
-
-@lru_cache(maxsize=1)
 def full_us_design_input():
-    return full_us_scenario().design_input()
+    """The 120-city US design input (one object across benchmarks)."""
+    from repro.scenarios import get_scenario
+
+    return get_scenario("us").design_input()
 
 
 @lru_cache(maxsize=4)
 def us_greedy_steps(max_budget: float = 9000.0, max_range_km: float = 100.0):
     """One greedy run whose prefixes give every budget point (Fig 4a)."""
     from repro.core import greedy_sequence
-    from repro.scenarios import us_scenario
+    from repro.scenarios import get_scenario
 
     if max_range_km == 100.0:
         design = full_us_design_input()
     else:
-        design = us_scenario(max_range_km=max_range_km).design_input()
+        design = get_scenario("us", max_range_km=max_range_km).design_input()
     return greedy_sequence(design, max_budget)
 
 

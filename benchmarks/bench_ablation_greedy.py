@@ -19,7 +19,7 @@ from repro.netsim import (
     shortest_path_routing,
     throughput_optimal_routing,
 )
-from repro.scenarios import us_scenario
+from repro.scenarios import get_scenario
 
 from _support import report, us_topology_3000
 
@@ -29,7 +29,7 @@ BUDGET = 500.0
 
 
 def bench_ablation_greedy_inflation():
-    design = us_scenario(n_sites=N_SITES).design_input()
+    design = get_scenario("us", sites=N_SITES).design_input()
     exact = solve_ilp(design, BUDGET, time_limit_s=600)
     rows = [
         f"exact ILP stretch: {exact.objective:.4f}",

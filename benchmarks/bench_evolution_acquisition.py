@@ -11,6 +11,7 @@ improve" the weather numbers.
 import numpy as np
 
 from repro.core import budget_evolution
+from repro.scenarios import get_scenario
 from repro.towers.acquisition import (
     AcquisitionModel,
     acquisition_study,
@@ -20,7 +21,6 @@ from repro.weather import YearlyWeatherEvaluator, sample_interval_days
 
 from _support import (
     full_us_design_input,
-    full_us_scenario,
     report,
     us_greedy_steps,
     us_topology_3000,
@@ -50,7 +50,7 @@ def bench_evolution_with_budget():
 
 def bench_acquisition_refinement():
     """§6.5's probabilistic tower-acquisition workflow (video [19])."""
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     names = [s.name for s in scenario.sites]
     a, b = names.index("Chicago"), names.index("Kansas City")
     site_a, site_b = scenario.sites[a], scenario.sites[b]
@@ -79,7 +79,7 @@ def bench_acquisition_refinement():
 
 def bench_graded_degradation():
     """Binary vs graded failures: latency improves, bandwidth pays."""
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     evaluator = YearlyWeatherEvaluator(
         us_topology_3000(), scenario.catalog, scenario.registry
     )

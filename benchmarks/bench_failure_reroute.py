@@ -10,13 +10,13 @@ links absorb the displaced demand).
 
 from repro.core import route_link_demands, solve_heuristic
 from repro.netsim import run_failure_reroute_experiment
-from repro.scenarios import us_scenario
+from repro.scenarios import get_scenario
 
 from _support import report
 
 
 def bench_failure_reroute():
-    scenario = us_scenario(n_sites=40)
+    scenario = get_scenario("us", sites=40)
     topology = solve_heuristic(
         scenario.design_input(), 1500.0, ilp_refinement=False
     ).topology

@@ -12,7 +12,7 @@ independent.
 """
 
 from repro.core import augment_capacity, solve_heuristic
-from repro.scenarios import us_scenario
+from repro.scenarios import get_scenario
 
 from _support import report
 
@@ -37,8 +37,9 @@ AGGREGATE_GBPS = 100.0
 
 
 def _evaluate(range_km: float, height_fraction: float):
-    scenario = us_scenario(
-        n_sites=N_SITES,
+    scenario = get_scenario(
+        "us",
+        sites=N_SITES,
         max_range_km=range_km,
         usable_height_fraction=height_fraction,
     )

@@ -7,7 +7,7 @@ millisecond and loss stays ~0 up to ~70% of design load.
 
 from repro.core import solve_heuristic
 from repro.netsim import run_load_curve
-from repro.scenarios import city_dc_scenario, city_dc_traffic, dc_dc_traffic
+from repro.scenarios import city_dc_traffic, dc_dc_traffic, get_scenario
 from repro.traffic import mixed_matrix, population_product_matrix
 
 from _support import report
@@ -23,7 +23,7 @@ MIXES = {
 
 
 def bench_fig11_traffic_mix():
-    scenario = city_dc_scenario()
+    scenario = get_scenario("city_dc")
     sites = list(scenario.sites)
     cc = population_product_matrix(sites)
     cdc = city_dc_traffic(scenario)

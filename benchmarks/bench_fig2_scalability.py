@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from repro.core import solve
-from repro.scenarios import us_scenario
+from repro.scenarios import get_scenario
 
 from _support import report
 
@@ -34,13 +34,13 @@ def bench_fig2a_runtime_scaling():
     rows = ["n_cities  method     runtime_s   stretch"]
     ilp_times = []
     for n in ILP_SIZES:
-        design = us_scenario(n_sites=n).design_input()
+        design = get_scenario("us", sites=n).design_input()
         res = solve(design, TOWERS_PER_CITY * n, backend="ilp", time_limit_s=600)
         ilp_times.append(res.runtime_s)
         rows.append(f"{n:8d}  ILP        {res.runtime_s:9.2f}   {res.objective:.4f}")
     heur_times = {}
     for n in HEURISTIC_SIZES:
-        design = us_scenario(n_sites=n).design_input()
+        design = get_scenario("us", sites=n).design_input()
         t0 = time.perf_counter()
         res = solve(
             design, TOWERS_PER_CITY * n, backend="heuristic", ilp_refinement=n <= 12
@@ -64,7 +64,7 @@ def bench_fig2b_optimality():
     rows = ["n_cities  ilp_stretch  heuristic_stretch  match_2dp"]
     matches = []
     for n in ILP_SIZES:
-        design = us_scenario(n_sites=n).design_input()
+        design = get_scenario("us", sites=n).design_input()
         budget = TOWERS_PER_CITY * n
         ilp = solve(design, budget, backend="ilp", time_limit_s=600)
         heur = solve(design, budget, backend="heuristic")
@@ -79,7 +79,7 @@ def bench_fig2b_optimality():
 
 def bench_fig2_ablation_pruning_oracle():
     """A1: the exactness-preserving oracle shrinks the ILP drastically."""
-    design = us_scenario(n_sites=8).design_input()
+    design = get_scenario("us", sites=8).design_input()
     budget = TOWERS_PER_CITY * 8
     pruned = solve(design, budget, backend="ilp", use_pruning=True).details
     full = solve(design, budget, backend="ilp", use_pruning=False, time_limit_s=600).details

@@ -6,12 +6,13 @@ the paper reports 1.05x mean stretch, $0.81/GB, and a hop census of
 """
 
 from repro.core import CostModel, augment_capacity, fiber_only_topology
+from repro.scenarios import get_scenario
 
-from _support import full_us_design_input, full_us_scenario, report, us_topology_3000
+from _support import full_us_design_input, report, us_topology_3000
 
 
 def bench_fig3_flagship_design():
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     topology = us_topology_3000()
     design = full_us_design_input()
 

@@ -9,8 +9,9 @@ over 20 iterations) — far below the fiber route's 1.75.
 import numpy as np
 
 from repro.links import tower_disjoint_paths
+from repro.scenarios import get_scenario
 
-from _support import full_us_scenario, report
+from _support import report
 
 
 def _illinois_california_pair(scenario):
@@ -30,7 +31,7 @@ def _illinois_california_pair(scenario):
 
 
 def bench_fig4b_disjoint_paths():
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     a, b = _illinois_california_pair(scenario)
     a, b = min(a, b), max(a, b)
     site_a, site_b = scenario.sites[a], scenario.sites[b]

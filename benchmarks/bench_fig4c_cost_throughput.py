@@ -7,14 +7,15 @@ towers (the k^2 bandwidth trick needs only sqrt-many series).
 """
 
 from repro.core import augment_capacity
+from repro.scenarios import get_scenario
 
-from _support import full_us_scenario, report, us_topology_3000
+from _support import report, us_topology_3000
 
 THROUGHPUTS_GBPS = [1, 10, 50, 100, 200, 500, 1000]
 
 
 def bench_fig4c_cost_vs_throughput():
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     topology = us_topology_3000()
     rows = ["aggregate_gbps  cost_per_gb  new_towers  hop_series"]
     costs = []

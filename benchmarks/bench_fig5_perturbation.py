@@ -8,9 +8,10 @@ down (utilizations preserved) to keep the packet count laptop-sized.
 """
 
 from repro.netsim import run_load_curve
+from repro.scenarios import get_scenario
 from repro.traffic import perturbed_population_matrix
 
-from _support import full_us_scenario, report, us_topology_3000
+from _support import report, us_topology_3000
 
 LOAD_FRACTIONS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
 GAMMAS = [0.0, 0.1, 0.3, 0.5]
@@ -18,7 +19,7 @@ DESIGN_GBPS = 100.0
 
 
 def bench_fig5_delay_loss_vs_load():
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     topology = us_topology_3000()
     sites = list(scenario.sites)
 

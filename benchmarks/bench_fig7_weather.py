@@ -8,9 +8,10 @@ than fiber's).
 
 import numpy as np
 
+from repro.scenarios import get_scenario
 from repro.weather import YearlyWeatherEvaluator, sample_interval_days
 
-from _support import full_us_scenario, report, us_topology_3000
+from _support import report, us_topology_3000
 
 
 def _cdf_row(label, values, probes=(0.25, 0.5, 0.75, 0.95)):
@@ -20,7 +21,7 @@ def _cdf_row(label, values, probes=(0.25, 0.5, 0.75, 0.95)):
 
 
 def bench_fig7_weather_year():
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     evaluator = YearlyWeatherEvaluator(
         us_topology_3000(), scenario.catalog, scenario.registry
     )

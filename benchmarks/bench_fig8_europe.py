@@ -6,13 +6,13 @@ similar cost, concluding US geography is not special.
 """
 
 from repro.core import augment_capacity, fiber_only_topology, solve_heuristic
-from repro.scenarios import europe_scenario
+from repro.scenarios import get_scenario
 
 from _support import report
 
 
 def bench_fig8_europe():
-    scenario = europe_scenario()
+    scenario = get_scenario("europe")
     design = scenario.design_input()
     result = solve_heuristic(design, 3000.0, ilp_refinement=False)
     aug = augment_capacity(

@@ -7,14 +7,9 @@ falls well below the city-city curve.
 """
 
 from repro.core import augment_capacity, solve_heuristic
-from repro.scenarios import (
-    city_dc_scenario,
-    city_dc_traffic,
-    dc_dc_traffic,
-    interdc_scenario,
-)
+from repro.scenarios import city_dc_traffic, dc_dc_traffic, get_scenario
 
-from _support import full_us_scenario, report, us_topology_3000
+from _support import report, us_topology_3000
 
 THROUGHPUTS_GBPS = [10, 50, 100, 200]
 
@@ -30,18 +25,18 @@ def _cost_curve(scenario, topology):
 
 def bench_fig9_traffic_models():
     # City-city: the flagship design.
-    cc_scenario = full_us_scenario()
+    cc_scenario = get_scenario("us")
     cc_topology = us_topology_3000()
     cc_costs = _cost_curve(cc_scenario, cc_topology)
 
     # DC-DC: six sites, equal demand.
-    dc_scenario = interdc_scenario()
+    dc_scenario = get_scenario("interdc")
     dc_design = dc_scenario.design_input(dc_dc_traffic(dc_scenario))
     dc_topology = solve_heuristic(dc_design, 800.0, ilp_refinement=False).topology
     dc_costs = _cost_curve(dc_scenario, dc_topology)
 
     # City-DC: population-weighted to the nearest data center.
-    cdc_scenario = city_dc_scenario()
+    cdc_scenario = get_scenario("city_dc")
     cdc_design = cdc_scenario.design_input(city_dc_traffic(cdc_scenario))
     cdc_topology = solve_heuristic(cdc_design, 1500.0, ilp_refinement=False).topology
     cdc_costs = _cost_curve(cdc_scenario, cdc_topology)

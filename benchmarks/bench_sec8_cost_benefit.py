@@ -8,12 +8,13 @@ paper's $0.81.
 
 from repro.apps import all_estimates
 from repro.core import augment_capacity
+from repro.scenarios import get_scenario
 
-from _support import full_us_scenario, report, us_topology_3000
+from _support import report, us_topology_3000
 
 
 def bench_sec8_cost_benefit():
-    scenario = full_us_scenario()
+    scenario = get_scenario("us")
     topology = us_topology_3000()
     aug = augment_capacity(topology, scenario.catalog, scenario.registry, 100.0)
     cost = aug.cost_per_gb()

@@ -9,13 +9,13 @@ latency-sensitive traffic classes.
 Run:  python examples/fastpath_planning.py
 """
 
-from repro import design_network, us_scenario
+from repro import design_network, get_scenario
 from repro.apps import breakeven_capacity_gbps, plan_fast_path
 
 
 def main() -> None:
     print("Designing a 30-city cISP at 1,000 towers / 50 Gbps...")
-    scenario = us_scenario(n_sites=30)
+    scenario = get_scenario("us", sites=30)
     result = design_network(
         scenario.design_input(),
         budget_towers=1_000,

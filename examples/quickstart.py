@@ -9,13 +9,13 @@ optimizes for: mean latency stretch and cost per gigabyte.
 Run:  python examples/quickstart.py
 """
 
-from repro import design_network, us_scenario
+from repro import design_network, get_scenario
 from repro.geo import c_latency_ms
 
 
 def main() -> None:
     print("Building the substrate (synthetic towers, terrain, fiber)...")
-    scenario = us_scenario(n_sites=30)
+    scenario = get_scenario("us", sites=30)
     print(
         f"  {scenario.n_sites} cities, {len(scenario.registry)} towers, "
         f"{scenario.hop_graph.n_edges} feasible microwave hops"

@@ -11,13 +11,13 @@ Run:  python examples/us_backbone.py        (takes ~1 minute)
 
 from collections import Counter
 
-from repro import design_network, greedy_sequence, us_scenario
+from repro import design_network, get_scenario, greedy_sequence
 from repro.core import CostModel
 
 
 def main() -> None:
     print("Building the full US scenario (120 population centers)...")
-    scenario = us_scenario()
+    scenario = get_scenario("us")
     design_input = scenario.design_input()
 
     print("Designing at a 3,000-tower budget, provisioning 100 Gbps...")

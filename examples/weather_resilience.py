@@ -12,7 +12,7 @@ Run:  python examples/weather_resilience.py
 
 import numpy as np
 
-from repro import solve_heuristic, us_scenario
+from repro import get_scenario, solve_heuristic
 from repro.weather import (
     PrecipitationYear,
     YearlyWeatherEvaluator,
@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  50 km hop in {rain:3d} mm/h rain: {att:5.1f} dB -> link {status}")
 
     print("\nDesigning a 40-city network (1,500-tower budget)...")
-    scenario = us_scenario(n_sites=40)
+    scenario = get_scenario("us", sites=40)
     topology = solve_heuristic(
         scenario.design_input(), 1_500, ilp_refinement=False
     ).topology

@@ -9,9 +9,9 @@ in DESIGN.md.
 
 Quickstart::
 
-    from repro import us_scenario, design_network
+    from repro import design_network, get_scenario
 
-    scenario = us_scenario(n_sites=30)
+    scenario = get_scenario("us", sites=30)
     result = design_network(
         scenario.design_input(),
         budget_towers=1000,
@@ -49,14 +49,7 @@ from .datasets import (
     us_population_centers,
 )
 from .geo import GeoPoint, c_latency_ms, haversine_km
-from .scenarios import (
-    Scenario,
-    build_scenario,
-    city_dc_scenario,
-    europe_scenario,
-    interdc_scenario,
-    us_scenario,
-)
+from .scenarios import Scenario, build_scenario, get_scenario
 
 __version__ = "1.0.0"
 
@@ -88,9 +81,6 @@ __all__ = [
     "haversine_km",
     "Scenario",
     "build_scenario",
-    "city_dc_scenario",
-    "europe_scenario",
-    "interdc_scenario",
-    "us_scenario",
+    "get_scenario",
     "__version__",
 ]

@@ -28,8 +28,8 @@ from .topology import Topology
 #: Bandwidth of one MW series, Gbps (paper §2).
 SERIES_CAPACITY_GBPS = 1.0
 
-#: Radius around a hop midpoint within which existing towers can host a
-#: parallel series (tower-siting tolerance, §3.3).
+#: Radius around a hop's first tower within which existing towers can
+#: host a parallel series (tower-siting tolerance, §3.3).
 SPARE_SEARCH_RADIUS_KM = 15.0
 
 
@@ -133,17 +133,16 @@ def augment_capacity(
     catalog: LinkCatalog,
     registry: TowerRegistry,
     aggregate_gbps: float,
-    cost_model: CostModel | None = None,
-    spare_radius_km: float = SPARE_SEARCH_RADIUS_KM,
 ) -> AugmentationResult:
     """Provision every built link for its routed demand.
 
     For each hop of a link needing k parallel series, the k-1 extra
     series first occupy spare existing towers near the hop (within
-    ``spare_radius_km`` of its midpoint), and new towers are built at
-    each end for whatever remains, at the cost model's new-tower price.
+    :data:`SPARE_SEARCH_RADIUS_KM` of its first tower), and new towers
+    are built at each end for whatever remains.  The result counts
+    towers and series only; :meth:`AugmentationResult.cost_per_gb`
+    prices them under a cost model.
     """
-    del cost_model  # cost application happens on the result
     demands = route_link_demands(topology, aggregate_gbps)
     provisions: list[LinkProvision] = []
     total_census: Counter = Counter()
@@ -167,7 +166,7 @@ def augment_capacity(
                 # Spare existing towers near the hop's first endpoint:
                 # total towers in the vicinity minus those this path uses.
                 if end_a is not None:
-                    nearby = registry.count_near(end_a.point, spare_radius_km)
+                    nearby = registry.count_near(end_a.point, SPARE_SEARCH_RADIUS_KM)
                 else:
                     nearby = 0
                 spares_per_end = max(0, (nearby - 2)) // 2

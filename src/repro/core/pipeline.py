@@ -231,10 +231,10 @@ _SHARED_TERRAIN_CACHES: dict[TerrainModel, tuple[LruCache, LruCache]] = {}
 def shared_pipeline(terrain: TerrainModel, config: LosConfig | None = None) -> HopPipeline:
     """A pipeline whose terrain caches are shared per terrain model.
 
-    Scenario builders use this so parameter sweeps (usable height
-    fraction, radio range, clutter...) over the same geography reuse
-    every terrain profile and tower-base elevation already sampled.
-    The two caches live for the process, one pair per terrain, compared
+    Scenario assembly (:func:`repro.scenarios.build_scenario`) uses this
+    so parameter sweeps (usable height fraction, radio range, clutter...)
+    over the same geography reuse every terrain profile and tower-base
+    elevation already sampled.  The two caches live for the process, one pair per terrain, compared
     by value; they store terrain heights only, which are
     config-independent, while each returned pipeline still applies its
     own :class:`LosConfig` to the verdicts.  Candidate pairs are

@@ -14,6 +14,11 @@ from functools import lru_cache
 
 from .sites import Site, coalesce_sites
 
+#: Cities this close (km) merge into one center, as for the US; the
+#: paper keeps the centers above 300k people (§6.2).
+COALESCE_KM = 50.0
+MIN_POPULATION = 300_000
+
 _RAW_CITIES: list[tuple[str, float, float, int]] = [
     ("London", 51.5074, -0.1278, 8174000),
     ("Berlin", 52.5200, 13.4050, 3645000),
@@ -131,16 +136,14 @@ def raw_cities() -> list[Site]:
     ]
 
 
-def eu_population_centers(
-    coalesce_km: float = 50.0, min_population: int = 300_000
-) -> list[Site]:
+def eu_population_centers() -> list[Site]:
     """European population centers (coalesced, population >= 300k)."""
-    return list(_coalesced_centers(coalesce_km, min_population))
+    return list(_coalesced_centers())
 
 
-@lru_cache(maxsize=8)
-def _coalesced_centers(coalesce_km: float, min_population: int) -> tuple[Site, ...]:
-    # Coalesced once per argument pair: sites are frozen, so the cached
-    # tuple is safe to share and callers get a fresh list.
-    centers = coalesce_sites(raw_cities(), radius_km=coalesce_km)
-    return tuple(c for c in centers if c.population >= min_population)
+@lru_cache(maxsize=1)
+def _coalesced_centers() -> tuple[Site, ...]:
+    # Coalesced once: sites are frozen, so the cached tuple is safe to
+    # share and callers get a fresh list.
+    centers = coalesce_sites(raw_cities(), radius_km=COALESCE_KM)
+    return tuple(c for c in centers if c.population >= MIN_POPULATION)

@@ -344,7 +344,8 @@ class SweepService:
             :data:`STALL_TIMEOUT_S` is killed regardless.
         fault_plan: deterministic fault injection for chaos tests; a
             fault that could never fire on this sweep is rejected here
-            (:meth:`~repro.exp.faults.FaultPlan.check_sweep`).
+            (:meth:`~repro.exp.faults.FaultPlan.check_sweep`, and on a
+            fresh sweep an attempt past ``retry.max_attempts``).
     """
 
     def __init__(
@@ -379,6 +380,18 @@ class SweepService:
             fault_plan.check_sweep(
                 len(self.points), (*BASE_STAGES, *base_spec.eval_stages())
             )
+        # A fresh sweep tries each point at most max_attempts times; a
+        # resumed one can go past that (a point stopped on its last
+        # attempt is requeued with it counted).
+        if fault_plan is not None and not resume:
+            for fault in fault_plan.faults:
+                if fault.attempt > self.retry.max_attempts:
+                    raise ValueError(
+                        f"fault plan: {fault.action} fault at point "
+                        f"{fault.point} fires on attempt {fault.attempt}, but "
+                        f"this sweep tries each point at most "
+                        f"{self.retry.max_attempts} time(s)"
+                    )
         self.fingerprint = sweep_fingerprint(base_spec, self.axes)
         if journal_dir is None:
             if isinstance(self.store, NullStore) or self.store.root is None:

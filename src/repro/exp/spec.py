@@ -26,8 +26,8 @@ from typing import Any, Callable, Mapping
 #: :func:`repro.scenarios.get_scenario`).
 SCENARIO_NAMES = ("us", "europe", "interdc", "city_dc")
 
-#: Per-scenario default tower-synthesis seeds (match the historical
-#: defaults of the ``us_scenario``/``europe_scenario``/... builders).
+#: Per-scenario default tower-synthesis seeds, applied by
+#: :meth:`ScenarioSpec.resolved_seed` (and so by ``get_scenario``).
 SCENARIO_DEFAULT_SEEDS = {"us": 42, "europe": 43, "interdc": 44, "city_dc": 45}
 
 #: Scenarios whose site list is fixed (``sites`` must stay None).

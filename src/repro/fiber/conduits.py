@@ -24,6 +24,12 @@ from scipy.sparse.csgraph import dijkstra, minimum_spanning_tree
 from ..datasets.sites import Site
 from ..geo.coords import FIBER_SLOWDOWN, pairwise_distance_matrix
 
+#: Mean per-edge route inflation over the geodesic, and the spread of
+#: its distribution.  This calibration lands the all-pairs mean
+#: *latency* stretch (1.5 x route / geodesic) near the paper's 1.93x.
+CIRCUITOUSNESS_MEAN = 1.16
+CIRCUITOUSNESS_SPREAD = 0.18
+
 
 @dataclass(frozen=True)
 class FiberEdge:
@@ -83,22 +89,13 @@ def _gabriel_edges(dist: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
-def build_conduit_network(
-    sites: list[Site],
-    seed: int = 17,
-    circuitousness_mean: float = 1.16,
-    circuitousness_spread: float = 0.18,
-) -> FiberNetwork:
+def build_conduit_network(sites: list[Site], seed: int = 17) -> FiberNetwork:
     """Synthesize a conduit network over ``sites``.
 
     Args:
         sites: site list (edge indices refer to positions in this list).
-        seed: RNG seed for per-edge circuitousness.
-        circuitousness_mean: mean per-edge route inflation over geodesic.
-        circuitousness_spread: spread of the inflation distribution.
-
-    The default calibration lands the all-pairs mean *latency* stretch
-    (1.5 x route / geodesic) near the paper's 1.93x.
+        seed: RNG seed for per-edge circuitousness (every scenario uses
+            the default).
     """
     n = len(sites)
     if n < 2:
@@ -119,8 +116,8 @@ def build_conduit_network(
     edges = []
     for i, j in sorted(pairs):
         # Inflation factor > 1; beta-shaped so extremes are rare.
-        factor = 1.04 + (circuitousness_mean - 1.04) * 2.0 * rng.beta(2.2, 2.2)
-        factor *= 1.0 + circuitousness_spread * (rng.random() - 0.5) * 0.5
+        factor = 1.04 + (CIRCUITOUSNESS_MEAN - 1.04) * 2.0 * rng.beta(2.2, 2.2)
+        factor *= 1.0 + CIRCUITOUSNESS_SPREAD * (rng.random() - 0.5) * 0.5
         factor = max(factor, 1.02)
         edges.append(FiberEdge(site_a=i, site_b=j, route_km=float(dist[i, j] * factor)))
     return FiberNetwork(n_sites=n, edges=tuple(edges))

@@ -109,13 +109,13 @@ def _value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     return top + (bottom - top) * ty
 
 
+#: Per-octave amplitude and frequency factors of :func:`fractal_noise`.
+NOISE_PERSISTENCE = 0.5
+NOISE_LACUNARITY = 2.0
+
+
 def fractal_noise(
-    x: np.ndarray,
-    y: np.ndarray,
-    octaves: int = 5,
-    persistence: float = 0.5,
-    lacunarity: float = 2.0,
-    seed: int = 0,
+    x: np.ndarray, y: np.ndarray, octaves: int = 5, seed: int = 0
 ) -> np.ndarray:
     """Multi-octave value noise normalized to [0, 1)."""
     total = np.zeros_like(np.asarray(x, dtype=float))
@@ -125,8 +125,8 @@ def fractal_noise(
     for octave in range(octaves):
         total += amplitude * _value_noise(x * frequency, y * frequency, seed + octave)
         norm += amplitude
-        amplitude *= persistence
-        frequency *= lacunarity
+        amplitude *= NOISE_PERSISTENCE
+        frequency *= NOISE_LACUNARITY
     return total / norm
 
 

@@ -1,7 +1,7 @@
 """Step 1: site-to-site microwave link candidates over the tower graph."""
 
 from .builder import (
-    DEFAULT_SITE_ATTACH_KM,
+    SITE_ATTACH_KM,
     CandidateLink,
     LinkCatalog,
     build_link_catalog,
@@ -9,7 +9,7 @@ from .builder import (
 from .disjoint import DisjointPath, tower_disjoint_paths
 
 __all__ = [
-    "DEFAULT_SITE_ATTACH_KM",
+    "SITE_ATTACH_KM",
     "CandidateLink",
     "LinkCatalog",
     "build_link_catalog",

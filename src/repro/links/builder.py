@@ -23,7 +23,7 @@ from ..towers.registry import TowerRegistry
 
 #: Towers within this radius of a site can serve as the link's first hop
 #: (the paper: each site "hosts enough towers" for many links).
-DEFAULT_SITE_ATTACH_KM = 25.0
+SITE_ATTACH_KM = 25.0
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,16 @@ class LinkCatalog:
 
 
 def _site_attachment_edges(
-    sites: list[Site], registry: TowerRegistry, attach_km: float
+    sites: list[Site], registry: TowerRegistry
 ) -> tuple[list[int], list[int], list[float]]:
-    """Edges connecting each site node to its nearby towers."""
+    """Edges connecting each site node to the towers within
+    :data:`SITE_ATTACH_KM` of it."""
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     n_towers = len(registry)
     for s_idx, site in enumerate(sites):
-        nearby = registry.near(site.point, attach_km)
+        nearby = registry.near(site.point, SITE_ATTACH_KM)
         for t in nearby:
             d = haversine_km(site.lat, site.lon, t.lat, t.lon)
             rows.append(n_towers + s_idx)
@@ -96,7 +97,6 @@ def build_link_catalog(
     sites: list[Site],
     registry: TowerRegistry,
     hop_graph: HopGraph,
-    attach_km: float = DEFAULT_SITE_ATTACH_KM,
 ) -> LinkCatalog:
     """Compute the shortest feasible MW link between every site pair.
 
@@ -111,7 +111,7 @@ def build_link_catalog(
     rows = list(hop_graph.edges_a) + list(hop_graph.edges_b)
     cols = list(hop_graph.edges_b) + list(hop_graph.edges_a)
     vals = list(hop_graph.lengths_km) * 2
-    s_rows, s_cols, s_vals = _site_attachment_edges(sites, registry, attach_km)
+    s_rows, s_cols, s_vals = _site_attachment_edges(sites, registry)
     rows += s_rows + s_cols
     cols += s_cols + s_rows
     vals += s_vals + s_vals

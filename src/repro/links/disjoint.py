@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 from ..datasets.sites import Site
 from ..towers.hops import HopGraph
 from ..towers.registry import TowerRegistry
-from .builder import DEFAULT_SITE_ATTACH_KM, _reconstruct_path, _site_attachment_edges
+from .builder import _reconstruct_path, _site_attachment_edges
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ def tower_disjoint_paths(
     registry: TowerRegistry,
     hop_graph: HopGraph,
     max_iterations: int = 20,
-    attach_km: float = DEFAULT_SITE_ATTACH_KM,
 ) -> list[DisjointPath]:
     """Successive tower-disjoint shortest MW paths between two sites.
 
@@ -62,9 +61,7 @@ def tower_disjoint_paths(
     rows = list(hop_graph.edges_a) + list(hop_graph.edges_b)
     cols = list(hop_graph.edges_b) + list(hop_graph.edges_a)
     vals = list(hop_graph.lengths_km) * 2
-    s_rows, s_cols, s_vals = _site_attachment_edges(
-        [site_a, site_b], registry, attach_km
-    )
+    s_rows, s_cols, s_vals = _site_attachment_edges([site_a, site_b], registry)
     rows += s_rows + s_cols
     cols += s_cols + s_rows
     vals += s_vals + s_vals

@@ -386,12 +386,13 @@ def run_load_curve(
             iterates loss to a fixed point (fluid engine only).
         rate_scale: uniform rate shrink factor (see module docstring).
     """
+    # Every load is validated before any work; the first load point
+    # then hoists the invariants.
+    for load in loads:
+        _validate_experiment_params(load, engine, demand_model, transport)
     rows: list[dict] = []
     setup: _ExperimentSetup | None = None
     for load in loads:
-        # Every load point is validated before it runs; the first one
-        # also hoists the invariants.
-        _validate_experiment_params(load, engine, demand_model, transport)
         if setup is None:
             setup = _prepare_experiment(
                 topology,

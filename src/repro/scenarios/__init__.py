@@ -1,27 +1,14 @@
 """Pre-assembled scenarios: US, Europe, and data-center deployments."""
 
-from .base import SCENARIO_BUILDERS, Scenario, build_scenario, get_scenario
-from .europe import EU_FIBER_STRETCH, europe_scenario
-from .interdc import (
-    city_dc_scenario,
-    city_dc_traffic,
-    dc_dc_traffic,
-    dc_indices,
-    interdc_scenario,
-)
-from .us import us_scenario
+from .base import EU_FIBER_STRETCH, Scenario, build_scenario, get_scenario
+from .interdc import city_dc_traffic, dc_dc_traffic, dc_indices
 
 __all__ = [
-    "SCENARIO_BUILDERS",
     "Scenario",
     "build_scenario",
     "get_scenario",
     "EU_FIBER_STRETCH",
-    "europe_scenario",
-    "city_dc_scenario",
     "city_dc_traffic",
     "dc_dc_traffic",
     "dc_indices",
-    "interdc_scenario",
-    "us_scenario",
 ]

@@ -4,6 +4,9 @@ A :class:`Scenario` bundles every substrate artifact for a geography so
 experiments can build :class:`~repro.core.topology.DesignInput` objects
 for any traffic model without re-running the expensive steps (tower
 synthesis, LOS hop enumeration, Step-1 shortest paths).
+:func:`get_scenario` is the one door to the paper's four substrates:
+the contiguous US (§4), Europe (§6.2) and the inter-DC and city-DC
+deployments (§6.3).
 """
 
 from __future__ import annotations
@@ -15,16 +18,25 @@ import numpy as np
 
 from ..core.pipeline import shared_pipeline
 from ..core.topology import DesignInput
+from ..datasets.datacenters import google_us_datacenters
+from ..datasets.eu_cities import eu_population_centers
 from ..datasets.sites import Site
+from ..datasets.us_cities import us_population_centers
 from ..fiber.conduits import FiberNetwork, build_conduit_network
 from ..geo.coords import pairwise_distance_matrix
-from ..geo.terrain import TerrainModel
+from ..geo.fresnel import RadioProfile
+from ..geo.terrain import TerrainModel, europe_terrain, us_terrain
 from ..links.builder import LinkCatalog, build_link_catalog
 from ..towers.hops import HopGraph
 from ..towers.los import LosConfig
 from ..towers.registry import TowerRegistry, cull_towers
 from ..towers.synthesis import SynthesisConfig, synthesize_towers
 from ..traffic.matrices import dc_to_dc_matrix, population_product_matrix
+
+#: The paper lacks European conduit data and assumes fiber latencies
+#: inflated over geodesics as in the US; Europe's fiber is this flat
+#: multiple of the geodesic.
+EU_FIBER_STRETCH = 1.93
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,6 @@ def build_scenario(
     terrain: TerrainModel,
     los_config: LosConfig | None = None,
     synthesis_config: SynthesisConfig | None = None,
-    fiber_seed: int = 17,
     flat_fiber_stretch: float | None = None,
 ) -> Scenario:
     """Run the full substrate pipeline for a site list.
@@ -123,7 +134,6 @@ def build_scenario(
         terrain: elevation model for LOS checks and tower thinning.
         los_config: line-of-sight parameters (range, usable height...).
         synthesis_config: synthetic tower field parameters.
-        fiber_seed: conduit-network seed.
         flat_fiber_stretch: if given, skip the conduit network and set
             o_ij = flat_fiber_stretch x geodesic (the paper's Europe
             assumption of ~1.9x latency inflation).
@@ -143,7 +153,7 @@ def build_scenario(
         fiber_net = None
         fiber_km = geodesic * flat_fiber_stretch
     else:
-        fiber_net = build_conduit_network(sites, seed=fiber_seed)
+        fiber_net = build_conduit_network(sites)
         fiber_km = fiber_net.latency_equivalent_matrix()
     return Scenario(
         name=name,
@@ -158,43 +168,38 @@ def build_scenario(
     )
 
 
-# The scenario name/seed metadata and validation rules live in the
-# (dependency-free) spec module so the spec layer, this dispatcher, and
-# the CLI share one copy.
-from ..exp.spec import (  # noqa: E402 - single source of scenario metadata
-    ScenarioSpec,
-    SCENARIO_NAMES as SCENARIO_BUILDERS,
-)
-
-_DEFAULT_MAX_RANGE_KM = 100.0
-_DEFAULT_USABLE_HEIGHT = 1.0
+# The scenario names, default seeds and validation rules live in the
+# (dependency-free) spec module so the spec layer, this door and the CLI
+# share one copy.
+from ..exp.spec import ScenarioSpec  # noqa: E402 - single source of scenario metadata
 
 
 def get_scenario(
     name: str,
     sites: int | None = None,
-    max_range_km: float = _DEFAULT_MAX_RANGE_KM,
-    usable_height_fraction: float = _DEFAULT_USABLE_HEIGHT,
+    max_range_km: float = ScenarioSpec.max_range_km,
+    usable_height_fraction: float = ScenarioSpec.usable_height_fraction,
     seed: int | None = None,
 ) -> Scenario:
-    """Build (or fetch the cached) scenario by name — the substrate stage.
+    """Build (or fetch the cached) named scenario — the substrate stage.
 
-    This is the one dispatcher the CLI and the experiment orchestration
-    layer (:mod:`repro.exp`) share, and it is *strict*: a parameter a
-    scenario cannot honor raises ``ValueError`` instead of being
-    silently dropped (``sites`` for the fixed-site ``europe`` and
-    ``interdc`` scenarios, LoS overrides for the data-center scenarios).
+    The one way to build a named scenario, and *strict*: a parameter a
+    scenario cannot honor raises ``ValueError`` (``sites`` for the
+    fixed-site ``europe`` and ``interdc``, LoS overrides for the
+    data-center scenarios).  The last 16 scenarios are memoized on their
+    resolved values, so every spelling of one substrate (``sites=None``
+    or 120, ``seed=None`` or the default seed) returns one object.
 
     Args:
-        name: "us", "europe", "interdc", or "city_dc".
-        sites: site-list size (``us``: ≤120 population centers,
-            ``city_dc``: city count); None picks the scenario default.
+        name: "us" (paper §4), "europe" (§6.2), "interdc" or "city_dc"
+            (§6.3).
+        sites: site-list size (``us``: the most populous centers,
+            ``city_dc``: the city count); None takes all 120.
         max_range_km / usable_height_fraction: §6.5 LoS overrides
             (``us`` and ``europe`` only).
         seed: tower-synthesis seed; None keeps the scenario default.
     """
-    # ScenarioSpec owns the validation rules (unknown name, fixed site
-    # lists, LoS-override restrictions); constructing one applies them.
+    # ScenarioSpec owns the validation rules; building one applies them.
     spec = ScenarioSpec(
         name=name,
         sites=sites,
@@ -202,29 +207,48 @@ def get_scenario(
         usable_height_fraction=usable_height_fraction,
         seed=seed,
     )
-    seed = spec.resolved_seed()
+    if sites is None and name in ("us", "city_dc"):
+        sites = len(us_population_centers())
+    return _named_scenario(
+        name, sites, max_range_km, usable_height_fraction, spec.resolved_seed()
+    )
 
-    from .europe import europe_scenario
-    from .interdc import city_dc_scenario, interdc_scenario
-    from .us import us_scenario
+
+@lru_cache(maxsize=16)
+def _named_scenario(
+    name: str,
+    sites: int | None,
+    max_range_km: float,
+    usable_height_fraction: float,
+    seed: int,
+) -> Scenario:
+    """One validated, resolved named scenario (see :func:`get_scenario`).
+
+    The data-center scenarios arrive with the default LoS only; city-DC
+    appends the data centers after the cities.
+    """
+    los = LosConfig(
+        radio=RadioProfile(max_range_km=max_range_km),
+        usable_height_fraction=usable_height_fraction,
+    )
+    towers = SynthesisConfig(seed=seed)
     if name == "us":
-        kwargs = dict(
-            max_range_km=max_range_km,
-            usable_height_fraction=usable_height_fraction,
-            seed=seed,
+        return build_scenario(
+            f"us-{sites}", us_population_centers()[:sites], us_terrain(), los, towers
         )
-        if sites is not None:
-            kwargs["n_sites"] = sites
-        return us_scenario(**kwargs)
     if name == "europe":
-        return europe_scenario(
-            max_range_km=max_range_km,
-            usable_height_fraction=usable_height_fraction,
-            seed=seed,
+        return build_scenario(
+            "europe", eu_population_centers(), europe_terrain(), los, towers,
+            flat_fiber_stretch=EU_FIBER_STRETCH,
         )
     if name == "interdc":
-        return interdc_scenario(seed=seed)
-    kwargs = {"seed": seed}
-    if sites is not None:
-        kwargs["n_cities"] = sites
-    return city_dc_scenario(**kwargs)
+        return build_scenario(
+            "us-interdc", google_us_datacenters(), us_terrain(), los, towers
+        )
+    return build_scenario(
+        "us-city-dc",
+        us_population_centers()[:sites] + google_us_datacenters(),
+        us_terrain(),
+        los,
+        towers,
+    )

@@ -27,10 +27,6 @@ from ..datasets.sites import Site
 from .hops import HopGraph
 from .registry import TowerRegistry
 
-#: Default site-to-tower attachment radius, mirrored from
-#: repro.links.builder (imported lazily there to avoid a package cycle).
-DEFAULT_SITE_ATTACH_KM = 25.0
-
 
 @dataclass(frozen=True)
 class AcquisitionModel:
@@ -133,7 +129,6 @@ def acquisition_study(
     model: AcquisitionModel | None = None,
     n_draws: int = 200,
     confirmed: dict[int, bool] | None = None,
-    attach_km: float = DEFAULT_SITE_ATTACH_KM,
     seed: int = 0,
 ) -> AcquisitionStudy:
     """Monte-Carlo candidate paths between two sites under acquisition
@@ -158,11 +153,10 @@ def acquisition_study(
     rows = list(hop_graph.edges_a) + list(hop_graph.edges_b)
     cols = list(hop_graph.edges_b) + list(hop_graph.edges_a)
     vals = list(hop_graph.lengths_km) * 2
+    # Imported here: repro.links imports this package.
     from ..links.builder import _reconstruct_path, _site_attachment_edges
 
-    s_rows, s_cols, s_vals = _site_attachment_edges(
-        [site_a, site_b], registry, attach_km
-    )
+    s_rows, s_cols, s_vals = _site_attachment_edges([site_a, site_b], registry)
     rows += s_rows + s_cols
     cols += s_cols + s_rows
     vals += s_vals + s_vals

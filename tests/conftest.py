@@ -124,6 +124,6 @@ def current_entries():
 @pytest.fixture(scope="session")
 def small_us_scenario():
     """A cached 20-city US scenario for integration tests."""
-    from repro.scenarios import us_scenario
+    from repro.scenarios import get_scenario
 
-    return us_scenario(n_sites=20)
+    return get_scenario("us", sites=20)

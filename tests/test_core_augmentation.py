@@ -150,3 +150,13 @@ class TestAugmentation:
         sc, topo = designed
         aug = augment_capacity(topo, sc.catalog, sc.registry, 100.0)
         assert aug.n_rented_towers > 0
+
+    def test_cost_model_is_not_an_argument(self, designed):
+        # It was accepted and silently discarded; the result is priced
+        # by AugmentationResult.cost_per_gb.
+        sc, topo = designed
+        with pytest.raises(TypeError, match="cost_model"):
+            augment_capacity(
+                topo, sc.catalog, sc.registry, 100.0,
+                cost_model=CostModel(new_tower_cost_usd=1e7),
+            )

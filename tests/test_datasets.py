@@ -97,9 +97,6 @@ class TestUsCities:
         want = coalesce_sites(raw_us_cities(), radius_km=50.0)[:120]
         assert us_population_centers() == want
         assert us_population_centers() == want
-        assert us_population_centers(80.0, 40) == coalesce_sites(
-            raw_us_cities(), radius_km=80.0
-        )[:40]
 
     def test_returned_list_is_a_private_copy(self):
         first = us_population_centers()

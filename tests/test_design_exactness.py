@@ -201,9 +201,10 @@ def gain_path(request, monkeypatch):
 @pytest.fixture(scope="module")
 def tower_constrained_design():
     """A 40-city US design at 60 km hops and 0.65 usable tower height."""
-    from repro.scenarios import us_scenario
+    from repro.scenarios import get_scenario
 
-    return us_scenario(n_sites=40, max_range_km=60.0, usable_height_fraction=0.65).design_input()
+    scenario = get_scenario("us", sites=40, max_range_km=60.0, usable_height_fraction=0.65)
+    return scenario.design_input()
 
 
 def design_state(design: DesignInput, links) -> np.ndarray:
@@ -408,9 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="scenario seed (default 7)")
     args = parser.parse_args(argv)
 
-    from repro.scenarios import us_scenario
+    from repro.scenarios import get_scenario
 
-    design = us_scenario(seed=args.seed).design_input()
+    design = get_scenario("us", seed=args.seed).design_input()
     # The flagship design's greedy budget: 3,000 towers at 2x inflation.
     budget = 6000.0
     for selection in ("gain", "gain_per_cost"):

@@ -355,7 +355,7 @@ class TestSweeps:
         remodel it."""
         from repro.core import solve_heuristic
         from repro.netsim import run_load_curve
-        from repro.scenarios import us_scenario
+        from repro.scenarios import get_scenario
 
         spec = tiny_spec()
         result = SweepService(spec, AXES, store=shared_store).run()
@@ -365,7 +365,7 @@ class TestSweeps:
             for row in result.records
             if row["stage"] == "netsim"
         ]
-        design_input = us_scenario(n_sites=6, seed=42).design_input()
+        design_input = get_scenario("us", sites=6, seed=42).design_input()
         ns = spec.netsim
         want = []
         for budget in AXES["design.budget_towers"]:

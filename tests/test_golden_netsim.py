@@ -28,9 +28,9 @@ LOADS = (0.3, 0.6, 0.9, 1.2)
 
 def designed_topology():
     from repro.core import solve_heuristic
-    from repro.scenarios import us_scenario
+    from repro.scenarios import get_scenario
 
-    scenario = us_scenario(n_sites=20)
+    scenario = get_scenario("us", sites=20)
     return solve_heuristic(
         scenario.design_input(), 800.0, ilp_refinement=False
     ).topology

@@ -18,9 +18,9 @@ def designed_20(small_us_scenario):
 # Make the session fixture visible at module scope.
 @pytest.fixture(scope="module")
 def small_us_scenario():
-    from repro.scenarios import us_scenario
+    from repro.scenarios import get_scenario
 
-    return us_scenario(n_sites=20)
+    return get_scenario("us", sites=20)
 
 
 def load_point(topo, load, **kwargs) -> dict:
@@ -127,6 +127,26 @@ class TestParameterValidation:
         kwargs = {"loads": [value]} if name == "input_rate_fraction" else {"loads": [0.5], name: value}
         with pytest.raises(ValueError, match=message):
             run_load_curve(topo, 50.0, **kwargs)
+
+    def test_every_load_checked_before_any_point_runs(self, designed_20, monkeypatch):
+        from repro.netsim import experiments
+
+        _, topo = designed_20
+        points = []
+        real = experiments._run_point
+
+        def counting(*args):
+            points.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_run_point", counting)
+        with pytest.raises(ValueError) as info:
+            run_load_curve(topo, 50.0, [0.5, 0.9, 2.0], engine="fluid")
+        assert str(info.value) == "input_rate_fraction must be a finite number in (0, 1.5], got 2.0"
+        assert points == []
+        # A valid curve still runs every point.
+        run_load_curve(topo, 50.0, [0.5, 0.9], engine="fluid")
+        assert points == [0.5, 0.9]
 
 
 class TestDeterminism:

@@ -77,9 +77,9 @@ class TestFailureReroute:
     # The session-scoped fixture must be visible here.
     @pytest.fixture(scope="class")
     def small_us_scenario(self):
-        from repro.scenarios import us_scenario
+        from repro.scenarios import get_scenario
 
-        return us_scenario(n_sites=20)
+        return get_scenario("us", sites=20)
 
     def test_outage_then_recovery(self, designed):
         topo, busiest = designed

@@ -218,9 +218,9 @@ class TestEngineSelector:
     @pytest.fixture(scope="class")
     def topology(self):
         from repro.core import solve_heuristic
-        from repro.scenarios import us_scenario
+        from repro.scenarios import get_scenario
 
-        scenario = us_scenario(n_sites=15)
+        scenario = get_scenario("us", sites=15)
         return solve_heuristic(
             scenario.design_input(), 600.0, ilp_refinement=False
         ).topology

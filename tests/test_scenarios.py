@@ -12,6 +12,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,8 +30,7 @@ from repro.scenarios import (
     build_scenario,
     dc_dc_traffic,
     dc_indices,
-    interdc_scenario,
-    us_scenario,
+    get_scenario,
 )
 from repro.towers.los import LosConfig
 from repro.towers.registry import TowerRegistry, cull_towers
@@ -90,18 +90,18 @@ class TestSmallUsScenario:
 
 class TestInterdcScenario:
     def test_six_sites(self):
-        sc = interdc_scenario()
+        sc = get_scenario("interdc")
         assert sc.n_sites == 6
         assert dc_indices(sc) == list(range(6))
 
     def test_dc_traffic_uniform(self):
-        sc = interdc_scenario()
+        sc = get_scenario("interdc")
         h = dc_dc_traffic(sc)
         vals = h[np.triu_indices(6, 1)]
         assert np.allclose(vals, vals[0])
 
     def test_design_runs(self):
-        sc = interdc_scenario()
+        sc = get_scenario("interdc")
         res = design_network(
             sc.design_input(dc_dc_traffic(sc)),
             budget_towers=400.0,
@@ -116,16 +116,47 @@ class TestInterdcScenario:
         """Zero-population site lists fall back to uniform demand, so
         ``design_input()`` works for inter-DC scenarios (the CLI and the
         orchestration layer's design stage call it with no matrix)."""
-        sc = interdc_scenario()
+        sc = get_scenario("interdc")
         h = sc.design_input().traffic
         assert np.array_equal(h, dc_dc_traffic(sc))
 
 
 class TestScenarioCaching:
     def test_cache_returns_same_object(self):
-        a = us_scenario(n_sites=20)
-        b = us_scenario(n_sites=20)
+        a = get_scenario("us", sites=20)
+        b = get_scenario("us", sites=20)
         assert a is b
+
+    @pytest.fixture
+    def stub_builds(self, monkeypatch):
+        """An empty scenario memo over a ``build_scenario`` stub; each
+        build is recorded and returned as a fresh token."""
+        builds = []
+
+        def stub(name, sites, terrain, los_config, synthesis_config, **kwargs):
+            builds.append(SimpleNamespace(name=name, seed=synthesis_config.seed))
+            return builds[-1]
+
+        base._named_scenario.cache_clear()
+        monkeypatch.setattr(base, "build_scenario", stub)
+        yield builds
+        base._named_scenario.cache_clear()
+
+    @pytest.mark.parametrize("name, label, sites, seed", [
+        ("us", "us-120", 120, 42),
+        ("city_dc", "us-city-dc", 120, 45),
+        ("interdc", "us-interdc", None, 44),
+        ("europe", "europe", None, 43),
+    ])
+    def test_every_spelling_is_one_build(self, stub_builds, name, label, sites, seed):
+        first = get_scenario(name)
+        assert get_scenario(name, sites=sites) is first
+        assert get_scenario(name, seed=seed) is first
+        assert get_scenario(name, sites, 100, 1.0, seed) is first
+        assert [(b.name, b.seed) for b in stub_builds] == [(label, seed)]
+        # Another seed is another substrate.
+        assert get_scenario(name, seed=seed + 1) is not first
+        assert len(stub_builds) == 2
 
 
 class TestSiteCountBound:
@@ -148,18 +179,6 @@ class TestSiteCountBound:
 
         with pytest.raises(ValueError, match=r"^scenario\.sites must be"):
             get_scenario("us", sites=121)
-
-    def test_builders_name_their_own_parameter(self):
-        from repro.scenarios import city_dc_scenario
-
-        with pytest.raises(
-            ValueError, match=r"^n_sites must be in \[2, 120\], got 121$"
-        ):
-            us_scenario(n_sites=121)
-        with pytest.raises(
-            ValueError, match=r"^n_cities must be in \[2, 120\], got 150$"
-        ):
-            city_dc_scenario(n_cities=150)
 
 
 def _los(max_range_km: float, usable_height_fraction: float) -> LosConfig:

@@ -310,6 +310,42 @@ class TestFaultPlan:
                   "--fault-plan", str(cli_sweep_dir / "plan.json")])
         assert str(info.value) == "fault plan: point 4 is not in this 4-point sweep"
 
+    #: The rejection of a fault on attempt 5 of a 3-attempt sweep.
+    PAST_BUDGET = (
+        "fault plan: fail fault at point 0 fires on attempt 5, but this "
+        "sweep tries each point at most 3 time(s)"
+    )
+
+    def test_fault_past_the_attempt_budget_fails_at_build(self, tmp_path):
+        # A fresh sweep never reaches the attempt, so the fault would
+        # silently never fire.
+        store = ArtifactStore(tmp_path / "s")
+        axes = {"design.budget_towers": [100.0, 150.0]}
+        plan = FaultPlan(faults=(Fault(point=0, action="fail", attempt=5),))
+        with pytest.raises(ValueError) as info:
+            SweepService(tiny_spec(), axes, store=store,
+                         retry=RetryPolicy(max_attempts=3), fault_plan=plan)
+        assert str(info.value) == self.PAST_BUDGET
+        assert not (tmp_path / "s" / "sweeps").exists()  # no journal either
+        # The budget's last attempt can fire; so can any attempt of a
+        # resumed sweep, whose requeued points carry their attempts.
+        SweepService(tiny_spec(), axes, store=store,
+                     retry=RetryPolicy(max_attempts=5), fault_plan=plan)
+        SweepService(tiny_spec(), axes, store=store, resume=True,
+                     retry=RetryPolicy(max_attempts=3), fault_plan=plan)
+
+    def test_fault_past_the_attempt_budget_fails_through_the_cli(self, cli_sweep_dir):
+        (cli_sweep_dir / "plan.json").write_text(json.dumps(
+            {"faults": [{"point": 0, "action": "fail", "attempt": 5}]}
+        ))
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(cli_sweep_dir / "spec.json"),
+                  "--cache-dir", str(cli_sweep_dir / "store"),
+                  "--fault-plan", str(cli_sweep_dir / "plan.json"),
+                  "--retries", "3"])
+        assert str(info.value) == self.PAST_BUDGET
+        assert not (cli_sweep_dir / "store" / "sweeps").exists()
+
 
 # --------------------------------------------------------------------------
 # Store corruption quarantine (satellite b).

@@ -894,7 +894,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.core import design_network
-    from repro.scenarios import us_scenario
+    from repro.scenarios import get_scenario
     from repro.weather import (
         US_CLIMATE,
         YearlyWeatherEvaluator,
@@ -902,7 +902,7 @@ def main(argv: list[str] | None = None) -> int:
         strided_interval_days,
     )
 
-    sc = us_scenario(seed=args.seed)
+    sc = get_scenario("us", seed=args.seed)
     # The flagship design: 3,000 towers, greedy without ILP refinement.
     topology = design_network(
         sc.design_input(), 3000.0, solver="heuristic", ilp_refinement=False
