@@ -234,10 +234,10 @@ def shared_pipeline(terrain: TerrainModel, config: LosConfig | None = None) -> H
     Scenario assembly (:func:`repro.scenarios.build_scenario`) uses this
     so parameter sweeps (usable height fraction, radio range, clutter...)
     over the same geography reuse every terrain profile and tower-base
-    elevation already sampled.  The two caches live for the process, one pair per terrain, compared
-    by value; they store terrain heights only, which are
-    config-independent, while each returned pipeline still applies its
-    own :class:`LosConfig` to the verdicts.  Candidate pairs are
+    elevation already sampled.  The two caches live for the process, one
+    pair per terrain, compared by value; they store terrain heights only,
+    which are config-independent, while each returned pipeline still
+    applies its own :class:`LosConfig` to the verdicts.  Candidate pairs are
     memoized on the registry instead (:meth:`HopPipeline.candidate_pairs`).
     """
     checker = CachingLosChecker(terrain, config)

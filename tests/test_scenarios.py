@@ -175,8 +175,6 @@ class TestSiteCountBound:
                 ScenarioSpec(name=name, sites=121)
 
     def test_dispatcher_rejects_more_sites_than_cities(self):
-        from repro.scenarios import get_scenario
-
         with pytest.raises(ValueError, match=r"^scenario\.sites must be"):
             get_scenario("us", sites=121)
 
