@@ -152,6 +152,7 @@ class TestScenarioCaching:
         first = get_scenario(name)
         assert get_scenario(name, sites=sites) is first
         assert get_scenario(name, seed=seed) is first
+        assert get_scenario(name, sites=sites, seed=seed) is first
         assert get_scenario(name, sites, 100, 1.0, seed) is first
         assert [(b.name, b.seed) for b in stub_builds] == [(label, seed)]
         # Another seed is another substrate.
