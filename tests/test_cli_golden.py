@@ -1,12 +1,15 @@
-"""Golden CLI transcripts: what ``repro sweep`` and ``repro run`` print.
+"""Golden CLI transcripts: what every experiment command prints.
 
 ``tests/golden/cli_transcripts.json`` pins the stdout and exit code of
-a fixed set of invocations over the 6-site sweep spec the sweep-service
-tests use: with a fresh artifact store, with ``--no-cache`` inline and
-with two workers, ``--json`` output, a bare (axis-free) spec, and a
-sweep whose second point fails.  Each invocation runs in-process
-through :func:`repro.cli.main`.  ``design`` is left out because it
-prints the solver's wall time.
+a fixed set of invocations.  ``sweep`` and ``run`` go over the 6-site
+sweep spec the sweep-service tests use: with a fresh artifact store,
+with ``--no-cache`` inline and with two workers, ``--json`` output, a
+bare (axis-free) spec, and a sweep whose second point fails.
+``design``, ``netsim`` and ``weather`` run a 6-site, 150-tower design
+with their flags set away from the defaults, and ``econ`` prints its
+table at two costs.  Each invocation runs in-process through
+:func:`repro.cli.main`.  ``design`` prints the solver's wall time,
+which is masked as ``(<t>s``.
 
 Regenerate (only for an intended output change) with::
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,6 +35,9 @@ SWEEP = [
     "sweep", "--sites", "6", "--max-budget", "300", "--points", "3",
     "--solver", "heuristic",
 ]
+
+#: The small design every ``design``/``netsim``/``weather`` line uses.
+SMALL = ["--sites", "6", "--budget", "150", "--no-cache"]
 
 #: Spec files written next to the stores; ``run`` reads them.
 SPEC_FILES = {
@@ -60,7 +67,28 @@ INVOCATIONS = {
         "run", "{dir}/failing.json", "--cache-dir", "{store}",
         "--retries", "1",
     ],
+    "design --gbps 20 --map": ["design", *SMALL, "--gbps", "20", "--map"],
+    "design --solver ilp": ["design", *SMALL, "--solver", "ilp"],
+    "netsim fluid tcp users": [
+        "netsim", *SMALL, "--engine", "fluid", "--transport", "tcp",
+        "--demand", "users", "--hour-utc", "8", "--users-millions", "5",
+    ],
+    "netsim --duration 0.05 --flow-seed 3": [
+        "netsim", *SMALL, "--duration", "0.05", "--flow-seed", "3",
+    ],
+    "weather --graded --intervals 10 --frequency-ghz 18": [
+        "weather", *SMALL, "--graded", "--intervals", "10",
+        "--frequency-ghz", "18",
+    ],
+    "weather --interval-days 30": [
+        "weather", *SMALL, "--interval-days", "30",
+    ],
+    "econ": ["econ", "--no-cache"],
+    "econ --cost-per-gb 0.5": ["econ", "--no-cache", "--cost-per-gb", "0.5"],
 }
+
+#: ``design``'s solver wall time, e.g. ``(0.03s``.
+WALL_TIME = re.compile(r"\(\d+\.\d+s")
 
 
 def transcripts(workdir: Path) -> dict:
@@ -78,7 +106,7 @@ def transcripts(workdir: Path) -> dict:
         out[name] = {
             "argv": argv,
             "exit": code,
-            "stdout": stdout.getvalue().split("\n"),
+            "stdout": WALL_TIME.sub("(<t>s", stdout.getvalue()).split("\n"),
         }
     return out
 
