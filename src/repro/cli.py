@@ -9,6 +9,15 @@ are memoized in a content-addressed artifact store shared across
 processes and sessions — rerunning a command, or sweeping around it,
 reuses everything whose spec slice did not change.
 
+Each experiment flag is declared once, in :data:`SPEC_FLAGS`, as the
+dotted spec path it sets; the spec field supplies the rest.  The flag's
+type comes from the field's annotation, an unset flag leaves the
+field's value in place, and a bad value fails the spec's own check,
+whose message names the field.  A command's spec is its base spec in
+:data:`COMMANDS` — only the CLI's deliberate departures from the spec
+defaults, such as 30 sites for ``design`` — with the given flags
+applied through :meth:`~repro.exp.ExperimentSpec.from_dict`.
+
 Commands:
 
 * ``design``  — design a cISP for a scenario and print the summary
@@ -63,23 +72,149 @@ import json
 import math
 import sys
 import tempfile
+import types
+import typing
 
-#: Per-command default site counts for the sized scenarios (us/city_dc),
-#: preserving the pre-orchestration CLI defaults.
-_DEFAULT_SITES = {"design": 30, "sweep": 30, "netsim": 20, "weather": 30}
+#: Experiment flag -> (the spec path it sets, help).  The spec field
+#: supplies the flag's type (see :func:`_flag_kwargs`), its default
+#: and its checks; every command that takes the flag shares the entry.
+SPEC_FLAGS = {
+    "--scenario": ("scenario.name", "scenario family"),
+    "--sites": ("scenario.sites", "site count (us/city_dc only; europe and "
+                "interdc have fixed sites)"),
+    "--seed": ("scenario.seed", "tower-synthesis seed (default: the "
+               "scenario's pinned seed)"),
+    "--budget": ("design.budget_towers", "tower budget B"),
+    "--gbps": ("design.aggregate_gbps", "design aggregate to provision for"),
+    "--solver": ("design.solver", "topology-solver backend (see 'solvers')"),
+    "--engine": ("netsim.engine", "packet: per-packet simulation; fluid: "
+                 "max-min fast path"),
+    "--loads": ("netsim.loads", "comma-separated offered-load fractions"),
+    "--duration": ("netsim.duration_s", "simulated seconds per load point "
+                   "(packet engine)"),
+    "--flow-seed": ("netsim.seed", "Poisson-arrival seed (packet engine)"),
+    "--transport": ("netsim.transport", "udp: open-loop offers; tcp: Mathis "
+                    "macro-model (fluid engine only)"),
+    "--demand": ("netsim.demand_model", "design: scale the design matrix; "
+                 "users: bottom-up diurnal + heavy-tail per-city demand"),
+    "--hour-utc": ("netsim.demand_hour_utc", "UTC hour for the diurnal "
+                   "profile (users demand)"),
+    "--demand-seed": ("netsim.demand_seed", "heavy-tail multiplier seed "
+                      "(users demand)"),
+    "--users-millions": ("netsim.users_millions", "rescale to this many "
+                         "million active users (users demand)"),
+    "--intervals": ("weather.n_intervals", "sampled days of the year"),
+    "--graded": ("weather.graded", "also run the graded "
+                 "(modulation-downshift) model"),
+    "--frequency-ghz": ("weather.frequency_ghz", "MW carrier frequency for "
+                        "the rain-fade physics (binary and graded models)"),
+    "--interval-days": ("weather.sample_interval_days", "evaluate every Nth "
+                        "day (1 = daily) instead of --intervals random days"),
+    "--cost-per-gb": ("econ.cost_per_gb", "network cost to compare value "
+                      "estimates against ($/GB)"),
+}
+
+_SCENARIO_FLAGS = ("--scenario", "--sites", "--seed")
+
+#: The CLI favors speed: the heuristic skips its restricted final ILP.
+_NO_REFINE = {"ilp_refinement": False}
+
+#: Experiment command -> (its flags, its base spec).  A base spec holds
+#: only the CLI's departures from the spec defaults; its
+#: ``scenario.sites`` applies to the sized scenarios (us, city_dc).
+COMMANDS = {
+    "design": (
+        (*_SCENARIO_FLAGS, "--budget", "--gbps", "--solver"),
+        {"scenario": {"sites": 30}, "design": {"aggregate_gbps": 100.0}},
+    ),
+    "sweep": (
+        (*_SCENARIO_FLAGS, "--solver"),
+        # evolution reproduces the incremental build-out of Fig 4a.
+        {"scenario": {"sites": 30}, "design": {"solver": "evolution"}},
+    ),
+    "netsim": (
+        (*_SCENARIO_FLAGS, "--budget", "--gbps", "--engine", "--loads",
+         "--duration", "--flow-seed", "--transport", "--demand", "--hour-utc",
+         "--demand-seed", "--users-millions"),
+        {"scenario": {"sites": 20}, "netsim": {},
+         "design": {"budget_towers": 800.0, "aggregate_gbps": 100.0,
+                    "solver_opts": _NO_REFINE}},
+    ),
+    "weather": (
+        (*_SCENARIO_FLAGS, "--budget", "--intervals", "--graded",
+         "--frequency-ghz", "--interval-days"),
+        {"scenario": {"sites": 30}, "design": {"solver_opts": _NO_REFINE},
+         "weather": {}},
+    ),
+    "econ": (("--cost-per-gb",), {"econ": {"cost_per_gb": 0.81}}),
+}
 
 
-def _resolve_sites(args: argparse.Namespace, command: str) -> int | None:
-    """CLI default sites for sized scenarios; None for fixed-site ones.
+def _non_none(hint):
+    """``X`` for an ``X | None`` annotation; any other one unchanged."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    return hint
 
-    An explicit ``--sites`` for a fixed-site scenario is passed through
-    so the spec layer rejects it loudly (never silently ignored).
+
+def _comma_list(item: type):
+    """argparse type: comma-separated ``item`` values, no empty entry."""
+
+    def parse(text: str) -> tuple:
+        entries = text.split(",")
+        if not all(entry.strip() for entry in entries):
+            raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+        try:
+            return tuple(item(entry) for entry in entries)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {item.__name__} values: "
+                f"{text!r}"
+            ) from None
+
+    return parse
+
+
+def _flag_kwargs(path: str) -> dict:
+    """argparse keywords for the flag setting ``path``, from its type.
+
+    ``X | None`` takes an ``X``, ``bool`` is a switch and
+    ``tuple[X, ...]`` a comma-separated list.  No default is stated:
+    an unset flag parses as None and leaves the spec's value alone.
     """
-    if args.sites is not None:
-        return args.sites
-    if args.scenario in ("us", "city_dc"):
-        return _DEFAULT_SITES[command]
-    return None
+    from .exp import ExperimentSpec
+
+    section, name = path.split(".")
+    section_cls = _non_none(typing.get_type_hints(ExperimentSpec)[section])
+    hint = _non_none(typing.get_type_hints(section_cls)[name])
+    if hint is bool:
+        return {"action": "store_const", "const": True}
+    if typing.get_origin(hint) is tuple:
+        return {"type": _comma_list(typing.get_args(hint)[0])}
+    return {"type": hint}
+
+
+def _command_spec(args: argparse.Namespace, command: str):
+    """The command's base spec with every given experiment flag applied.
+
+    The base site count is for the sized scenarios: a fixed-site one
+    drops it, while an explicit ``--sites`` still reaches the spec,
+    which rejects it there.
+    """
+    from .exp import ExperimentSpec
+    from .exp.spec import FIXED_SITE_SCENARIOS
+
+    flags, base = COMMANDS[command]
+    doc = {section: dict(values) for section, values in base.items()}
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            section, name = SPEC_FLAGS[flag][0].split(".")
+            doc.setdefault(section, {})[name] = value
+    scenario = doc.get("scenario", {})
+    if scenario.get("name") in FIXED_SITE_SCENARIOS and args.sites is None:
+        del scenario["sites"]
+    return ExperimentSpec.from_dict(doc)
 
 
 def _store_from_args(args: argparse.Namespace):
@@ -270,33 +405,21 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _scenario_spec(args: argparse.Namespace, command: str):
-    from .exp import ScenarioSpec
-
-    return ScenarioSpec(
-        name=args.scenario,
-        sites=_resolve_sites(args, command),
-        seed=args.seed,
-    )
-
-
 def _cmd_design(args: argparse.Namespace) -> int:
-    from .exp import DesignSpec, ExperimentSpec, run_experiment
+    from .exp import run_experiment
     from .viz import render_topology
 
-    solver_opts = {}
-    if args.solver == "heuristic":
+    spec = _command_spec(args, "design")
+    if spec.design.solver == "heuristic":
         # The CLI favors speed; pass --refine to run the restricted ILP.
-        solver_opts["ilp_refinement"] = args.refine
-    spec = ExperimentSpec(
-        scenario=_scenario_spec(args, "design"),
-        design=DesignSpec(
-            budget_towers=args.budget,
-            solver=args.solver,
-            aggregate_gbps=args.gbps,
-            solver_opts=solver_opts,
-        ),
-    )
+        spec = spec.with_value(
+            "design.solver_opts", {"ilp_refinement": args.refine}
+        )
+    elif args.refine:
+        raise SystemExit(
+            "--refine runs the heuristic's restricted final ILP; "
+            f"--solver {spec.design.solver} takes no --refine"
+        )
     run = run_experiment(spec, store=_store_from_args(args))
     scenario = run.artifacts["substrate"]
     result = run.artifacts["design"]
@@ -304,14 +427,14 @@ def _cmd_design(args: argparse.Namespace) -> int:
     print(f"solver:          {result.backend} "
           f"({result.solve_outcome.runtime_s:.2f}s"
           f"{', cached' if run.stage_status['design'] == 'cached' else ''})")
-    print(f"budget:          {args.budget:.0f} towers "
+    print(f"budget:          {spec.design.budget_towers:.0f} towers "
           f"({result.towers_used:.0f} used)")
     print(f"MW links:        {result.mw_link_count}")
     print(f"mean stretch:    {result.mean_stretch:.4f} "
           f"(fiber: {result.fiber_mean_stretch:.3f})")
     if result.cost_per_gb_usd is not None:
         print(f"cost per GB:     ${result.cost_per_gb_usd:.2f} "
-              f"at {args.gbps:.0f} Gbps")
+              f"at {spec.design.aggregate_gbps:.0f} Gbps")
     if args.map:
         print()
         print(render_topology(result.topology, result.augmentation))
@@ -321,14 +444,11 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .exp import DesignSpec, ExperimentSpec
-
     if args.points < 2:
         raise SystemExit(f"--points must be >= 2, got {args.points}")
     budgets = [float(b) for b in np.linspace(0.0, args.max_budget, args.points)]
-    spec = ExperimentSpec(
-        scenario=_scenario_spec(args, "sweep"),
-        design=DesignSpec(budget_towers=budgets[0], solver=args.solver),
+    spec = _command_spec(args, "sweep").with_value(
+        "design.budget_towers", budgets[0]
     )
     result, status = _run_sweep(
         args, spec, {"design.budget_towers": budgets}, _store_from_args(args)
@@ -343,40 +463,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_netsim(args: argparse.Namespace) -> int:
-    from .exp import DesignSpec, ExperimentSpec, NetsimSpec, run_experiment
+    from .exp import run_experiment
 
-    try:
-        loads = tuple(float(x) for x in args.loads.split(",") if x)
-    except ValueError:
-        raise SystemExit(f"bad --loads value {args.loads!r}")
-    # Range/emptiness rules live in NetsimSpec; its ValueError surfaces
-    # as a clean exit via main().
-    spec = ExperimentSpec(
-        scenario=_scenario_spec(args, "netsim"),
-        design=DesignSpec(
-            budget_towers=args.budget,
-            solver="heuristic",
-            aggregate_gbps=args.gbps,
-            solver_opts={"ilp_refinement": False},
-        ),
-        netsim=NetsimSpec(
-            loads=loads,
-            engine=args.engine,
-            duration_s=args.duration,
-            seed=args.flow_seed,
-            demand_model=args.demand,
-            demand_hour_utc=args.hour_utc,
-            demand_seed=args.demand_seed,
-            users_millions=args.users_millions,
-            transport=args.transport,
-        ),
-    )
+    spec = _command_spec(args, "netsim")
+    ns = spec.netsim
     run = run_experiment(spec, store=_store_from_args(args))
     scenario = run.artifacts["substrate"]
     print(f"scenario:  {scenario.name} ({scenario.n_sites} sites, "
-          f"budget {args.budget:.0f} towers)")
-    print(f"engine:    {args.engine} ({args.transport}, "
-          f"{args.demand} demand)")
+          f"budget {spec.design.budget_towers:.0f} towers)")
+    print(f"engine:    {ns.engine} ({ns.transport}, "
+          f"{ns.demand_model} demand)")
     print("load  mean_delay_ms  loss_rate  max_link_util")
     for row in run.records:
         if row["stage"] != "netsim":
@@ -387,23 +483,11 @@ def _cmd_netsim(args: argparse.Namespace) -> int:
 
 
 def _cmd_weather(args: argparse.Namespace) -> int:
-    from .exp import DesignSpec, ExperimentSpec, WeatherSpec, run_experiment
+    from .exp import run_experiment
 
-    spec = ExperimentSpec(
-        scenario=_scenario_spec(args, "weather"),
-        design=DesignSpec(
-            budget_towers=args.budget,
-            solver="heuristic",
-            solver_opts={"ilp_refinement": False},
-        ),
-        weather=WeatherSpec(
-            n_intervals=args.intervals,
-            graded=args.graded,
-            frequency_ghz=args.frequency_ghz,
-            sample_interval_days=args.interval_days,
-        ),
+    run = run_experiment(
+        _command_spec(args, "weather"), store=_store_from_args(args)
     )
-    run = run_experiment(spec, store=_store_from_args(args))
     solver_row = None
     print("series  median  p95")
     for row in run.records:
@@ -427,13 +511,13 @@ def _cmd_weather(args: argparse.Namespace) -> int:
 
 
 def _cmd_econ(args: argparse.Namespace) -> int:
-    from .exp import EconSpec, ExperimentSpec, run_experiment
+    from .exp import run_experiment
 
     # An explicit cost makes the econ stage self-contained: no design
     # solve happens (and none is cached) just to print the table.
-    spec = ExperimentSpec(econ=EconSpec(cost_per_gb=args.cost_per_gb))
+    spec = _command_spec(args, "econ")
     run = run_experiment(spec, store=_store_from_args(args), stages=("econ",))
-    print(f"network cost: ${args.cost_per_gb:.2f}/GB")
+    print(f"network cost: ${spec.econ.cost_per_gb:.2f}/GB")
     print("scenario      low_$per_GB  high_$per_GB  justifies")
     for row in run.records:
         if row["stage"] != "econ":
@@ -566,42 +650,21 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .core import solver_names
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="cISP (NSDI 2022) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    from .exp.spec import SCENARIO_NAMES
+    def experiment(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        for flag in COMMANDS[name][0]:
+            path, flag_help = SPEC_FLAGS[flag]
+            p.add_argument(flag, help=flag_help, **_flag_kwargs(path))
+        p.set_defaults(func=func)
+        return p
 
-    def add_scenario_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", default="us", choices=SCENARIO_NAMES)
-        p.add_argument(
-            "--sites",
-            type=int,
-            default=None,
-            help="site count (us/city_dc only; errors loudly for the "
-            "fixed-site europe/interdc scenarios)",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="tower-synthesis seed (default: the scenario's pinned seed)",
-        )
-
-    p = sub.add_parser("design", help="design a cISP network")
-    add_scenario_args(p)
-    p.add_argument("--budget", type=float, default=1000.0)
-    p.add_argument("--gbps", type=float, default=100.0)
-    p.add_argument(
-        "--solver",
-        default="heuristic",
-        choices=solver_names(),
-        help="topology-solver backend (see the 'solvers' command)",
-    )
+    p = experiment("design", _cmd_design, "design a cISP network")
     p.add_argument(
         "--refine",
         action="store_true",
@@ -609,88 +672,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--map", action="store_true", help="print the ASCII map")
     _add_cache_args(p)
-    p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("solvers", help="list topology-solver backends")
     p.set_defaults(func=_cmd_solvers)
 
-    p = sub.add_parser("sweep", help="budget sweep (Fig 4a)")
-    add_scenario_args(p)
+    p = experiment("sweep", _cmd_sweep, "budget sweep (Fig 4a)")
     p.add_argument("--max-budget", type=float, default=3000.0)
     p.add_argument("--points", type=int, default=10)
-    p.add_argument(
-        "--solver",
-        default="evolution",
-        choices=solver_names(),
-        help="backend per budget point (evolution reproduces the "
-        "incremental build-out of Fig 4a)",
-    )
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the sweep points")
     _add_service_args(p)
     _add_cache_args(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser(
-        "netsim", help="simulate load on a designed network (Fig 5)"
+    p = experiment(
+        "netsim", _cmd_netsim, "simulate load on a designed network (Fig 5)"
     )
-    add_scenario_args(p)
-    p.add_argument("--budget", type=float, default=800.0)
-    p.add_argument("--gbps", type=float, default=100.0,
-                   help="design aggregate the network is provisioned for")
-    from .exp.spec import DEMAND_MODELS, ENGINES, TRANSPORTS
-
-    p.add_argument(
-        "--engine",
-        default="packet",
-        choices=ENGINES,
-        help="packet: per-packet simulation; fluid: max-min fast path",
-    )
-    p.add_argument("--loads", default="0.3,0.6,0.9",
-                   help="comma-separated offered-load fractions")
-    p.add_argument("--duration", type=float, default=0.5,
-                   help="simulated seconds per load point (packet engine)")
-    p.add_argument("--flow-seed", type=int, default=0,
-                   help="Poisson-arrival seed (packet engine)")
-    p.add_argument(
-        "--transport",
-        default="udp",
-        choices=TRANSPORTS,
-        help="udp: open-loop offers; tcp: Mathis macro-model "
-             "(fluid engine only)",
-    )
-    p.add_argument(
-        "--demand",
-        default="design",
-        choices=DEMAND_MODELS,
-        help="design: scale the design matrix; users: bottom-up "
-             "diurnal + heavy-tail per-city demand",
-    )
-    p.add_argument("--hour-utc", type=float, default=20.0,
-                   help="UTC hour for the diurnal profile (users demand)")
-    p.add_argument("--demand-seed", type=int, default=0,
-                   help="heavy-tail multiplier seed (users demand)")
-    p.add_argument("--users-millions", type=float, default=None,
-                   help="rescale to this many million active users "
-                        "(users demand)")
     _add_cache_args(p)
-    p.set_defaults(func=_cmd_netsim)
 
-    p = sub.add_parser("weather", help="yearly weather analysis (Fig 7)")
-    add_scenario_args(p)
-    p.add_argument("--budget", type=float, default=1000.0)
-    p.add_argument("--intervals", type=int, default=120)
-    p.add_argument("--graded", action="store_true",
-                   help="also run the graded (modulation-downshift) model")
-    p.add_argument("--frequency-ghz", type=float, default=11.0,
-                   help="MW carrier frequency for the rain-fade physics "
-                        "(shared by the binary and graded models)")
-    p.add_argument("--interval-days", type=int, default=None,
-                   help="evaluate every Nth day of the year "
-                        "deterministically (1 = daily resolution) "
-                        "instead of sampling --intervals random days")
+    p = experiment("weather", _cmd_weather, "yearly weather analysis (Fig 7)")
     _add_cache_args(p)
-    p.set_defaults(func=_cmd_weather)
 
     p = sub.add_parser(
         "lint",
@@ -734,10 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_lint)
 
-    p = sub.add_parser("econ", help="cost-benefit table (§8)")
-    p.add_argument("--cost-per-gb", type=float, default=0.81)
+    p = experiment("econ", _cmd_econ, "cost-benefit table (§8)")
     _add_cache_args(p)
-    p.set_defaults(func=_cmd_econ)
 
     p = sub.add_parser(
         "run",

@@ -16,6 +16,7 @@ scenarios, and benchmarks select backends by name with a single
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
@@ -26,7 +27,7 @@ from ..links.builder import LinkCatalog
 from ..towers.registry import TowerRegistry
 from .augmentation import AugmentationResult, augment_capacity
 from .costs import CostModel
-from .heuristic import HeuristicResult, solve_heuristic
+from .heuristic import solve_heuristic
 from .topology import DesignInput, Topology, fiber_only_topology
 
 
@@ -38,25 +39,25 @@ class DesignResult:
         topology: the chosen MW links over fiber.
         mean_stretch: traffic-weighted mean latency stretch.
         fiber_mean_stretch: the all-fiber baseline stretch.
-        heuristic: the raw optimizer output (greedy trace etc.).
         augmentation: capacity provisioning (None when no throughput
             target was given).
         cost_per_gb_usd: amortized $/GB (None without a throughput
             target).
+        solve_outcome: the backend's outcome; its ``details`` hold the
+            raw optimizer output (greedy trace etc.).
     """
 
     topology: Topology
     mean_stretch: float
     fiber_mean_stretch: float
-    heuristic: HeuristicResult | None
     augmentation: AugmentationResult | None
     cost_per_gb_usd: float | None
-    solve_outcome: "SolveOutcome | None" = None
+    solve_outcome: "SolveOutcome"
 
     @property
     def backend(self) -> str:
         """Registry name of the solver that produced the topology."""
-        return self.solve_outcome.backend if self.solve_outcome else "heuristic"
+        return self.solve_outcome.backend
 
     @property
     def mw_link_count(self) -> int:
@@ -114,7 +115,6 @@ def design_network(
         topology=outcome.topology,
         mean_stretch=outcome.objective,
         fiber_mean_stretch=fiber_stretch,
-        heuristic=outcome.details if solver == "heuristic" else None,
         augmentation=augmentation,
         cost_per_gb_usd=cost_per_gb,
         solve_outcome=outcome,
@@ -160,6 +160,11 @@ class Solver(Protocol):
 
     name: str
 
+    def options(self) -> tuple[str, ...]:  # pragma: no cover - protocol
+        """The keyword options ``solve`` takes; a spec naming any other
+        one is rejected when it is parsed."""
+        ...
+
     def solve(
         self, problem: DesignInput, budget: float, **opts
     ) -> SolveOutcome:  # pragma: no cover - protocol
@@ -199,6 +204,11 @@ def solver_version(name: str) -> str:
     return getattr(get_solver(name), "version", "1")
 
 
+def _options_of(function) -> tuple[str, ...]:
+    """The keyword options a backend function takes after (problem, budget)."""
+    return tuple(inspect.signature(function).parameters)[2:]
+
+
 def solve(problem: DesignInput, budget: float, backend: str = "heuristic", **opts) -> SolveOutcome:
     """Solve a design problem through the registry.
 
@@ -217,6 +227,9 @@ class HeuristicSolver:
 
     name = "heuristic"
 
+    def options(self) -> tuple[str, ...]:
+        return _options_of(solve_heuristic)
+
     def solve(self, problem: DesignInput, budget: float, **opts) -> SolveOutcome:
         result = solve_heuristic(problem, budget, **opts)
         return SolveOutcome(
@@ -233,6 +246,11 @@ class IlpSolver:
     """The exact flow ILP (optimal, exponential-ish runtime)."""
 
     name = "ilp"
+
+    def options(self) -> tuple[str, ...]:
+        from .ilp import solve_ilp
+
+        return _options_of(solve_ilp)
 
     def solve(self, problem: DesignInput, budget: float, **opts) -> SolveOutcome:
         from .ilp import solve_ilp
@@ -253,6 +271,11 @@ class LpRoundingSolver:
 
     name = "lp_rounding"
 
+    def options(self) -> tuple[str, ...]:
+        from .lp_rounding import solve_lp_rounding
+
+        return _options_of(solve_lp_rounding)
+
     def solve(self, problem: DesignInput, budget: float, **opts) -> SolveOutcome:
         from .lp_rounding import solve_lp_rounding
 
@@ -271,6 +294,11 @@ class ExhaustiveSolver:
     """Brute-force subset enumeration (ground truth on tiny instances)."""
 
     name = "exhaustive"
+
+    def options(self) -> tuple[str, ...]:
+        from .exhaustive import solve_exhaustive
+
+        return _options_of(solve_exhaustive)
 
     def solve(self, problem: DesignInput, budget: float, **opts) -> SolveOutcome:
         from .exhaustive import solve_exhaustive
@@ -297,6 +325,11 @@ class EvolutionSolver:
     """
 
     name = "evolution"
+
+    def options(self) -> tuple[str, ...]:
+        from .heuristic import greedy_sequence
+
+        return _options_of(greedy_sequence)
 
     def solve(self, problem: DesignInput, budget: float, **opts) -> SolveOutcome:
         from .heuristic import greedy_sequence

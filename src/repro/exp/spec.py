@@ -109,6 +109,34 @@ def _check_choice(path: str, value: Any, choices) -> None:
         )
 
 
+def _solver_opts(solver: str, opts: Any) -> tuple[tuple[str, Any], ...]:
+    """``opts``, a mapping or (key, value) pairs, as sorted pairs.
+
+    Each key must be an option the backend names in ``options()`` (its
+    solve function's signature).  Only the chosen backend is looked up.
+    """
+    from ..core.design import get_solver
+
+    accepted = sorted(get_solver(solver).options())
+    takes = f"solver {solver!r} takes {', '.join(accepted) or 'no option'}"
+    if isinstance(opts, (list, tuple)) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+        for pair in opts
+    ):
+        opts = dict(opts)
+    if not isinstance(opts, Mapping):
+        raise ValueError(
+            f"design.solver_opts must map option names to values ({takes}), "
+            f"got {opts!r}"
+        )
+    unknown = sorted(str(key) for key in opts if key not in accepted)
+    if unknown:
+        raise ValueError(
+            f"design.solver_opts has unknown option(s) {', '.join(unknown)} ({takes})"
+        )
+    return tuple(sorted(opts.items()))
+
+
 def _asdict(spec: Any) -> dict:
     """A dataclass's canonical dict: plain scalars, tuples as lists."""
     out = {}
@@ -159,7 +187,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
             raise ValueError(
-                f"unknown scenario {self.name!r} (choose from {', '.join(SCENARIO_NAMES)})"
+                f"scenario.name: unknown scenario {self.name!r} "
+                f"(choose from {', '.join(SCENARIO_NAMES)})"
             )
         if self.sites is not None:
             # Imported here, as DesignSpec imports the solver names:
@@ -207,7 +236,8 @@ class DesignSpec:
             > 0); None skips capacity augmentation and costing.
         solver_opts: backend-specific options, stored as a sorted tuple
             of (key, value) pairs so the spec stays hashable and its
-            canonical form is order-independent.
+            canonical form is order-independent.  Each key must be an
+            option the backend's solve function takes.
     """
 
     budget_towers: float = 1000.0
@@ -224,12 +254,9 @@ class DesignSpec:
         _check_choice("design.solver", self.solver, solver_names())
         if self.aggregate_gbps is not None:
             _check_real("design.aggregate_gbps", self.aggregate_gbps, *_POSITIVE)
-        opts = self.solver_opts
-        if isinstance(opts, Mapping):
-            opts = tuple(sorted(opts.items()))
-        else:
-            opts = tuple(sorted((str(k), v) for k, v in opts))
-        object.__setattr__(self, "solver_opts", opts)
+        object.__setattr__(
+            self, "solver_opts", _solver_opts(self.solver, self.solver_opts)
+        )
 
     def opts_dict(self) -> dict[str, Any]:
         return dict(self.solver_opts)

@@ -99,3 +99,16 @@ class TestCli:
     def test_unknown_solver_rejected(self):
         with pytest.raises(SystemExit):
             main(["design", "--solver", "annealing"])
+
+    @pytest.mark.parametrize("solver", ["ilp", "evolution"])
+    def test_refine_with_another_solver_exits(self, solver):
+        """``--refine`` is the heuristic's; no other backend drops it."""
+        with pytest.raises(SystemExit, match=f"--solver {solver} takes no --refine"):
+            main(["design", "--solver", solver, "--refine", "--no-cache"])
+
+    @pytest.mark.parametrize("loads", ["0.3,,0.6", "0.3,", ""])
+    def test_empty_load_entry_exits(self, capsys, loads):
+        with pytest.raises(SystemExit) as info:
+            main(["netsim", "--loads", loads, "--no-cache"])
+        assert info.value.code == 2
+        assert "argument --loads: empty entry" in capsys.readouterr().err

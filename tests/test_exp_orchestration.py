@@ -174,8 +174,8 @@ class TestSpec:
             tiny_spec().with_value("budget_towers", 1.0)
 
     def test_solver_opts_order_is_canonical(self):
-        a = DesignSpec(solver_opts={"b": 1, "a": 2})
-        b = DesignSpec(solver_opts={"a": 2, "b": 1})
+        a = DesignSpec(solver_opts={"inflation": 3.0, "ilp_refinement": False})
+        b = DesignSpec(solver_opts={"ilp_refinement": False, "inflation": 3.0})
         assert a == b
         assert canonical_json(a.solver_opts) == canonical_json(b.solver_opts)
 
