@@ -661,6 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in COMMANDS[name][0]:
             path, flag_help = SPEC_FLAGS[flag]
             p.add_argument(flag, help=flag_help, **_flag_kwargs(path))
+        _add_cache_args(p)
         p.set_defaults(func=func)
         return p
 
@@ -671,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="heuristic only: run the restricted final ILP (slower)",
     )
     p.add_argument("--map", action="store_true", help="print the ASCII map")
-    _add_cache_args(p)
 
     p = sub.add_parser("solvers", help="list topology-solver backends")
     p.set_defaults(func=_cmd_solvers)
@@ -682,15 +682,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the sweep points")
     _add_service_args(p)
-    _add_cache_args(p)
 
-    p = experiment(
+    experiment(
         "netsim", _cmd_netsim, "simulate load on a designed network (Fig 5)"
     )
-    _add_cache_args(p)
-
-    p = experiment("weather", _cmd_weather, "yearly weather analysis (Fig 7)")
-    _add_cache_args(p)
+    experiment("weather", _cmd_weather, "yearly weather analysis (Fig 7)")
 
     p = sub.add_parser(
         "lint",
@@ -734,8 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_lint)
 
-    p = experiment("econ", _cmd_econ, "cost-benefit table (§8)")
-    _add_cache_args(p)
+    experiment("econ", _cmd_econ, "cost-benefit table (§8)")
 
     p = sub.add_parser(
         "run",

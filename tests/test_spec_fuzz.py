@@ -24,36 +24,37 @@ import typing
 import pytest
 
 import repro.exp as exp
-from repro.cli import main
+from repro.cli import COMMANDS, SPEC_FLAGS, main
 from repro.exp import ExperimentSpec
 
 #: The fuzzer's seed: every run draws the same values.
 SEED = 31
 
 
-def _drawn(rng: random.Random) -> list:
-    """Bad values of each kind, drawn from ``rng``."""
+def _drawn(rng: random.Random) -> tuple[list, list]:
+    """Bad spec values of each kind, and bad command-line spellings,
+    drawn from ``rng``."""
     word = "".join(rng.choice(string.ascii_letters) for _ in range(rng.randint(3, 12)))
-    return [
+    negative = -rng.uniform(1e-6, 1e6)
+    values = [
         word,
         -rng.randint(1, 10**6),
-        -rng.uniform(1e-6, 1e6),
+        negative,
         [rng.uniform(2.0, 1e3)],
         {word.lower(): rng.random()},
     ]
+    return values, [word, repr(negative)]
 
+
+DRAWN_VALUES, DRAWN_ARGS = _drawn(random.Random(SEED))
 
 BAD_VALUES = [
     None, True, False, "", "x", math.nan, math.inf, -math.inf, -1, -0.5,
-    [], [None], ["x"], [0.5, "a"], {}, {"opt": 1},
-    *_drawn(random.Random(SEED)),
+    [], [None], ["x"], [0.5, "a"], {}, {"opt": 1}, *DRAWN_VALUES,
 ]
 
 #: Command-line spellings that no experiment flag accepts.
-BAD_ARGS = [
-    "", "x", "nan", "inf", "-inf", "-1", "1e999",
-    "".join(random.Random(SEED).choice(string.ascii_letters) for _ in range(8)),
-]
+BAD_ARGS = ["", "x", "nan", "inf", "-inf", "-1", "1e999", *DRAWN_ARGS]
 
 
 def _section_classes() -> dict[str, type]:
@@ -113,12 +114,6 @@ def test_with_value_names_the_field(section, name):
     )
 
 
-def _flag_cases() -> list[tuple[str, str]]:
-    from repro.cli import COMMANDS
-
-    return [(command, flag) for command, (flags, _) in COMMANDS.items() for flag in flags]
-
-
 @pytest.fixture
 def no_runs(monkeypatch):
     """Fail the test if a bad value gets as far as running anything."""
@@ -130,12 +125,15 @@ def no_runs(monkeypatch):
     monkeypatch.setattr(exp, "SweepService", reached)
 
 
-@pytest.mark.parametrize("command,flag", _flag_cases(), ids=" ".join)
+FLAG_CASES = [
+    (command, flag) for command, (flags, _) in COMMANDS.items() for flag in flags
+]
+
+
+@pytest.mark.parametrize("command,flag", FLAG_CASES, ids=" ".join)
 def test_every_experiment_flag_names_itself_or_its_field(
     command, flag, no_runs, capsys
 ):
-    from repro.cli import SPEC_FLAGS
-
     path = SPEC_FLAGS[flag][0]
     for value in BAD_ARGS:
         with pytest.raises(SystemExit) as info:
